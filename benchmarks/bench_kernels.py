@@ -1,10 +1,8 @@
-"""Timing comparison of the LSTM recurrence backends.
+"""Timing of the fused LSTM sequence kernels.
 
-Runs the fused sequence kernels on realistic training shapes with both the
-numba-compiled and the plain numpy time loop, and prints a small table of
-medians plus the speedup. The surrounding BLAS work (input projection,
-weight-gradient matmuls) is identical for both, so the difference isolates
-the per-timestep Python/JIT overhead.
+Runs the forward and backward sequence kernels on realistic training
+shapes and prints their medians. Both include the surrounding BLAS work
+(input projection, weight-gradient matmuls) as well as the time loop.
 
 Usage: python benchmarks/bench_kernels.py [--bptt 70] [--batch 16]
        [--hidden 64] [--emb 64] [--repeats 20] [--dtype f32]
@@ -16,7 +14,7 @@ import time
 
 import numpy as np
 
-from opscan.kernels import HAS_NUMBA, lstm_seq_backward, lstm_seq_forward
+from opscan.kernels import active_backend, lstm_seq_backward, lstm_seq_forward
 
 
 def make_inputs(T, B, D, H, dtype, seed=0):
@@ -33,14 +31,15 @@ def make_inputs(T, B, D, H, dtype, seed=0):
 
 
 def time_backend(backend, inp, repeats):
-    fw = lambda: lstm_seq_forward(
-        inp["x"], inp["wx"], inp["wh"], inp["b"], inp["h0"], inp["c0"], backend=backend
-    )
-    h_seq, c_seq, gates = fw()  # warmup: first numba call compiles
+    """Median (forward, backward) seconds. ``backend`` names the kernel
+    build being timed; the numpy one, from active_backend(), is the only one."""
+    if backend != active_backend():
+        raise ValueError(f"no {backend!r} kernel build; only {active_backend()!r}")
+    fw = lambda: lstm_seq_forward(inp["x"], inp["wx"], inp["wh"], inp["b"], inp["h0"], inp["c0"])
+    h_seq, c_seq, gates = fw()  # warmup
     dh = np.ones_like(h_seq)
     bw = lambda: lstm_seq_backward(
-        dh, inp["x"], inp["wx"], inp["wh"], inp["h0"], inp["c0"],
-        h_seq, c_seq, gates, backend=backend,
+        dh, inp["x"], inp["wx"], inp["wh"], inp["h0"], inp["c0"], h_seq, c_seq, gates
     )
     bw()
     fw_times, bw_times = [], []
@@ -66,27 +65,13 @@ def main():
 
     dtype = np.float32 if args.dtype == "f32" else np.float64
     inp = make_inputs(args.bptt, args.batch, args.emb, args.hidden, dtype)
-    backends = ["numpy"] + (["numba"] if HAS_NUMBA else [])
-    if not HAS_NUMBA:
-        print("numba not importable: timing the numpy path only")
-
     print(f"shape: bptt={args.bptt} batch={args.batch} emb={args.emb} "
           f"hidden={args.hidden} dtype={args.dtype} repeats={args.repeats}")
-    results = {}
-    for backend in backends:
-        fw_ms, bw_ms = time_backend(backend, inp, args.repeats)
-        results[backend] = (fw_ms, bw_ms)
-
-    header = f"{'backend':<8} {'forward ms':>11} {'backward ms':>12} {'total ms':>9}"
+    fw_s, bw_s = time_backend(active_backend(), inp, args.repeats)
+    header = f"{'forward ms':>11} {'backward ms':>12} {'total ms':>9}"
     print(header)
     print("-" * len(header))
-    for backend, (fw_ms, bw_ms) in results.items():
-        print(f"{backend:<8} {fw_ms * 1e3:>11.3f} {bw_ms * 1e3:>12.3f} "
-              f"{(fw_ms + bw_ms) * 1e3:>9.3f}")
-    if "numba" in results:
-        np_total = sum(results["numpy"])
-        nb_total = sum(results["numba"])
-        print(f"\nnumba speedup: {np_total / nb_total:.2f}x")
+    print(f"{fw_s * 1e3:>11.3f} {bw_s * 1e3:>12.3f} {(fw_s + bw_s) * 1e3:>9.3f}")
 
 
 if __name__ == "__main__":

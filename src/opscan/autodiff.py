@@ -15,6 +15,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import kernels
+
 
 class GradError(RuntimeError):
     pass
@@ -171,12 +173,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    d = x.data
-    s = np.empty_like(d)
-    pos = d >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    s[~pos] = ex / (1.0 + ex)
+    s = kernels.sigmoid(x.data)
     out = Tensor(s, (x,))
 
     def bw():

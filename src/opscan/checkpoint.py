@@ -29,6 +29,7 @@ VERSION = 1
 _NP_DTYPE = {"f32": np.float32, "f64": np.float64}
 _WIRE_DTYPE = {"f32": "<f4", "f64": "<f8"}  # little-endian on any host
 _DTYPE_CODE = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+_HEADER_KEYS = ("kind", "vocab_hash", "vocab", "hyperparams", "metadata", "params")
 
 
 class CheckpointError(Exception):
@@ -125,6 +126,11 @@ def _read_header(fh) -> tuple[dict, int]:
         header = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("corrupt header: not a JSON object")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise CheckpointError(f"corrupt header: no {', '.join(missing)}")
     return header, 12 + length
 
 
@@ -143,22 +149,25 @@ def vocab_from_header(header: dict) -> Vocab | None:
 
 def _rebuild(header: dict):
     hp = header["hyperparams"]
-    enc = Encoder(
-        hp["vocab_size"],
-        emb_size=hp["emb_size"],
-        hidden_size=hp["hidden_size"],
-        n_layers=hp["n_layers"],
-        dropouts=Dropouts(**hp["dropouts"]),
-        tie_last=hp["tie_last"],
-        dtype=_NP_DTYPE[hp["dtype"]],
-    )
-    if header["kind"] == "clf":
-        return Classifier(
-            enc,
-            n_classes=hp["n_classes"],
-            head_hidden=hp["head_hidden"],
-            vocab_hash=header["vocab_hash"],
+    try:
+        enc = Encoder(
+            hp["vocab_size"],
+            emb_size=hp["emb_size"],
+            hidden_size=hp["hidden_size"],
+            n_layers=hp["n_layers"],
+            dropouts=Dropouts(**hp["dropouts"]),
+            tie_last=hp["tie_last"],
+            dtype=_NP_DTYPE[hp["dtype"]],
         )
+        if header["kind"] == "clf":
+            return Classifier(
+                enc,
+                n_classes=hp["n_classes"],
+                head_hidden=hp["head_hidden"],
+                vocab_hash=header["vocab_hash"],
+            )
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"corrupt header: bad hyperparameters ({exc!r})") from exc
     return LanguageModel(enc, vocab_hash=header["vocab_hash"])
 
 

@@ -208,6 +208,15 @@ def _clf_loss_steps(clf, id_seqs, labels, cfg):
         epoch += 1
 
 
+def _report_abort(result) -> int:
+    if result.best_epoch is None:
+        kept = "no checkpoint written"
+    else:
+        kept = f"best checkpoint (epoch {result.best_epoch}) kept"
+    print(f"training aborted: {result.abort_reason}; {kept}", file=sys.stderr)
+    return 5
+
+
 def cmd_train_lm(args) -> int:
     cfg = _load_config(args, epochs=args.epochs, batch_size=args.batch_size,
                        bptt=args.bptt, max_lr=args.max_lr)
@@ -226,9 +235,7 @@ def cmd_train_lm(args) -> int:
         schedule_overrides={"warmup_frac": cfg.warmup_frac},
     )
     if result.aborted:
-        print("training aborted on non-finite loss; best checkpoint kept",
-              file=sys.stderr)
-        return 5
+        return _report_abort(result)
     print(json.dumps({"best_valid_loss": result.best_metric,
                       "best_epoch": result.best_epoch}))
     return 0
@@ -259,9 +266,7 @@ def cmd_train_clf(args) -> int:
         schedule_overrides={"warmup_frac": cfg.warmup_frac},
     )
     if result.aborted:
-        print("training aborted on non-finite loss; best checkpoint kept",
-              file=sys.stderr)
-        return 5
+        return _report_abort(result)
     print(json.dumps({"best_valid_fbeta": result.best_metric,
                       "best_epoch": result.best_epoch}))
     return 0

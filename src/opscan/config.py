@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,9 @@ class ConfigError(ValueError):
 
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
+# Python types a JSON value may take for each annotated field type; a bool
+# is an int to Python, so it is refused wherever a number is expected.
+_ACCEPTED = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
 
 @dataclass(frozen=True)
@@ -71,16 +75,34 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.type.endswith("| None"):
+                continue
+            accepted = _ACCEPTED[f.type.split(" |")[0]]
+            if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.dtype not in _DTYPES:
             raise ConfigError(f"dtype must be one of {sorted(_DTYPES)}, got {self.dtype!r}")
         for key in ("emb_size", "hidden_size", "n_layers", "head_hidden",
                     "min_freq", "batch_size", "bptt", "epochs_per_stage"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        for key in ("epochs", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0")
         if self.max_len is not None and self.max_len < 1:
             raise ConfigError("max_len must be >= 1 or null")
+        for key in ("p_emb", "p_input", "p_hidden", "p_weight", "p_head"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ConfigError(f"{key} must lie in [0, 1)")
+        if not 0 < self.warmup_frac < 1:
+            raise ConfigError("warmup_frac must lie in (0, 1)")
+        for key in ("max_lr", "lr_lo", "lr_hi"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be a finite number > 0")
+        if self.lr_lo > self.lr_hi:
+            raise ConfigError("lr_lo must be <= lr_hi")
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":

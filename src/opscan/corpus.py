@@ -234,9 +234,10 @@ class Vocab:
             for line_no, line in enumerate(fh, start=1):
                 try:
                     tok, idx = line.rstrip("\n").split("\t")
+                    idx = int(idx)
                 except ValueError as exc:
-                    raise CorpusError("expected 'token<TAB>id'", line_no) from exc
-                if int(idx) != line_no - 1:
+                    raise CorpusError("expected 'token<TAB>integer id'", line_no) from exc
+                if idx != line_no - 1:
                     raise CorpusError(f"id {idx} out of order", line_no)
                 itos.append(tok)
         if itos[: len(cls.RESERVED)] != list(cls.RESERVED):

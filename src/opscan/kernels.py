@@ -1,13 +1,9 @@
 """Fused LSTM sequence kernels: the training hot loop.
 
 The time recurrence is the only part of the model that cannot be expressed
-as a few large matmuls, so it lives here in two interchangeable builds of
-the same function: a numba @njit compile and the plain numpy original.
-OPSCAN_KERNELS=numpy|numba|auto (default auto) picks the path at import;
-auto takes numba when it is importable.
-
-Everything around the recurrence (input projections, weight-gradient
-matmuls) is batched BLAS in the public wrappers and shared by both paths.
+as a few large matmuls, so it lives here as a plain numpy time loop.
+Everything around it (input projections, weight-gradient matmuls) is
+batched BLAS in the public wrappers.
 
 Packed layout: the four gates are concatenated along the last weight axis
 in the order [input, forget, cell, output], so wx is (D, 4H), wh is
@@ -16,35 +12,22 @@ in the order [input, forget, cell, output], so wx is (D, 4H), wh is
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-_FLAG = os.environ.get("OPSCAN_KERNELS", "auto").lower()
-if _FLAG not in ("auto", "numba", "numpy"):
-    raise ValueError(f"OPSCAN_KERNELS must be auto, numba or numpy, not {_FLAG!r}")
-if _FLAG == "numba" and not HAS_NUMBA:
-    raise ImportError("OPSCAN_KERNELS=numba but numba is not importable")
-USE_NUMBA = HAS_NUMBA if _FLAG == "auto" else _FLAG == "numba"
 
 
 def active_backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"
+
+
+def sigmoid(a: np.ndarray) -> np.ndarray:
+    """Logistic function as exp(min(a,0)) / (1 + exp(-|a|)): no large exponents."""
+    return np.exp(np.minimum(a, 0.0)) / (1.0 + np.exp(-np.abs(a)))
 
 
 def _fw_recurrence(xp, wh, h0, c0, h_seq, c_seq, gates):
     """Forward time loop. xp already holds x @ wx + b, shape (T, B, 4H).
 
     Fills h_seq, c_seq (T, B, H) and post-activation gates (T, B, 4H).
-    Loop-carried state lives in the output arrays so the body stays
-    dtype-generic under numba (stores cast back to the input dtype).
     """
     T = xp.shape[0]
     H = wh.shape[0]
@@ -52,19 +35,12 @@ def _fw_recurrence(xp, wh, h0, c0, h_seq, c_seq, gates):
         h_prev = h_seq[t - 1] if t > 0 else h0
         c_prev = c_seq[t - 1] if t > 0 else c0
         a = xp[t] + np.dot(h_prev, wh)
-        ai = a[:, :H]
-        af = a[:, H : 2 * H]
-        ag = a[:, 2 * H : 3 * H]
-        ao = a[:, 3 * H :]
-        # sigmoid via exp(min(v,0)) / (1 + exp(-|v|)): no large exponents
-        i = np.exp(np.minimum(ai, 0.0)) / (1.0 + np.exp(-np.abs(ai)))
-        f = np.exp(np.minimum(af, 0.0)) / (1.0 + np.exp(-np.abs(af)))
-        g = np.tanh(ag)
-        o = np.exp(np.minimum(ao, 0.0)) / (1.0 + np.exp(-np.abs(ao)))
-        gates[t, :, :H] = i
-        gates[t, :, H : 2 * H] = f
-        gates[t, :, 2 * H : 3 * H] = g
-        gates[t, :, 3 * H :] = o
+        gates[t] = sigmoid(a)
+        gates[t, :, 2 * H : 3 * H] = np.tanh(a[:, 2 * H : 3 * H])
+        i = gates[t, :, :H]
+        f = gates[t, :, H : 2 * H]
+        g = gates[t, :, 2 * H : 3 * H]
+        o = gates[t, :, 3 * H :]
         c_seq[t] = f * c_prev + i * g
         h_seq[t] = o * np.tanh(c_seq[t])
 
@@ -97,23 +73,7 @@ def _bw_recurrence(dh_seq, wh_t, gates, c_seq, c0, da_all, dh0, dc0):
         dc0[:] = dc0 * f
 
 
-if HAS_NUMBA:
-    _fw_recurrence_jit = njit(cache=True)(_fw_recurrence)
-    _bw_recurrence_jit = njit(cache=True)(_bw_recurrence)
-else:  # pragma: no cover
-    _fw_recurrence_jit = None
-    _bw_recurrence_jit = None
-
-
-def recurrence_impls() -> dict[str, tuple]:
-    """Available (forward, backward) recurrence pairs, for tests and bench."""
-    impls = {"numpy": (_fw_recurrence, _bw_recurrence)}
-    if HAS_NUMBA:
-        impls["numba"] = (_fw_recurrence_jit, _bw_recurrence_jit)
-    return impls
-
-
-def lstm_seq_forward(x, wx, wh, b, h0, c0, backend: str | None = None):
+def lstm_seq_forward(x, wx, wh, b, h0, c0):
     """Run the LSTM over a full sequence.
 
     x (T, B, D); returns (h_seq, c_seq, gates) with h_seq/c_seq (T, B, H)
@@ -131,12 +91,11 @@ def lstm_seq_forward(x, wx, wh, b, h0, c0, backend: str | None = None):
     h_seq = np.empty((T, B, H), dtype=x.dtype)
     c_seq = np.empty((T, B, H), dtype=x.dtype)
     gates = np.empty((T, B, 4 * H), dtype=x.dtype)
-    fw, _ = recurrence_impls()[backend or active_backend()]
-    fw(xp, np.ascontiguousarray(wh), np.ascontiguousarray(h0), np.ascontiguousarray(c0), h_seq, c_seq, gates)
+    _fw_recurrence(xp, np.ascontiguousarray(wh), np.ascontiguousarray(h0), np.ascontiguousarray(c0), h_seq, c_seq, gates)
     return h_seq, c_seq, gates
 
 
-def lstm_seq_backward(dh_seq, x, wx, wh, h0, c0, h_seq, c_seq, gates, backend: str | None = None):
+def lstm_seq_backward(dh_seq, x, wx, wh, h0, c0, h_seq, c_seq, gates):
     """Gradients of the sequence run.
 
     dh_seq (T, B, H) is the upstream gradient on every hidden output.
@@ -149,8 +108,7 @@ def lstm_seq_backward(dh_seq, x, wx, wh, h0, c0, h_seq, c_seq, gates, backend: s
     dh0 = np.empty((B, H), dtype=dh_seq.dtype)
     dc0 = np.empty((B, H), dtype=dh_seq.dtype)
     wh_t = np.ascontiguousarray(wh.T)
-    _, bw = recurrence_impls()[backend or active_backend()]
-    bw(np.ascontiguousarray(dh_seq), wh_t, gates, c_seq, np.ascontiguousarray(c0), da_all, dh0, dc0)
+    _bw_recurrence(np.ascontiguousarray(dh_seq), wh_t, gates, c_seq, np.ascontiguousarray(c0), da_all, dh0, dc0)
     da2 = da_all.reshape(T * B, 4 * H)
     dx = (da2 @ wx.T).reshape(T, B, D)
     dwx = np.ascontiguousarray(x).reshape(T * B, D).T @ da2

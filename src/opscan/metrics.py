@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
@@ -156,32 +155,6 @@ class MetricsReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def render_table(self) -> str:
-        """Human-readable summary. Percentages round half-up to one decimal."""
-        lines = [
-            f"accuracy: {percent(self.accuracy)}%",
-            f"{'class':<18}{'support':>8}{'recall':>9}{'precision':>11}{'f_beta':>9}{'auc':>8}",
-        ]
-        for c in self.per_class:
-            auc_txt = percent(c.auc) if c.auc is not None else "-"
-            flag_txt = f"  [{', '.join(c.flags)}]" if c.flags else ""
-            lines.append(
-                f"Type-{c.label} ({c.name})".ljust(18)
-                + f"{c.support:>8}{percent(c.recall):>9}{percent(c.precision):>11}"
-                + f"{percent(c.fbeta):>9}{auc_txt:>8}{flag_txt}"
-            )
-        w = self.weighted
-        lines.append(
-            f"{'weighted':<18}{sum(c.support for c in self.per_class):>8}"
-            + f"{percent(w['recall']):>9}{percent(w['precision']):>11}{percent(w['fbeta']):>9}"
-        )
-        return "\n".join(lines)
-
-
-def percent(fraction: float) -> str:
-    """Fraction as a percentage string, one decimal, half-up."""
-    return str(Decimal(repr(fraction * 100)).quantize(Decimal("0.1"), ROUND_HALF_UP))
 
 
 def report(cm: np.ndarray, scores=None, labels=None, beta: float = 1.0) -> MetricsReport:

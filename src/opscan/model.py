@@ -29,10 +29,6 @@ class TransferError(RuntimeError):
     pass
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    return np.exp(np.minimum(a, 0.0)) / (1.0 + np.exp(-np.abs(a)))
-
-
 def lstm_cell_step(x, h, c, wx, wh, b):
     """One LSTM time step on plain arrays; returns (h_new, c_new).
 
@@ -42,10 +38,10 @@ def lstm_cell_step(x, h, c, wx, wh, b):
     """
     a = x @ wx + h @ wh + b
     H = wh.shape[0]
-    i = _sigmoid(a[:, :H])
-    f = _sigmoid(a[:, H : 2 * H])
+    i = K.sigmoid(a[:, :H])
+    f = K.sigmoid(a[:, H : 2 * H])
     g = np.tanh(a[:, 2 * H : 3 * H])
-    o = _sigmoid(a[:, 3 * H :])
+    o = K.sigmoid(a[:, 3 * H :])
     c_new = f * c + i * g
     return o * np.tanh(c_new), c_new
 

@@ -1,6 +1,6 @@
-"""Optimizers over named Parameters.
+"""Adam over named Parameters.
 
-Weight decay is decoupled everywhere: the shrinkage term lr * wd * w is
+Weight decay is decoupled: the shrinkage term lr * wd * w is
 applied beside the gradient step, never folded into the gradient. Frozen
 parameters are skipped entirely, values and state both.
 
@@ -85,65 +85,3 @@ class Adam:
         for p in self.params:
             p.grad = None
 
-
-class SGD:
-    """Plain gradient descent with decoupled weight decay."""
-
-    def __init__(self, params: Sequence[Parameter], lr: float = 0.1, weight_decay: float = 0.0):
-        self.params = list(params)
-        self.lr = lr
-        self.weight_decay = weight_decay
-
-    def step(self, lr=None, beta1=None) -> None:
-        lr = self.lr if lr is None else lr
-        for p in self.params:
-            if p.frozen:
-                continue
-            g = _check_finite(p)
-            if g is None:
-                continue
-            step_lr = _resolve_lr(lr, p.layer_group)
-            p.data -= step_lr * g
-            if self.weight_decay:
-                p.data -= step_lr * self.weight_decay * p.data
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
-
-class ASGD(SGD):
-    """SGD that can switch to trailing parameter averaging (NT-ASGD style).
-
-    The trainer calls start_averaging() once validation loss stops
-    improving; from then on every step folds the current weights into a
-    running average, and swap_in_average() installs it.
-    """
-
-    def __init__(self, params, lr=0.1, weight_decay=0.0):
-        super().__init__(params, lr, weight_decay)
-        self._avg: dict[str, np.ndarray] | None = None
-        self._avg_count = 0
-
-    @property
-    def averaging(self) -> bool:
-        return self._avg is not None
-
-    def start_averaging(self) -> None:
-        if self._avg is None:
-            self._avg = {p.name: p.data.copy() for p in self.params}
-            self._avg_count = 1
-
-    def step(self, lr=None, beta1=None) -> None:
-        super().step(lr, beta1)
-        if self._avg is not None:
-            self._avg_count += 1
-            for p in self.params:
-                avg = self._avg[p.name]
-                avg += (p.data - avg) / self._avg_count
-
-    def swap_in_average(self) -> None:
-        if self._avg is None:
-            return
-        for p in self.params:
-            p.data = self._avg[p.name].copy()

@@ -85,10 +85,6 @@ def one_cycle_lr(step: int, schedule: OneCycleSchedule) -> float:
     return schedule.lr(step)
 
 
-def one_cycle_momentum(step: int, schedule: OneCycleSchedule) -> float:
-    return schedule.momentum(step)
-
-
 def discriminative_lrs(n_groups: int, lr_lo: float = 0.0044, lr_hi: float = 0.04) -> list[float]:
     """Geometric ramp of per-group max learning rates, embedding -> head."""
     if n_groups < 1:
@@ -229,7 +225,17 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
     best_metric: float | None = None
     best_epoch: int | None = None
-    aborted: bool = False
+    abort_reason: str | None = None  # why training stopped early, naming the step
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
+
+
+def _start_history(out_dir: Path | None) -> None:
+    """Empty history.jsonl, so a rerun into the same directory holds one run."""
+    if out_dir is not None:
+        (Path(out_dir) / "history.jsonl").write_text("", encoding="utf-8")
 
 
 def _append_history(out_dir: Path | None, entry: dict) -> None:
@@ -270,10 +276,12 @@ def train_lm(
 
     History gets one {"epoch", "train_loss", "valid_loss", "valid_fbeta"}
     entry per completed epoch (valid_fbeta stays None for the LM). On a
-    non-finite loss the run aborts and the best weights so far are kept.
-    The model is left holding the best-validation-loss weights.
+    non-finite loss or gradient the run aborts, result.abort_reason says
+    where, and the best weights so far are kept. The model is left holding
+    the best-validation-loss weights.
     """
     result = TrainResult()
+    _start_history(out_dir)
     if epochs == 0:
         return result
     steps_per_epoch = sum(1 for _ in corpus_mod.lm_batches(train_seqs, batch_size, bptt))
@@ -289,25 +297,25 @@ def train_lm(
         state = None
         total = 0.0
         n = 0
-        aborted = False
         for x, y in corpus_mod.lm_batches(train_seqs, batch_size, bptt):
             loss, state = lm.loss(x.T, y.T, state, train=True, rng=rng)
             raw = loss.item()
+            lr = sched.lr(step)
             if not math.isfinite(raw):
-                aborted = True
+                result.abort_reason = f"non-finite training loss {raw}"
                 break
             backward(loss)
             try:
-                opt.step(lr=sched.lr(step), beta1=sched.momentum(step))
-            except NumericalError:
-                aborted = True
+                opt.step(lr=lr, beta1=sched.momentum(step))
+            except NumericalError as exc:
+                result.abort_reason = str(exc)
                 break
             opt.zero_grad()
             total += raw
             n += 1
             step += 1
-        if aborted:
-            result.aborted = True
+        if result.aborted:
+            result.abort_reason += f" at epoch {epoch}, step {step}, lr {lr:.6g}"
             break
         valid_loss = _lm_valid_loss(lm, valid_seqs, batch_size, bptt)
         entry = {
@@ -376,9 +384,10 @@ def train_clf(
     Epochs walk the unfreeze stages (``epochs_per_stage`` each, head-only
     first); remaining epochs train fully unfrozen. Every stage runs its own
     one-cycle. Best checkpoint = highest validation weighted F_beta; the
-    model is left holding those weights.
+    model is left holding those weights. An abort is reported as in train_lm.
     """
     result = TrainResult()
+    _start_history(out_dir)
     if epochs == 0:
         return result
     train_ids, train_labels = train_data
@@ -418,28 +427,28 @@ def train_clf(
         order = rng.permutation(len(batches))
         total = 0.0
         count = 0
-        aborted = False
         for bi in order:
             ids, lengths, labs = batches[bi]
             loss = clf.loss(ids.T, lengths, labs, train=True, rng=rng)
             raw = loss.item()
+            s = min(local_step, sched.total_steps - 1)
             if not math.isfinite(raw):
-                aborted = True
+                result.abort_reason = f"non-finite training loss {raw}"
                 break
             backward(loss)
-            s = min(local_step, sched.total_steps - 1)
             factor = sched.lr(s) / lr_hi
             try:
                 opt.step(lr=[g * factor for g in group_lrs], beta1=sched.momentum(s))
-            except NumericalError:
-                aborted = True
+            except NumericalError as exc:
+                result.abort_reason = str(exc)
                 break
             opt.zero_grad()
             total += raw * len(labs)
             count += len(labs)
             local_step += 1
-        if aborted:
-            result.aborted = True
+        if result.aborted:
+            result.abort_reason += (f" at epoch {epoch0 + 1}, stage {stage} step {s}, "
+                                    f"head lr {sched.lr(s):.6g}")
             break
         valid_loss, rep = evaluate_classifier(clf, valid_ids, valid_labels, batch_size, max_len)
         fbeta = rep.weighted["fbeta"]

@@ -3,7 +3,7 @@ import pytest
 
 from opscan import autodiff as ad
 from opscan.autodiff import Parameter, Tensor, backward, grad_check, zero_grads
-from opscan.optim import ASGD, Adam, NumericalError, SGD
+from opscan.optim import Adam, NumericalError
 
 
 def param(rng, *shape, name="p", group=0):
@@ -338,39 +338,3 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([Parameter(np.zeros(1), "w"), Parameter(np.zeros(1), "w")])
 
-
-class TestSGD:
-    def test_decoupled_decay_example(self):
-        w = Parameter(np.array([1.0]), "w")
-        w.grad = np.array([0.0])
-        SGD([w], lr=0.5, weight_decay=0.1).step()
-        np.testing.assert_allclose(w.data, [0.95])
-
-    def test_plain_step(self):
-        w = Parameter(np.array([1.0]), "w")
-        w.grad = np.array([2.0])
-        SGD([w], lr=0.25).step()
-        np.testing.assert_allclose(w.data, [0.5])
-
-
-class TestASGD:
-    def test_average_of_iterates(self):
-        w = Parameter(np.array([10.0]), "w")
-        opt = ASGD([w], lr=1.0)
-        opt.start_averaging()
-        snapshots = [w.data.copy()]
-        for g in [1.0, 2.0, 3.0]:
-            w.grad = np.array([g])
-            opt.step()
-            snapshots.append(w.data.copy())
-        opt.swap_in_average()
-        np.testing.assert_allclose(w.data, np.mean(snapshots, axis=0))
-
-    def test_no_averaging_until_started(self):
-        w = Parameter(np.array([1.0]), "w")
-        opt = ASGD([w], lr=0.1)
-        w.grad = np.array([1.0])
-        opt.step()
-        assert not opt.averaging
-        opt.swap_in_average()  # no-op
-        np.testing.assert_allclose(w.data, [0.9])

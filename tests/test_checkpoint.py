@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,16 @@ def small_vocab():
 def make_lm(vocab, dtype=np.float64, seed=3):
     enc = M.Encoder(len(vocab), emb_size=6, hidden_size=8, n_layers=2, dtype=dtype, seed=seed)
     return M.LanguageModel(enc, vocab_hash=vocab.content_hash())
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of the checkpoint at ``path``."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + length])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + length :])
 
 
 def make_clf(vocab, dtype=np.float64, seed=4):
@@ -129,6 +142,21 @@ class TestRefusals:
         raw[4] = 99
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["kind", "hyperparams"])
+    def test_header_missing_key(self, tmp_path, key):
+        path = tmp_path / "lm.ckpt"
+        save_checkpoint(make_lm(small_vocab()), path)
+        rewrite_header(path, lambda h: h.pop(key))
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path)
+
+    def test_header_missing_hyperparameter(self, tmp_path):
+        path = tmp_path / "clf.ckpt"
+        save_checkpoint(make_clf(small_vocab()), path)
+        rewrite_header(path, lambda h: h["hyperparams"].pop("head_hidden"))
+        with pytest.raises(CheckpointError, match="head_hidden"):
             load_checkpoint(path)
 
     def test_vocab_mismatch_refused(self, tmp_path):

@@ -1,15 +1,18 @@
 """End-to-end command tests driven through main(argv) -> exit code."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from opscan import corpus as C
+from opscan import optim
 from opscan.cli import main
 from opscan.disasm import disassemble
 
 from ref_eval import HEADLINE, HEADLINE_TOL_PP, REF_CM
+from test_checkpoint import rewrite_header
 
 SMALL_CFG = {
     "emb_size": 16, "hidden_size": 16, "n_layers": 2, "head_hidden": 12,
@@ -130,6 +133,27 @@ class TestTraining:
         root, _ = ws
         for name in ("clf_best.ckpt", "history.jsonl", "fbeta.csv", "config.json"):
             assert (root / "clf" / name).exists(), name
+
+    @pytest.mark.parametrize("command", ["train-lm", "train-clf"])
+    def test_nonfinite_gradient_abort_is_explained(self, ws, tmp_path, monkeypatch,
+                                                   capsys, command):
+        root, cfg = ws
+        real_step = optim.Adam.step
+        poisoned = []
+
+        def poisoned_step(self, *args, **kwargs):
+            head = self.params[-1]  # trainable in every unfreeze stage
+            head.grad = np.full_like(head.data, np.inf)
+            poisoned.append(head.name)
+            real_step(self, *args, **kwargs)
+
+        monkeypatch.setattr(optim.Adam, "step", poisoned_step)
+        assert main([command, "--data", str(root / "prep"), "--out", str(tmp_path),
+                     "--epochs", "1", "--batch-size", "8", "--config", str(cfg)]) == 5
+        err = capsys.readouterr().err
+        assert f"non-finite gradient in parameter {poisoned[0]!r}" in err
+        assert "epoch 1, " in err and "no checkpoint written" in err
+        assert not list(tmp_path.glob("*.ckpt"))
 
     def test_clf_random_encoder(self, ws, tmp_path):
         root, cfg = ws
@@ -257,11 +281,30 @@ class TestPredict:
 
 class TestExitCodes:
     def test_unknown_config_key(self, ws, tmp_path, capsys):
+        """A misspelt key, a wrong-typed value or a non-positive lr exits 2."""
         root, _ = ws
         bad = tmp_path / "bad.json"
-        bad.write_text('{"emb_sizee": 8}')
-        assert main(["train-lm", "--data", str(root / "prep"),
-                     "--out", str(tmp_path), "--config", str(bad)]) == 2
+        for text in ('{"emb_sizee": 8}', '{"emb_size": "64"}', '{"max_lr": -1}'):
+            bad.write_text(text)
+            assert main(["train-lm", "--data", str(root / "prep"),
+                         "--out", str(tmp_path), "--config", str(bad)]) == 2, text
+
+    def test_non_integer_vocab_id(self, ws, tmp_path, capsys):
+        root, _ = ws
+        data = shutil.copytree(root / "prep", tmp_path / "prep")
+        vocab = data / "vocab.tsv"
+        vocab.write_text(vocab.read_text().replace("<bos>\t2", "<bos>\ttwo"))
+        assert main(["train-lm", "--data", str(data), "--out", str(tmp_path)]) == 3
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["kind", "hyperparams"])
+    def test_checkpoint_header_missing_key(self, ws, tmp_path, capsys, key):
+        root, _ = ws
+        path = tmp_path / "clf.ckpt"
+        path.write_bytes((root / "clf" / "clf_best.ckpt").read_bytes())
+        rewrite_header(path, lambda h: h.pop(key))
+        assert main(["predict", "--checkpoint", str(path), "--bytecode", "6001"]) == 4
+        assert key in capsys.readouterr().err
 
     def test_missing_corpus(self, tmp_path, capsys):
         assert main(["prep", "--corpus", str(tmp_path / "missing.jsonl"),

@@ -44,6 +44,26 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig(epochs=-1)
 
+    @pytest.mark.parametrize("bad", [
+        {"emb_size": "64"}, {"emb_size": 64.0}, {"batch_size": True},
+        {"tie_last": 1}, {"max_lr": "0.1"}, {"p_emb": None}, {"max_len": 2.5},
+    ])
+    def test_wrong_type(self, bad):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            RunConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("bad", [
+        {"max_lr": -1}, {"max_lr": 0}, {"lr_lo": 0}, {"lr_hi": float("inf")},
+        {"max_lr": float("nan")}, {"lr_lo": 0.5, "lr_hi": 0.1}, {"p_weight": 1.0},
+        {"p_emb": -0.1}, {"warmup_frac": 0}, {"seed": -1},
+    ])
+    def test_out_of_range(self, bad):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(bad)
+
+    def test_ints_accepted_for_floats(self):
+        assert RunConfig(max_lr=1, p_emb=0).max_lr == 1
+
     def test_max_len_zero(self):
         with pytest.raises(ConfigError):
             RunConfig(max_len=0)

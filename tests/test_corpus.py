@@ -241,9 +241,10 @@ class TestVocab:
 
     def test_load_rejects_tampered_ids(self, tmp_path):
         path = tmp_path / "vocab.tsv"
-        path.write_text("<pad>\t0\n<unk>\t1\n<bos>\t2\nADD\t7\n")
-        with pytest.raises(CorpusError, match="line 4"):
-            Vocab.load(path)
+        for bad_id in ("7", "three"):
+            path.write_text(f"<pad>\t0\n<unk>\t1\n<bos>\t2\nADD\t{bad_id}\n")
+            with pytest.raises(CorpusError, match="line 4"):
+                Vocab.load(path)
 
 
 class TestNumericalize:

@@ -5,8 +5,6 @@ from opscan import kernels as K
 
 from oracle_lstm import sequence_scalar
 
-BACKENDS = sorted(K.recurrence_impls())
-
 
 def random_case(rng, T=3, B=2, D=3, H=4, dtype=np.float64):
     x = rng.normal(size=(T, B, D)).astype(dtype)
@@ -19,46 +17,33 @@ def random_case(rng, T=3, B=2, D=3, H=4, dtype=np.float64):
 
 
 class TestForward:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_scalar_oracle(self, backend):
+    def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(100)
         for _ in range(20):
             case = random_case(rng)
-            h_seq, _, _ = K.lstm_seq_forward(*case, backend=backend)
+            h_seq, _, _ = K.lstm_seq_forward(*case)
             h_ref, h_last, _ = sequence_scalar(*case)
             np.testing.assert_allclose(h_seq, h_ref, atol=1e-12)
             np.testing.assert_allclose(h_seq[-1], h_last, atol=1e-12)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_weights_give_zero_h(self, backend):
+    def test_zero_weights_give_zero_h(self):
         T, B, D, H = 4, 3, 5, 6
         x = np.random.default_rng(1).normal(size=(T, B, D))
         z = np.zeros
         h_seq, c_seq, _ = K.lstm_seq_forward(
-            x, z((D, 4 * H)), z((H, 4 * H)), z(4 * H), z((B, H)), z((B, H)), backend=backend
+            x, z((D, 4 * H)), z((H, 4 * H)), z(4 * H), z((B, H)), z((B, H))
         )
         assert np.all(h_seq == 0.0)
         assert np.all(c_seq == 0.0)
 
-    def test_backends_agree_float64(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(2)
-        case = random_case(rng, T=6, B=4, D=5, H=8)
-        out_np = K.lstm_seq_forward(*case, backend="numpy")
-        out_nb = K.lstm_seq_forward(*case, backend="numba")
-        for a, b in zip(out_np, out_nb):
-            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-14)
-
-    def test_backends_agree_float32(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(3)
-        case = random_case(rng, dtype=np.float32)
-        out_np = K.lstm_seq_forward(*case, backend="numpy")
-        out_nb = K.lstm_seq_forward(*case, backend="numba")
-        assert out_np[0].dtype == np.float32 and out_nb[0].dtype == np.float32
-        for a, b in zip(out_np, out_nb):
+    def test_float32_stays_float32(self):
+        case64 = random_case(np.random.default_rng(3))
+        case32 = [a.astype(np.float32) for a in case64]
+        out32 = K.lstm_seq_forward(*case32)
+        dh = np.ones_like(out32[0])
+        grads = K.lstm_seq_backward(dh, *case32[:3], *case32[4:], *out32)
+        assert all(a.dtype == np.float32 for a in (*out32, *grads))
+        for a, b in zip(out32, K.lstm_seq_forward(*case64)):
             np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
 
     def test_gate_ranges(self):
@@ -81,20 +66,19 @@ class TestForward:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_finite_differences(self, backend):
+    def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         case = random_case(rng, T=3, B=2, D=3, H=4)
         weight = rng.normal(size=(3, 2, 4))
 
         def loss(*arrays):
-            h_seq, _, _ = K.lstm_seq_forward(*arrays, backend=backend)
+            h_seq, _, _ = K.lstm_seq_forward(*arrays)
             return float((h_seq * weight).sum())
 
-        h_seq, c_seq, gates = K.lstm_seq_forward(*case, backend=backend)
+        h_seq, c_seq, gates = K.lstm_seq_forward(*case)
         grads = K.lstm_seq_backward(
             weight.copy(), case[0], case[1], case[2], case[4], case[5],
-            h_seq, c_seq, gates, backend=backend,
+            h_seq, c_seq, gates,
         )
         eps = 1e-6
         for arg_idx, g_ad in zip([0, 1, 2, 4, 5], [grads[i] for i in [0, 1, 2, 4, 5]]):
@@ -124,21 +108,6 @@ class TestBackward:
             rel = abs(grads[3][k] - g_fd) / max(abs(grads[3][k]), abs(g_fd), 1e-12)
             assert rel < 1e-6, ("bias", k, rel)
 
-    def test_backends_agree(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(7)
-        case = random_case(rng, T=5, B=3, D=4, H=6)
-        h_seq, c_seq, gates = K.lstm_seq_forward(*case, backend="numpy")
-        dh = rng.normal(size=h_seq.shape)
-        for g_np, g_nb in zip(
-            K.lstm_seq_backward(dh, case[0], case[1], case[2], case[4], case[5],
-                                h_seq, c_seq, gates, backend="numpy"),
-            K.lstm_seq_backward(dh, case[0], case[1], case[2], case[4], case[5],
-                                h_seq, c_seq, gates, backend="numba"),
-        ):
-            np.testing.assert_allclose(g_np, g_nb, rtol=1e-12, atol=1e-13)
-
     def test_initial_state_grads_flow(self):
         rng = np.random.default_rng(8)
         case = random_case(rng, T=2, B=1, D=2, H=3)
@@ -149,14 +118,3 @@ class TestBackward:
         )
         assert np.any(dh0 != 0) and np.any(dc0 != 0)
 
-
-class TestBackendSelection:
-    def test_active_backend_known(self):
-        assert K.active_backend() in ("numba", "numpy")
-        if K.USE_NUMBA:
-            assert K.HAS_NUMBA
-
-    def test_impl_registry(self):
-        impls = K.recurrence_impls()
-        assert "numpy" in impls
-        assert all(len(pair) == 2 for pair in impls.values())

@@ -229,14 +229,6 @@ class TestReport:
         for c in rep.per_class:
             assert c.auc is not None and 0.5 < c.auc <= 1.0
 
-    def test_render_table_rounds_half_up(self):
-        assert M.percent(0.12345) == "12.3"
-        assert M.percent(0.12350) == "12.4"
-        assert M.percent(0.985) == "98.5"
-        rep = M.report(np.array(REF_CM))
-        table = rep.render_table()
-        assert "Type-1 (Suicidal)" in table and "weighted" in table
-
     def test_csv_writers(self, tmp_path):
         cm = np.array(REF_CM)
         M.write_confusion_csv(cm, tmp_path / "cm.csv")

@@ -121,7 +121,6 @@ class TestOneCycle:
     def test_module_level_helpers(self):
         s = self.sched()
         assert T.one_cycle_lr(5, s) == s.lr(5)
-        assert T.one_cycle_momentum(5, s) == s.momentum(5)
 
 
 class TestDiscriminativeLrs:
@@ -341,6 +340,14 @@ class TestTrainLm:
         lines = (tmp_path / "history.jsonl").read_text().strip().splitlines()
         assert [json.loads(l)["epoch"] for l in lines] == [1, 2]
         assert (tmp_path / "lm_best.ckpt").exists()
+
+    def test_rerun_replaces_history(self, tmp_path):
+        for epochs in (2, 1):
+            lm, vocab, train_ids, valid_ids = lm_setup(n_train=20, n_valid=8)
+            T.train_lm(lm, train_ids, valid_ids, epochs=epochs, batch_size=4,
+                       bptt=10, max_lr=0.005, seed=0, out_dir=tmp_path, vocab=vocab)
+        lines = (tmp_path / "history.jsonl").read_text().strip().splitlines()
+        assert [json.loads(l)["epoch"] for l in lines] == [1]
 
     def test_same_seed_identical_history(self):
         a = T.train_lm(*self._fresh(), epochs=2, batch_size=4, bptt=10,

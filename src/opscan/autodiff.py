@@ -5,6 +5,14 @@ closure); backward() walks it once in reverse topological order and
 accumulates gradients additively, so fan-out just works. Gradients live in
 the same dtype as the data: float64 for checking, float32 for training.
 
+One rule prunes the graph: a tensor requires a gradient only if one of its
+ancestors is a Parameter that is not frozen. Only such a tensor gets a
+backward closure, a closure accumulates only into parents that require a
+gradient, and backward() never visits the rest. A pass over frozen
+parameters alone (inference, or the frozen layers of a fine-tuning stage)
+therefore records no tape and holds no activation longer than the forward
+pass needs it.
+
 The LSTM sequence op is not here; it is a fused kernel (see kernels.py)
 that model.py wraps into a graph node with a custom backward closure.
 """
@@ -23,13 +31,19 @@ class GradError(RuntimeError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_backward", "_parents", "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_backward_done")
 
     def __init__(self, data, parents: tuple = ()):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
         self.grad: np.ndarray | None = None
+        self.requires_grad = any(p.requires_grad for p in parents)
         self._backward: Callable[[], None] | None = None
-        self._parents = parents
+        # Without a gradient to carry, a node links only to the parameters
+        # it reads: upstream activations are then freed as soon as the
+        # forward pass moves past them.
+        self._parents = (
+            parents if self.requires_grad else tuple(p for p in parents if isinstance(p, Parameter))
+        )
         self._backward_done = False
 
     @property
@@ -62,15 +76,26 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named leaf tensor. layer_group indexes discriminative-lr groups."""
+    """Named leaf tensor. layer_group indexes discriminative-lr groups.
 
-    __slots__ = ("name", "layer_group", "frozen")
+    A frozen parameter is one that does not require a gradient.
+    """
+
+    __slots__ = ("name", "layer_group")
 
     def __init__(self, data, name: str, layer_group: int = 0):
         super().__init__(data)
         self.name = name
         self.layer_group = layer_group
-        self.frozen = False
+        self.requires_grad = True
+
+    @property
+    def frozen(self) -> bool:
+        return not self.requires_grad
+
+    @frozen.setter
+    def frozen(self, value: bool) -> None:
+        self.requires_grad = not value
 
     def __repr__(self):
         state = " frozen" if self.frozen else ""
@@ -78,10 +103,11 @@ class Parameter(Tensor):
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on everything reachable from loss.
+    """Populate .grad on everything reachable from loss that requires one.
 
-    loss must be scalar. A second call on the same node without re-running
-    the forward pass is an error: the graph has already been consumed.
+    loss must be scalar. backward consumes the graph: every closure is dropped
+    once run, and a second call on the same node without re-running the
+    forward pass is an error.
     """
     if loss.data.size != 1:
         raise GradError(f"backward needs a scalar, got shape {loss.data.shape}")
@@ -102,13 +128,17 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
 
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward()
+        # A closure refers to its own output; dropping it leaves the graph
+        # free of reference cycles, so it is freed as soon as the caller
+        # drops the loss rather than at some later garbage collection.
+        node._backward = None
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
@@ -131,6 +161,14 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _record(out: Tensor, bw: Callable[[], None]) -> Tensor:
+    """Attach bw as out's backward only if out requires a gradient; otherwise
+    the closure, and the arrays it holds, go away with the op's frame."""
+    if out.requires_grad:
+        out._backward = bw
+    return out
+
+
 # ---------------------------------------------------------------- primitives
 
 
@@ -140,11 +178,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw():
         g = out.grad
-        a.accumulate(g @ b.data.T)
-        b.accumulate(a.data.T @ g)
+        if a.requires_grad:
+            a.accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b.accumulate(a.data.T @ g)
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -152,11 +191,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data, (a, b))
 
     def bw():
-        a.accumulate(_unbroadcast(out.grad, a.data.shape))
-        b.accumulate(_unbroadcast(out.grad, b.data.shape))
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(out.grad, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(out.grad, b.data.shape))
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -164,11 +204,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data, (a, b))
 
     def bw():
-        a.accumulate(_unbroadcast(out.grad * b.data, a.data.shape))
-        b.accumulate(_unbroadcast(out.grad * a.data, b.data.shape))
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(out.grad * b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(out.grad * a.data, b.data.shape))
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -179,8 +220,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def bw():
         x.accumulate(out.grad * s * (1.0 - s))
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -191,8 +231,7 @@ def tanh(x: Tensor) -> Tensor:
     def bw():
         x.accumulate(out.grad * (1.0 - y * y))
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -202,8 +241,7 @@ def relu(x: Tensor) -> Tensor:
     def bw():
         x.accumulate(out.grad * (x.data > 0))
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -218,8 +256,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
         g = out.grad
         x.accumulate(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def embedding_lookup(matrix: Tensor, ids: np.ndarray) -> Tensor:
@@ -234,8 +271,7 @@ def embedding_lookup(matrix: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(g, ids.reshape(-1), out.grad.reshape(-1, matrix.data.shape[1]))
         matrix.accumulate(g)
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -246,13 +282,13 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     def bw():
         offset = 0
         for t, size in zip(tensors, sizes):
-            index = [slice(None)] * out.grad.ndim
-            index[axis] = slice(offset, offset + size)
-            t.accumulate(out.grad[tuple(index)])
+            if t.requires_grad:
+                index = [slice(None)] * out.grad.ndim
+                index[axis] = slice(offset, offset + size)
+                t.accumulate(out.grad[tuple(index)])
             offset += size
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
@@ -262,8 +298,7 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
     def bw():
         x.accumulate(out.grad.reshape(x.data.shape))
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -273,8 +308,7 @@ def transpose(x: Tensor) -> Tensor:
     def bw():
         x.accumulate(out.grad.T)
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -284,8 +318,7 @@ def sum_all(x: Tensor) -> Tensor:
     def bw():
         x.accumulate(np.broadcast_to(out.grad, x.data.shape))
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def apply_mask(x: Tensor, mask: np.ndarray, scale: float = 1.0) -> Tensor:
@@ -304,8 +337,7 @@ def apply_mask(x: Tensor, mask: np.ndarray, scale: float = 1.0) -> Tensor:
     def bw():
         x.accumulate(out.grad * factor)
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def masked_mean_over_time(x: Tensor, mask: np.ndarray) -> Tensor:
@@ -321,8 +353,7 @@ def masked_mean_over_time(x: Tensor, mask: np.ndarray) -> Tensor:
     def bw():
         x.accumulate(out.grad[None, :, :] * m3 / counts[None, :, None])
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def masked_max_over_time(x: Tensor, mask: np.ndarray) -> Tensor:
@@ -341,8 +372,7 @@ def masked_max_over_time(x: Tensor, mask: np.ndarray) -> Tensor:
         np.add.at(g, (idx, b_ix, h_ix), out.grad)
         x.accumulate(g)
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def last_over_time(x: Tensor, lengths: np.ndarray) -> Tensor:
@@ -359,8 +389,7 @@ def last_over_time(x: Tensor, lengths: np.ndarray) -> Tensor:
         g[lengths - 1, b_ix] += out.grad
         x.accumulate(g)
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int | None = None) -> Tensor:
@@ -394,8 +423,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int | None = N
         g *= keep[:, None]
         logits.accumulate(g * (out.grad / n_keep))
 
-    out._backward = bw
-    return out
+    return _record(out, bw)
 
 
 # ---------------------------------------------------------------- grad check

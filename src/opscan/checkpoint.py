@@ -15,8 +15,10 @@ byte-identical file.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -95,13 +97,24 @@ def save_checkpoint(model, path, vocab: Vocab | None = None, metadata: dict | No
         "params": manifest,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(blob)))
-        fh.write(blob)
-        for p, entry in zip(params, manifest):
-            wire = _WIRE_DTYPE[entry["dtype"]]
-            fh.write(np.ascontiguousarray(p.data).astype(wire, copy=False).tobytes())
+    # Written beside path and renamed over it: a reader, or a crash, sees
+    # either the previous file or the complete new one, never a partial one.
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(blob)))
+            fh.write(blob)
+            for p, entry in zip(params, manifest):
+                wire = _WIRE_DTYPE[entry["dtype"]]
+                fh.write(np.ascontiguousarray(p.data).astype(wire, copy=False).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_header(path) -> dict:
@@ -171,6 +184,17 @@ def _rebuild(header: dict):
     return LanguageModel(enc, vocab_hash=header["vocab_hash"])
 
 
+def _manifest(header: dict) -> list[tuple[str, list, np.dtype]]:
+    """(name, shape, wire dtype) of every parameter record in the header."""
+    try:
+        return [
+            (entry["name"], entry["shape"], np.dtype(_WIRE_DTYPE[entry["dtype"]]))
+            for entry in header["params"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"corrupt header: bad parameter manifest ({exc!r})") from exc
+
+
 def load_checkpoint(path, kind: str | None = None, vocab: Vocab | None = None):
     """Reconstruct the saved model.
 
@@ -189,21 +213,20 @@ def load_checkpoint(path, kind: str | None = None, vocab: Vocab | None = None):
 
         model = _rebuild(header)
         by_name = {p.name: p for p in model.parameters()}
-        if set(by_name) != {e["name"] for e in header["params"]}:
+        manifest = _manifest(header)
+        if set(by_name) != {name for name, _, _ in manifest}:
             raise CheckpointError("parameter manifest does not match the model architecture")
-        for entry in header["params"]:
-            param = by_name[entry["name"]]
-            if list(param.shape) != entry["shape"]:
+        for name, shape, dt in manifest:
+            param = by_name[name]
+            if list(param.shape) != shape:
                 raise CheckpointError(
-                    f"parameter {entry['name']!r} has shape {entry['shape']}, "
-                    f"expected {list(param.shape)}"
+                    f"parameter {name!r} has shape {shape}, expected {list(param.shape)}"
                 )
-            dt = np.dtype(_WIRE_DTYPE[entry["dtype"]])
-            nbytes = int(np.prod(entry["shape"], dtype=np.int64)) * dt.itemsize
+            nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
             chunk = fh.read(nbytes)
             if len(chunk) < nbytes:
-                raise CheckpointError(f"truncated body in parameter record {entry['name']!r}")
-            param.data[:] = np.frombuffer(chunk, dtype=dt).reshape(entry["shape"])
+                raise CheckpointError(f"truncated body in parameter record {name!r}")
+            param.data[:] = np.frombuffer(chunk, dtype=dt).reshape(shape)
         if fh.read(1):
             raise CheckpointError("trailing bytes after the last parameter record")
 

@@ -302,6 +302,18 @@ def _write_report(out: Path, rep, cm, curves) -> None:
         metrics_mod.write_roc_csv({label: curve}, out / f"roc_type{label}.csv")
 
 
+def _load_for_inference(path) -> tuple[Classifier, Vocab]:
+    """A classifier checkpoint and its embedded vocabulary. Every parameter
+    is frozen, so forward passes record no backward closures."""
+    clf = load_checkpoint(path, kind="clf")
+    vocab = vocab_from_header(read_header(path))
+    if vocab is None:
+        raise CheckpointError(f"{path}: no vocabulary embedded")
+    for p in clf.parameters():
+        p.frozen = True
+    return clf, vocab
+
+
 def cmd_eval(args) -> int:
     if (args.predictions is None) == (args.checkpoint is None):
         raise UsageError("exactly one of --predictions or --checkpoint is required")
@@ -320,10 +332,7 @@ def cmd_eval(args) -> int:
             curves = {c + 1: metrics_mod.roc_curve(scores[:, c], actual == c)
                       for c in range(cm.shape[0])}
     else:
-        clf = load_checkpoint(args.checkpoint, kind="clf")
-        vocab = vocab_from_header(read_header(args.checkpoint))
-        if vocab is None:
-            raise CheckpointError(f"{args.checkpoint}: no vocabulary embedded")
+        clf, vocab = _load_for_inference(args.checkpoint)
         _, splits = _read_split_dir(args.data)
         records = splits[args.split]
         ids, labels = _ids_and_labels(records, vocab)
@@ -349,10 +358,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     if (args.bytecode is None) == (args.input is None):
         raise UsageError("exactly one of --bytecode or --input is required")
-    clf = load_checkpoint(args.checkpoint, kind="clf")
-    vocab = vocab_from_header(read_header(args.checkpoint))
-    if vocab is None:
-        raise CheckpointError(f"{args.checkpoint}: no vocabulary embedded")
+    clf, vocab = _load_for_inference(args.checkpoint)
     hexstr = args.bytecode if args.bytecode else Path(args.input).read_text().strip()
     tokens = disassemble(hexstr)
     if not tokens:

@@ -230,16 +230,20 @@ class Vocab:
     @classmethod
     def load(cls, path) -> "Vocab":
         itos: list[str] = []
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                try:
-                    tok, idx = line.rstrip("\n").split("\t")
-                    idx = int(idx)
-                except ValueError as exc:
-                    raise CorpusError("expected 'token<TAB>integer id'", line_no) from exc
-                if idx != line_no - 1:
-                    raise CorpusError(f"id {idx} out of order", line_no)
-                itos.append(tok)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"vocab file is not UTF-8 text ({exc.reason})") from exc
+        for line_no, line in enumerate(lines, start=1):
+            try:
+                tok, idx = line.rstrip("\n").split("\t")
+                idx = int(idx)
+            except ValueError as exc:
+                raise CorpusError("expected 'token<TAB>integer id'", line_no) from exc
+            if idx != line_no - 1:
+                raise CorpusError(f"id {idx} out of order", line_no)
+            itos.append(tok)
         if itos[: len(cls.RESERVED)] != list(cls.RESERVED):
             raise CorpusError("vocab file does not start with the reserved tokens")
         return cls(itos[len(cls.RESERVED) :])

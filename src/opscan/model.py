@@ -58,20 +58,27 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, h0, c0):
 
     Returns (out, (h_last, c_last)): out is a (T, B, H) Tensor on the tape;
     the final state is detached numpy, ready to carry into the next window.
+    When no input requires a gradient, the node gets no backward and the
+    kernel keeps no per-step cells or gates; otherwise the kernel backward
+    computes only the gradients of the inputs that require one.
     """
-    h_seq, c_seq, gates = K.lstm_seq_forward(x.data, wx.data, wh.data, b.data, h0, c0)
-    out = Tensor(h_seq, (x, wx, wh, b))
+    inputs = (x, wx, wh, b)
+    needs = tuple(t.requires_grad for t in inputs)
+    h_seq, c_seq, gates = K.lstm_seq_forward(
+        x.data, wx.data, wh.data, b.data, h0, c0, for_backward=any(needs)
+    )
+    out = Tensor(h_seq, inputs)
+    if out.requires_grad:
 
-    def bw():
-        dx, dwx, dwh, db, _, _ = K.lstm_seq_backward(
-            out.grad, x.data, wx.data, wh.data, h0, c0, h_seq, c_seq, gates
-        )
-        x.accumulate(dx)
-        wx.accumulate(dwx)
-        wh.accumulate(dwh)
-        b.accumulate(db)
+        def bw():
+            grads = K.lstm_seq_backward(
+                out.grad, x.data, wx.data, wh.data, h0, c0, h_seq, c_seq, gates, needs=needs
+            )
+            for t, g in zip(inputs, grads[:4]):
+                if g is not None:
+                    t.accumulate(g)
 
-    out._backward = bw
+        out._backward = bw
     return out, (h_seq[-1].copy(), c_seq[-1].copy())
 
 
@@ -169,10 +176,6 @@ class Encoder:
         for layer in self.layers:
             out.extend(layer.params())
         return out
-
-    @property
-    def frozen(self) -> bool:
-        return all(p.frozen for p in self.parameters())
 
     def initial_state(self, batch_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
         return [
@@ -402,8 +405,6 @@ class Classifier:
             if enc.dropouts.head:
                 head_mask = keep_mask(rng, (B, self.head_hidden), enc.dropouts.head, enc.dtype)
         out, _ = enc.forward(ids, None, masks)
-        if train and enc.frozen:
-            out = Tensor(out.data)  # nothing upstream can train: cut the tape
         valid = (np.arange(T)[:, None] < lengths[None, :]).astype(enc.dtype)
         rep = ad.concat(
             [

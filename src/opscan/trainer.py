@@ -232,10 +232,14 @@ class TrainResult:
         return self.abort_reason is not None
 
 
-def _start_history(out_dir: Path | None) -> None:
-    """Empty history.jsonl, so a rerun into the same directory holds one run."""
+def _start_run(out_dir: Path | None, *artifacts: str) -> None:
+    """Empty history.jsonl and delete the named artifacts of an earlier run,
+    so a rerun into the same directory holds one run even if it aborts
+    before writing its own."""
     if out_dir is not None:
         (Path(out_dir) / "history.jsonl").write_text("", encoding="utf-8")
+        for name in artifacts:
+            (Path(out_dir) / name).unlink(missing_ok=True)
 
 
 def _append_history(out_dir: Path | None, entry: dict) -> None:
@@ -281,7 +285,7 @@ def train_lm(
     the best-validation-loss weights.
     """
     result = TrainResult()
-    _start_history(out_dir)
+    _start_run(out_dir, "lm_best.ckpt")
     if epochs == 0:
         return result
     steps_per_epoch = sum(1 for _ in corpus_mod.lm_batches(train_seqs, batch_size, bptt))
@@ -387,7 +391,7 @@ def train_clf(
     model is left holding those weights. An abort is reported as in train_lm.
     """
     result = TrainResult()
-    _start_history(out_dir)
+    _start_run(out_dir, "clf_best.ckpt", "fbeta.csv")
     if epochs == 0:
         return result
     train_ids, train_labels = train_data

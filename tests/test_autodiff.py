@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -109,6 +112,20 @@ class TestBackwardBasics:
         x = Tensor(np.ones((5, 3)))
         backward(ad.sum_all(ad.add(x, b)))
         np.testing.assert_array_equal(b.grad, [5.0, 5.0, 5.0])
+
+    def test_consumed_graph_is_freed_without_the_collector(self):
+        w = Parameter(np.ones((3, 2)), "w")
+        gc.disable()
+        try:
+            hidden = ad.relu(ad.matmul(Tensor(np.ones((4, 3))), w))
+            alive = weakref.ref(hidden.data)
+            loss = ad.sum_all(hidden)
+            del hidden
+            backward(loss)
+            del loss
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_grad_accumulates_across_backwards(self):
         w = Parameter(np.ones(2), "w")

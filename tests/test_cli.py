@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from opscan import corpus as C
+from opscan import model as M
 from opscan import optim
+from opscan.autodiff import Parameter
 from opscan.cli import main
 from opscan.disasm import disassemble
+from opscan.model import Classifier
 
 from ref_eval import HEADLINE, HEADLINE_TOL_PP, REF_CM
 from test_checkpoint import rewrite_header
@@ -123,6 +126,22 @@ class TestSplitCmd:
         assert manifest["seed"] == 4
 
 
+def poison_head_gradient(monkeypatch) -> list:
+    """Make every optimizer step see an infinite gradient on the last
+    parameter; returns the list that collects that parameter's name."""
+    real_step = optim.Adam.step
+    poisoned = []
+
+    def poisoned_step(self, *args, **kwargs):
+        head = self.params[-1]  # trainable in every unfreeze stage
+        head.grad = np.full_like(head.data, np.inf)
+        poisoned.append(head.name)
+        real_step(self, *args, **kwargs)
+
+    monkeypatch.setattr(optim.Adam, "step", poisoned_step)
+    return poisoned
+
+
 class TestTraining:
     def test_lm_outputs(self, ws):
         root, _ = ws
@@ -138,22 +157,26 @@ class TestTraining:
     def test_nonfinite_gradient_abort_is_explained(self, ws, tmp_path, monkeypatch,
                                                    capsys, command):
         root, cfg = ws
-        real_step = optim.Adam.step
-        poisoned = []
-
-        def poisoned_step(self, *args, **kwargs):
-            head = self.params[-1]  # trainable in every unfreeze stage
-            head.grad = np.full_like(head.data, np.inf)
-            poisoned.append(head.name)
-            real_step(self, *args, **kwargs)
-
-        monkeypatch.setattr(optim.Adam, "step", poisoned_step)
+        poisoned = poison_head_gradient(monkeypatch)
         assert main([command, "--data", str(root / "prep"), "--out", str(tmp_path),
                      "--epochs", "1", "--batch-size", "8", "--config", str(cfg)]) == 5
         err = capsys.readouterr().err
         assert f"non-finite gradient in parameter {poisoned[0]!r}" in err
         assert "epoch 1, " in err and "no checkpoint written" in err
         assert not list(tmp_path.glob("*.ckpt"))
+
+    @pytest.mark.parametrize("command", ["train-lm", "train-clf"])
+    def test_aborted_rerun_leaves_no_earlier_artifacts(self, ws, tmp_path, monkeypatch,
+                                                       command):
+        root, cfg = ws
+        argv = [command, "--data", str(root / "prep"), "--out", str(tmp_path),
+                "--epochs", "1", "--batch-size", "8", "--config", str(cfg)]
+        assert main(argv) == 0
+        assert list(tmp_path.glob("*_best.ckpt"))
+        poison_head_gradient(monkeypatch)
+        assert main(argv) == 5
+        assert not list(tmp_path.glob("*_best.ckpt"))
+        assert not (tmp_path / "fbeta.csv").exists()
 
     def test_clf_random_encoder(self, ws, tmp_path):
         root, cfg = ws
@@ -247,6 +270,34 @@ class TestEvalCheckpoint:
                      "--data", str(root / "prep"), "--out", str(tmp_path)]) == 4
 
 
+class TestInferenceRecordsNoTape:
+    def test_eval_and_predict_record_no_backward(self, ws, tmp_path, monkeypatch):
+        root, _ = ws
+        nodes = []  # every classifier output and LSTM layer output
+        real_forward, real_lstm = Classifier.forward, M.lstm_sequence
+
+        def forward(self, *args, **kwargs):
+            nodes.append(real_forward(self, *args, **kwargs))
+            return nodes[-1]
+
+        def lstm_sequence(*args):
+            out, state = real_lstm(*args)
+            nodes.append(out)
+            return out, state
+
+        monkeypatch.setattr(Classifier, "forward", forward)
+        monkeypatch.setattr(M, "lstm_sequence", lstm_sequence)
+        ckpt = str(root / "clf" / "clf_best.ckpt")
+        assert main(["eval", "--checkpoint", ckpt, "--data", str(root / "prep"),
+                     "--split", "valid", "--out", str(tmp_path)]) == 0
+        assert main(["predict", "--checkpoint", ckpt, "--bytecode", "6001600201331450"]) == 0
+        assert len(nodes) >= 6
+        for out in nodes:
+            # Nothing is recorded: no closure, and no link to an activation.
+            assert out._backward is None and not out.requires_grad
+            assert all(isinstance(p, Parameter) for p in out._parents)
+
+
 class TestPredict:
     def test_known_bytecode(self, ws, capsys):
         root, _ = ws
@@ -296,6 +347,13 @@ class TestExitCodes:
         vocab.write_text(vocab.read_text().replace("<bos>\t2", "<bos>\ttwo"))
         assert main(["train-lm", "--data", str(data), "--out", str(tmp_path)]) == 3
         assert "line 3" in capsys.readouterr().err
+
+    def test_non_utf8_vocab(self, ws, tmp_path, capsys):
+        root, _ = ws
+        data = shutil.copytree(root / "prep", tmp_path / "prep")
+        (data / "vocab.tsv").write_bytes(b"<pad>\t0\n<unk>\t1\n\xff\xfe\t2\n")
+        assert main(["train-lm", "--data", str(data), "--out", str(tmp_path)]) == 3
+        assert "UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["kind", "hyperparams"])
     def test_checkpoint_header_missing_key(self, ws, tmp_path, capsys, key):

@@ -46,6 +46,14 @@ class TestForward:
         for a, b in zip(out32, K.lstm_seq_forward(*case64)):
             np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
 
+    def test_without_backward_keeps_only_the_last_step(self):
+        case = random_case(np.random.default_rng(11), T=5, B=3, D=4, H=6)
+        h_seq, c_seq, gates = K.lstm_seq_forward(*case)
+        h_only, c_last, g_last = K.lstm_seq_forward(*case, for_backward=False)
+        assert c_last.shape == (1, 3, 6) and g_last.shape == (1, 3, 24)
+        assert np.array_equal(h_only, h_seq)
+        assert np.array_equal(c_last[0], c_seq[-1]) and np.array_equal(g_last[0], gates[-1])
+
     def test_gate_ranges(self):
         rng = np.random.default_rng(4)
         case = random_case(rng, T=5, B=3, D=4, H=4)
@@ -107,6 +115,19 @@ class TestBackward:
             g_fd = (f_plus - f_minus) / (2 * eps)
             rel = abs(grads[3][k] - g_fd) / max(abs(grads[3][k]), abs(g_fd), 1e-12)
             assert rel < 1e-6, ("bias", k, rel)
+
+    def test_skipped_gradients_leave_the_rest_unchanged(self):
+        rng = np.random.default_rng(9)
+        case = random_case(rng, T=4, B=2, D=3, H=5)
+        x, wx, wh, b, h0, c0 = case
+        fw = K.lstm_seq_forward(*case)
+        dh = rng.normal(size=fw[0].shape)
+        full = K.lstm_seq_backward(dh, x, wx, wh, h0, c0, *fw)
+        for needs in [(False, True, True, True), (True, False, True, False),
+                      (False, False, False, True)]:
+            part = K.lstm_seq_backward(dh, x, wx, wh, h0, c0, *fw, needs=needs)
+            for need, a, b in zip(needs + (True, True), part, full):
+                assert (a is None) if not need else np.array_equal(a, b)
 
     def test_initial_state_grads_flow(self):
         rng = np.random.default_rng(8)

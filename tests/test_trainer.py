@@ -208,6 +208,35 @@ class TestGradualUnfreeze:
             expect = p.name.startswith(("lstm1.", "head."))
             assert changed == expect, p.name
 
+    @pytest.mark.parametrize("stage, kernel_calls", [(0, 0), (1, 1), (2, 2), (3, 3), (4, 3)])
+    def test_backward_skips_what_only_frozen_parameters_need(self, monkeypatch, stage,
+                                                             kernel_calls):
+        enc = M.Encoder(12, emb_size=5, hidden_size=7, n_layers=3, dtype=np.float64, seed=2,
+                        dropouts=M.Dropouts(0.1, 0.2, 0.2, 0.3, 0.1))
+        clf = M.Classifier(enc, n_classes=4, head_hidden=6)
+        rng = np.random.default_rng(8)
+        ids, lengths, labels = rng.integers(0, 12, (6, 3)), np.array([6, 4, 2]), np.array([0, 3, 1])
+
+        def grads():
+            ad.zero_grads(clf.parameters())
+            loss = clf.loss(ids, lengths, labels, train=True, rng=np.random.default_rng(9))
+            backward(loss)
+            return {p.name: p.grad for p in clf.parameters()}
+
+        full = grads()  # nothing frozen yet
+        T.gradual_unfreeze(clf, stage)
+        real = M.K.lstm_seq_backward
+        calls = []
+        monkeypatch.setattr(M.K, "lstm_seq_backward",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        pruned = grads()
+        assert len(calls) == kernel_calls
+        for p in clf.parameters():
+            if p.frozen:
+                assert pruned[p.name] is None, p.name
+            else:
+                assert np.array_equal(pruned[p.name], full[p.name]), p.name
+
 
 def quadratic_param():
     return Parameter(np.array([0.0]), "w")

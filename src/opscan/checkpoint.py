@@ -15,6 +15,7 @@ byte-identical file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Vocab
+from .corpus import CorpusError, Vocab
 from .model import Classifier, Dropouts, Encoder, LanguageModel
 
 MAGIC = b"OPSC"
@@ -152,9 +153,12 @@ def vocab_from_header(header: dict) -> Vocab | None:
     tokens = header.get("vocab")
     if tokens is None:
         return None
-    if tokens[: len(Vocab.RESERVED)] != list(Vocab.RESERVED):
+    if not isinstance(tokens, list) or tokens[: len(Vocab.RESERVED)] != list(Vocab.RESERVED):
         raise CheckpointError("embedded vocabulary lacks the reserved tokens")
-    vocab = Vocab(tokens[len(Vocab.RESERVED) :])
+    try:
+        vocab = Vocab(tokens[len(Vocab.RESERVED) :])
+    except (CorpusError, TypeError) as exc:  # duplicate or unhashable tokens
+        raise CheckpointError(f"embedded vocabulary is corrupt: {exc}") from exc
     if header.get("vocab_hash") not in (None, vocab.content_hash()):
         raise CheckpointError("embedded vocabulary does not match its recorded hash")
     return vocab
@@ -179,7 +183,7 @@ def _rebuild(header: dict):
                 head_hidden=hp["head_hidden"],
                 vocab_hash=header["vocab_hash"],
             )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt header: bad hyperparameters ({exc!r})") from exc
     return LanguageModel(enc, vocab_hash=header["vocab_hash"])
 
@@ -199,7 +203,10 @@ def load_checkpoint(path, kind: str | None = None, vocab: Vocab | None = None):
     """Reconstruct the saved model.
 
     ``kind`` asserts what the caller expects ("lm" or "clf"); ``vocab``
-    cross-checks the header hash against an external vocabulary.
+    cross-checks the header hash against an external vocabulary. The
+    model's ``checkpoint_meta`` is the header's metadata and its
+    ``checkpoint_vocab`` the embedded vocabulary (None if absent). Every
+    parameter value must be finite.
     """
     with open(path, "rb") as fh:
         header, _ = _read_header(fh)
@@ -209,7 +216,7 @@ def load_checkpoint(path, kind: str | None = None, vocab: Vocab | None = None):
             raise CheckpointError(f"expected a {kind!r} checkpoint, found {header['kind']!r}")
         if vocab is not None and header["vocab_hash"] != vocab.content_hash():
             raise CheckpointError("checkpoint was built against a different vocabulary")
-        vocab_from_header(header)  # self-check the embedded copy if present
+        embedded = vocab_from_header(header)
 
         model = _rebuild(header)
         by_name = {p.name: p for p in model.parameters()}
@@ -222,13 +229,17 @@ def load_checkpoint(path, kind: str | None = None, vocab: Vocab | None = None):
                 raise CheckpointError(
                     f"parameter {name!r} has shape {shape}, expected {list(param.shape)}"
                 )
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
+            nbytes = math.prod(shape) * dt.itemsize
             chunk = fh.read(nbytes)
             if len(chunk) < nbytes:
                 raise CheckpointError(f"truncated body in parameter record {name!r}")
-            param.data[:] = np.frombuffer(chunk, dtype=dt).reshape(shape)
+            values = np.frombuffer(chunk, dtype=dt)
+            if not np.isfinite(values).all():
+                raise CheckpointError(f"parameter record {name!r} holds a non-finite value")
+            param.data[:] = values.reshape(shape)
         if fh.read(1):
             raise CheckpointError("trailing bytes after the last parameter record")
 
     model.checkpoint_meta = header["metadata"]
+    model.checkpoint_vocab = embedded
     return model

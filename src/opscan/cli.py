@@ -11,6 +11,7 @@ missing file, 4 checkpoint error, 5 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,9 @@ from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from . import synth as synth_mod
 from . import trainer as trainer_mod
-from .checkpoint import CheckpointError, load_checkpoint, read_header, vocab_from_header
+# read_header and vocab_from_header stay bound here, unused, because the
+# traced benchmark run (perfbench/layers.py) wraps them on this module.
+from .checkpoint import CheckpointError, load_checkpoint, read_header, vocab_from_header  # noqa: F401
 from .config import ConfigError, RunConfig
 from .corpus import CorpusError, Vocab
 from .disasm import DisasmError, disassemble
@@ -306,7 +309,7 @@ def _load_for_inference(path) -> tuple[Classifier, Vocab]:
     """A classifier checkpoint and its embedded vocabulary. Every parameter
     is frozen, so forward passes record no backward closures."""
     clf = load_checkpoint(path, kind="clf")
-    vocab = vocab_from_header(read_header(path))
+    vocab = clf.checkpoint_vocab
     if vocab is None:
         raise CheckpointError(f"{path}: no vocabulary embedded")
     for p in clf.parameters():
@@ -333,8 +336,7 @@ def cmd_eval(args) -> int:
                       for c in range(cm.shape[0])}
     else:
         clf, vocab = _load_for_inference(args.checkpoint)
-        _, splits = _read_split_dir(args.data)
-        records = splits[args.split]
+        records, _ = corpus_mod.ingest(Path(args.data) / f"{args.split}.jsonl")
         ids, labels = _ids_and_labels(records, vocab)
         actual_list, prob_rows = [], []
         for bids, lengths, labs in corpus_mod.clf_batches(ids, labels, cfg.batch_size,
@@ -472,8 +474,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use. Parsing never changes it, so every
+    main() call in a process shares one instead of rebuilding nine
+    subparsers."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

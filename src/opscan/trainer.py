@@ -5,6 +5,7 @@ epoch loops with history tracking and best-checkpoint selection.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -249,14 +250,30 @@ def _append_history(out_dir: Path | None, entry: dict) -> None:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
+@contextlib.contextmanager
+def _frozen(params: Sequence[Parameter]) -> Iterator[None]:
+    """Freeze every parameter for the block and restore each flag after it,
+    also when the block raises: a pass inside records no backward closures,
+    and its LSTM kernels keep no per-step gates or cells."""
+    flags = [p.frozen for p in params]
+    for p in params:
+        p.frozen = True
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, flags):
+            p.frozen = flag
+
+
 def _lm_valid_loss(lm: LanguageModel, valid_seqs, batch_size: int, bptt: int) -> float:
     total = 0.0
     n = 0
     state = None
-    for x, y in corpus_mod.lm_batches(valid_seqs, batch_size, bptt):
-        loss, state = lm.loss(x.T, y.T, state)
-        total += loss.item()
-        n += 1
+    with _frozen(lm.parameters()):
+        for x, y in corpus_mod.lm_batches(valid_seqs, batch_size, bptt):
+            loss, state = lm.loss(x.T, y.T, state)
+            total += loss.item()
+            n += 1
     if n == 0:
         raise TrainerError("validation stream produced no batches")
     return total / n
@@ -354,13 +371,14 @@ def evaluate_classifier(
     predicted: list[np.ndarray] = []
     actual: list[np.ndarray] = []
     n = 0
-    for ids, lengths, labs in corpus_mod.clf_batches(id_seqs, labels, batch_size, max_len):
-        logits = clf.forward(ids.T, lengths)
-        loss = ad.cross_entropy(logits, np.asarray(labs))
-        total += loss.item() * len(labs)
-        predicted.append(np.argmax(logits.data, axis=1))
-        actual.append(labs)
-        n += len(labs)
+    with _frozen(clf.parameters()):
+        for ids, lengths, labs in corpus_mod.clf_batches(id_seqs, labels, batch_size, max_len):
+            logits = clf.forward(ids.T, lengths)
+            loss = ad.cross_entropy(logits, np.asarray(labs))
+            total += loss.item() * len(labs)
+            predicted.append(np.argmax(logits.data, axis=1))
+            actual.append(labs)
+            n += len(labs)
     if n == 0:
         raise TrainerError("evaluation split is empty")
     cm = confusion_matrix(np.concatenate(predicted), np.concatenate(actual), clf.n_classes)

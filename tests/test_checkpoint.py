@@ -173,6 +173,42 @@ class TestRefusals:
         with pytest.raises(CheckpointError, match="head_hidden"):
             load_checkpoint(path)
 
+    def test_out_of_range_hyperparameter(self, tmp_path):
+        path = tmp_path / "clf.ckpt"
+        save_checkpoint(make_clf(small_vocab()), path)
+        rewrite_header(path, lambda h: h["hyperparams"].update(n_layers=0))
+        with pytest.raises(CheckpointError, match="hyperparameters"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["vocab"].append(h["vocab"][-1]),
+        lambda h: h["vocab"].append(["ADD"]),
+        lambda h: h.update(vocab=7),
+    ], ids=["duplicate", "unhashable", "not-a-list"])
+    def test_corrupt_embedded_vocab(self, tmp_path, edit):
+        path = tmp_path / "clf.ckpt"
+        save_checkpoint(make_clf(small_vocab()), path, vocab=small_vocab())
+        rewrite_header(path, edit)
+        with pytest.raises(CheckpointError, match="vocabulary"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_parameter_named(self, tmp_path, value):
+        clf = make_clf(small_vocab(), dtype=np.float32)
+        clf.w2.data[1, 2] = value
+        path = tmp_path / "clf.ckpt"
+        save_checkpoint(clf, path)
+        with pytest.raises(CheckpointError, match="'head.w2' holds a non-finite"):
+            load_checkpoint(path)
+
+    def test_embedded_vocab_attached(self, tmp_path):
+        vocab = small_vocab()
+        path = tmp_path / "clf.ckpt"
+        save_checkpoint(make_clf(vocab), path, vocab=vocab)
+        assert load_checkpoint(path).checkpoint_vocab.itos == vocab.itos
+        save_checkpoint(make_clf(vocab), path)
+        assert load_checkpoint(path).checkpoint_vocab is None
+
     def test_vocab_mismatch_refused(self, tmp_path):
         vocab = small_vocab()
         path = tmp_path / "lm.ckpt"

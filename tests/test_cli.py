@@ -1,11 +1,18 @@
 """End-to-end command tests driven through main(argv) -> exit code."""
 
+import contextlib
+import io
 import json
+import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opscan import checkpoint as ckpt_mod
 from opscan import corpus as C
 from opscan import model as M
 from opscan import optim
@@ -328,6 +335,82 @@ class TestPredict:
     def test_missing_checkpoint(self, tmp_path, capsys):
         assert main(["predict", "--checkpoint", str(tmp_path / "nope.ckpt"),
                      "--bytecode", "6001"]) == 3
+
+
+class TestLoadsOnce:
+    def test_predict_parses_the_header_once(self, ws, monkeypatch, capsys):
+        root, _ = ws
+        counts = {"headers": 0, "vocabs": 0}
+        real_read, real_init = ckpt_mod._read_header, C.Vocab.__init__
+
+        def read(fh):
+            counts["headers"] += 1
+            return real_read(fh)
+
+        def init(self, tokens):
+            counts["vocabs"] += 1
+            real_init(self, tokens)
+
+        monkeypatch.setattr(ckpt_mod, "_read_header", read)
+        monkeypatch.setattr(C.Vocab, "__init__", init)
+        assert main(["predict", "--checkpoint", str(root / "clf" / "clf_best.ckpt"),
+                     "--bytecode", "6001600201331450"]) == 0
+        assert counts == {"headers": 1, "vocabs": 1}
+
+    def test_eval_reads_only_the_scored_split(self, ws, tmp_path):
+        root, _ = ws
+        ckpt = str(root / "clf" / "clf_best.ckpt")
+        data = shutil.copytree(root / "prep", tmp_path / "prep")
+        for name in ("train.jsonl", "valid.jsonl", "vocab.tsv"):
+            (data / name).unlink()
+        for prep, out in ((root / "prep", "full"), (data, "test-only")):
+            assert main(["eval", "--checkpoint", ckpt, "--data", str(prep), "--split", "test",
+                         "--out", str(tmp_path / out)]) == 0
+        full, alone = ((tmp_path / d / "metrics.json").read_text() for d in ("full", "test-only"))
+        assert alone == full
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_weight_exits_4(self, ws, tmp_path, capsys, value):
+        root, _ = ws
+        clf = ckpt_mod.load_checkpoint(root / "clf" / "clf_best.ckpt")
+        clf.w2.data[0, 0] = value
+        path = tmp_path / "clf.ckpt"
+        ckpt_mod.save_checkpoint(clf, path, vocab=clf.checkpoint_vocab)
+        assert main(["predict", "--checkpoint", str(path), "--bytecode", "6001600201331450"]) == 4
+        captured = capsys.readouterr()
+        assert "head.w2" in captured.err and captured.out == ""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_flipped_predicts_or_exits_4(self, ws, data):
+        """Any truncation or single bit flip gives a valid prediction or exit 4:
+        never a traceback, never a non-finite probability."""
+        root, _ = ws
+        raw = (root / "clf" / "clf_best.ckpt").read_bytes()
+        header_end = 12 + struct.unpack("<I", raw[8:12])[0]
+        # Half the draws land in the magic, lengths and JSON header.
+        at = data.draw(st.integers(0, header_end - 1) | st.integers(0, len(raw) - 1))
+        if data.draw(st.booleans(), label="truncate"):
+            corrupt = raw[:at]
+        else:
+            bit = data.draw(st.integers(0, 7), label="bit")
+            corrupt = raw[:at] + bytes([raw[at] ^ (1 << bit)]) + raw[at + 1 :]
+        path = root / "corrupt.ckpt"
+        path.write_bytes(corrupt)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(["predict", "--checkpoint", str(path), "--bytecode", "6001600201331450"])
+        assert rc in (0, 4)
+        if rc == 0:
+            probs = json.loads(out.getvalue(), parse_constant=_reject_constant)["probabilities"]
+            assert all(math.isfinite(p) and 0 <= p <= 1 for p in probs.values())
+            assert sum(probs.values()) == pytest.approx(1.0, abs=1e-5)
 
 
 class TestExitCodes:

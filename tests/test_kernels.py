@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opscan import kernels as K
 
+import ref_recurrence
 from oracle_lstm import sequence_scalar
 
 
@@ -139,3 +144,49 @@ class TestBackward:
         )
         assert np.any(dh0 != 0) and np.any(dc0 != 0)
 
+
+
+def run_kernels(case, dh, for_backward, needs):
+    """Forward outputs, plus the backward's when for_backward is set."""
+    x, wx, wh, b, h0, c0 = case
+    fw = K.lstm_seq_forward(*case, for_backward=for_backward)
+    if not for_backward:
+        return fw
+    return fw + K.lstm_seq_backward(dh, x, wx, wh, h0, c0, *fw, needs=needs)
+
+
+class TestMatchesReferenceLoops:
+    """The buffered time loops give bit-identical outputs to the plain
+    per-step loops in ref_recurrence, whatever the shape, dtype, pruning or
+    backward block length (set through the scratch budget)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(T=st.integers(1, 40), B=st.integers(1, 5), D=st.integers(1, 6), H=st.integers(1, 9),
+           dtype=st.sampled_from([np.float32, np.float64]), for_backward=st.booleans(),
+           needs=st.tuples(*[st.booleans()] * 4), budget=st.integers(1, 20_000),
+           scale=st.sampled_from([0.1, 1.0, 10.0]), seed=st.integers(0, 2**32 - 1))
+    @example(T=1, B=1, D=1, H=1, dtype=np.float32, for_backward=True,
+             needs=(True, True, True, True), budget=1, scale=1.0, seed=0)
+    @example(T=7, B=1, D=3, H=4, dtype=np.float64, for_backward=True,
+             needs=(True, False, True, False), budget=10**9, scale=1.0, seed=1)
+    @example(T=37, B=3, D=2, H=5, dtype=np.float32, for_backward=True,
+             needs=(False, False, False, True), budget=5_000, scale=10.0, seed=2)
+    def test_bit_identical(self, T, B, D, H, dtype, for_backward, needs, budget, scale, seed):
+        rng = np.random.default_rng(seed)
+        case = [a * dtype(scale) for a in random_case(rng, T, B, D, H, dtype)]
+        dh = rng.normal(size=(T, B, H)).astype(dtype)
+        with mock.patch.object(K, "_BW_SCRATCH_BYTES", budget):
+            got = run_kernels(case, dh, for_backward, needs)
+        with mock.patch.object(K, "_fw_recurrence", ref_recurrence.fw_recurrence), \
+                mock.patch.object(K, "_bw_recurrence", ref_recurrence.bw_recurrence):
+            want = run_kernels(case, dh, for_backward, needs)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b))
+
+    def test_sigmoid_matches_reference(self):
+        rng = np.random.default_rng(12)
+        for dtype in (np.float32, np.float64):
+            a = (rng.normal(size=(5, 37)) * 40).astype(dtype)
+            got = K.sigmoid(a)
+            assert got.dtype == dtype and np.array_equal(got, ref_recurrence.sigmoid(a))

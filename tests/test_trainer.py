@@ -425,6 +425,71 @@ def clf_setup(seed=0, per_class=10, n_layers=2, encoder_seed=7):
     return clf, vocab, prepared(train, vocab), prepared(valid, vocab)
 
 
+def record_closures(monkeypatch) -> list:
+    """One entry per autodiff op and LSTM layer output: whether it got a
+    backward closure."""
+    recorded = []
+    real_record, real_lstm = ad._record, M.lstm_sequence
+
+    def record(out, bw):
+        recorded.append(real_record(out, bw)._backward is not None)
+        return out
+
+    def lstm_sequence(*args):
+        out, state = real_lstm(*args)
+        recorded.append(out._backward is not None)
+        return out, state
+
+    monkeypatch.setattr(ad, "_record", record)
+    monkeypatch.setattr(M, "lstm_sequence", lstm_sequence)
+    return recorded
+
+
+class TestValidationRecordsNoTape:
+    """A validation pass inside an unfreeze stage records no backward, leaves
+    the stage's frozen flags as they were and scores as an unfrozen pass."""
+
+    def test_classifier(self, monkeypatch):
+        clf, _, _, (valid_ids, valid_labels) = clf_setup()
+        total, n = 0.0, 0  # the same pass with every parameter trainable
+        for ids, lengths, labs in C.clf_batches(valid_ids, valid_labels, 8, None):
+            total += ad.cross_entropy(clf.forward(ids.T, lengths), labs).item() * len(labs)
+            n += len(labs)
+        T.gradual_unfreeze(clf, 2)
+        flags = [p.frozen for p in clf.parameters()]
+        recorded = record_closures(monkeypatch)
+        loss, _ = T.evaluate_classifier(clf, valid_ids, valid_labels, batch_size=8)
+        assert loss == total / n
+        assert recorded and not any(recorded)
+        assert [p.frozen for p in clf.parameters()] == flags
+
+    def test_language_model(self, monkeypatch):
+        lm, _, _, valid_ids = lm_setup(n_train=4, n_valid=6)
+        total, n, state = 0.0, 0, None
+        for x, y in C.lm_batches(valid_ids, 4, 10):
+            loss, state = lm.loss(x.T, y.T, state)
+            total, n = total + loss.item(), n + 1
+        lm.encoder.emb.frozen = True
+        flags = [p.frozen for p in lm.parameters()]
+        recorded = record_closures(monkeypatch)
+        assert T._lm_valid_loss(lm, valid_ids, 4, 10) == total / n
+        assert recorded and not any(recorded)
+        assert [p.frozen for p in lm.parameters()] == flags
+
+    def test_flags_restored_when_the_pass_raises(self, monkeypatch):
+        clf, _, _, (valid_ids, valid_labels) = clf_setup()
+        T.gradual_unfreeze(clf, 1)
+        flags = [p.frozen for p in clf.parameters()]
+
+        def fail(*args):
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(M, "lstm_sequence", fail)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            T.evaluate_classifier(clf, valid_ids, valid_labels)
+        assert [p.frozen for p in clf.parameters()] == flags
+
+
 class TestTrainClf:
     def test_pretrained_encoder_learns_motif_classes(self):
         # the staged-unfreezing recipe assumes an encoder that already

@@ -65,15 +65,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Parameter(Tensor):
     """Named leaf tensor. layer_group indexes discriminative-lr groups.

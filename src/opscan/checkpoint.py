@@ -138,7 +138,7 @@ def _read_header(fh) -> tuple[dict, int]:
         raise CheckpointError("truncated header")
     try:
         header = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"corrupt header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError("corrupt header: not a JSON object")

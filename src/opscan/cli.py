@@ -103,15 +103,18 @@ def _encoder_from_config(cfg: RunConfig, vocab_size: int) -> Encoder:
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
+    try:
+        records = synth_mod.synth_records(
+            per_class=args.per_class,
+            seed=cfg.seed,
+            mean_len=args.mean_len,
+            jitter=args.jitter,
+            plants=args.plants,
+            dup_normals=args.dup_normals,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     out = _resolve_out(args, "synth")
-    records = synth_mod.synth_records(
-        per_class=args.per_class,
-        seed=cfg.seed,
-        mean_len=args.mean_len,
-        jitter=args.jitter,
-        plants=args.plants,
-        dup_normals=args.dup_normals,
-    )
     path = out / "corpus.jsonl"
     synth_mod.write_corpus(records, path, seed=cfg.seed)
     cfg.write(out)
@@ -173,6 +176,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_lr_find(args) -> int:
+    if not (args.steps >= 2 and 0 < args.lr_start < args.lr_end < np.inf):
+        raise UsageError("need --steps >= 2 and 0 < --lr-start < --lr-end, all finite")
     cfg = _load_config(args, batch_size=args.batch_size)
     out = _resolve_out(args, "lr-find")
     vocab, splits = _read_split_dir(args.data)
@@ -235,7 +240,7 @@ def cmd_train_lm(args) -> int:
         epochs=cfg.epochs, batch_size=cfg.batch_size, bptt=cfg.bptt,
         max_lr=cfg.max_lr, weight_decay=cfg.weight_decay, seed=cfg.seed,
         out_dir=out, vocab=vocab,
-        schedule_overrides={"warmup_frac": cfg.warmup_frac},
+        warmup_frac=cfg.warmup_frac,
     )
     if result.aborted:
         return _report_abort(result)
@@ -266,7 +271,7 @@ def cmd_train_clf(args) -> int:
         lr_lo=cfg.lr_lo, lr_hi=cfg.lr_hi, weight_decay=cfg.weight_decay,
         epochs_per_stage=cfg.epochs_per_stage, seed=cfg.seed,
         out_dir=out, vocab=vocab,
-        schedule_overrides={"warmup_frac": cfg.warmup_frac},
+        warmup_frac=cfg.warmup_frac,
     )
     if result.aborted:
         return _report_abort(result)
@@ -276,6 +281,7 @@ def cmd_train_clf(args) -> int:
 
 
 def _eval_predictions_file(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    n_classes = metrics_mod.N_CLASSES
     actual, predicted, scores = [], [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -285,13 +291,25 @@ def _eval_predictions_file(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarra
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise CorpusError(f"line {lineno}: JSON nested too deeply") from exc
             try:
-                actual.append(int(row["actual"]) - 1)
-                predicted.append(int(row["predicted"]) - 1)
-            except (KeyError, TypeError, ValueError) as exc:
+                pair = int(row["actual"]), int(row["predicted"])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise CorpusError(f"line {lineno}: needs integer actual/predicted") from exc
+            if not all(1 <= v <= n_classes for v in pair):
+                raise CorpusError(f"line {lineno}: actual/predicted must lie in 1..{n_classes}")
+            actual.append(pair[0] - 1)
+            predicted.append(pair[1] - 1)
             if "scores" in row:
-                scores.append(row["scores"])
+                try:
+                    row_scores = np.asarray(row["scores"], dtype=np.float64)
+                except (TypeError, ValueError, OverflowError):
+                    row_scores = None
+                if row_scores is None or row_scores.shape != (n_classes,) \
+                        or not np.isfinite(row_scores).all():
+                    raise CorpusError(f"line {lineno}: scores must be {n_classes} finite numbers")
+                scores.append(row_scores)
     if not actual:
         raise CorpusError(f"{path}: no prediction rows")
     score_arr = np.asarray(scores, dtype=np.float64) if len(scores) == len(actual) else None
@@ -391,7 +409,11 @@ def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="JSON config file")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use. Parsing never changes it, so every
+    main() call in a process shares one instead of rebuilding nine
+    subparsers."""
     parser = argparse.ArgumentParser(
         prog="opscan",
         description="Opcode-sequence vulnerability classifier pipeline",
@@ -474,14 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use. Parsing never changes it, so every
-    main() call in a process shares one instead of rebuilding nine
-    subparsers."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -493,7 +507,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CorpusError, DisasmError, metrics_mod.MetricsError,
-            FileNotFoundError, NotADirectoryError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except CheckpointError as exc:

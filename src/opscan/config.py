@@ -10,7 +10,7 @@ Keys and defaults:
   model     emb_size 64, hidden_size 64, n_layers 3, head_hidden 50,
             tie_last true, dtype "f32",
             p_emb 0.05, p_input 0.3, p_hidden 0.3, p_weight 0.5, p_head 0.1
-  corpus    min_freq 1, max_len null, keep_tail false,
+  corpus    min_freq 1, max_len null,
             train_ratio 0.70, valid_ratio 0.15, test_ratio 0.15
   training  batch_size 16, bptt 70, epochs 10, max_lr 0.03,
             lr_lo 0.0044, lr_hi 0.04, weight_decay 0.0,
@@ -57,7 +57,6 @@ class RunConfig:
 
     min_freq: int = 1
     max_len: int | None = None
-    keep_tail: bool = False
     train_ratio: float = 0.70
     valid_ratio: float = 0.15
     test_ratio: float = 0.15
@@ -109,7 +108,7 @@ class RunConfig:
         """Defaults, updated by the JSON file, updated by overrides."""
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")

@@ -58,15 +58,18 @@ def _record_from_line(obj: dict, line: int) -> ContractRecord | None:
     if not isinstance(address, str) or not address:
         raise CorpusError("missing or empty 'address'", line)
     raw = obj.get("label")
+    # type(), not isinstance(): JSON true is a bool, and bool is an int
+    if type(raw) is not int or not 1 <= raw <= _RAW_SKIPPED:
+        raise CorpusError(f"label must be an integer 1..5, got {raw!r}", line)
     if raw == _RAW_SKIPPED:
         return None
-    if raw not in _RAW_TO_CLASS:
-        raise CorpusError(f"label must be 1..5, got {raw!r}", line)
     if "tokens" in obj:
         tokens = obj["tokens"]
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise CorpusError("'tokens' must be a list of strings", line)
     elif "bytecode" in obj:
+        if not isinstance(obj["bytecode"], str):
+            raise CorpusError("'bytecode' must be a hex string", line)
         try:
             tokens = disassemble(obj["bytecode"])
         except DisasmError as exc:
@@ -92,6 +95,8 @@ def ingest(path) -> tuple[list[ContractRecord], IngestStats]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"invalid JSON: {exc.msg}", line_no) from exc
+            except RecursionError as exc:
+                raise CorpusError("JSON nested too deeply", line_no) from exc
             if not isinstance(obj, dict):
                 raise CorpusError("record must be a JSON object", line_no)
             rec = _record_from_line(obj, line_no)
@@ -301,13 +306,12 @@ def clf_batches(
     labels: Sequence[int],
     batch_size: int,
     max_len: int | None = None,
-    keep_tail: bool = False,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Bucket sequences by length and pad each batch to its own maximum.
 
     Yields (ids, lengths, labels) with ids of shape (batch, width); PAD fills
     the tail of shorter rows. Sequences longer than max_len are truncated to
-    their first max_len ids (or last, with keep_tail=True).
+    their first max_len ids.
     """
     if len(id_seqs) != len(labels):
         raise CorpusError("id_seqs and labels differ in length")
@@ -316,7 +320,7 @@ def clf_batches(
 
     def clip(seq: np.ndarray) -> np.ndarray:
         if max_len is not None and seq.size > max_len:
-            return seq[-max_len:] if keep_tail else seq[:max_len]
+            return seq[:max_len]
         return seq
 
     clipped = [clip(np.asarray(s, dtype=np.int64)) for s in id_seqs]

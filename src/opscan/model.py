@@ -10,13 +10,15 @@ Regularization is all mask-based and train-only:
     matrix, one mask per forward pass shared by all time steps.
 Survivors are scaled by 1/(1-p), so evaluation is plain identity.
 
-Masks are drawn from an explicit rng in a fixed order (build_masks), which
-is what makes gradient checks and same-seed reruns exactly reproducible.
+Each site draws its mask from an explicit rng where the mask is applied
+(``dropout``), so masks come off the rng in the order the forward pass
+applies them; that is what makes gradient checks and same-seed reruns
+exactly reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +53,24 @@ def keep_mask(rng: np.random.Generator, shape, p: float, dtype=np.float64) -> np
     if not 0.0 <= p < 1.0:
         raise ValueError(f"drop probability out of range: {p}")
     return (rng.random(shape) >= p).astype(dtype)
+
+
+def dropout(x: Tensor, rng: np.random.Generator | None, p: float, shape) -> Tensor:
+    """x times a fresh keep mask of `shape` (broadcast against x), survivors
+    scaled by 1/(1-p). Identity, drawing nothing, when rng is None
+    (evaluation) or p is 0."""
+    if rng is None or not p:
+        return x
+    return ad.apply_mask(x, keep_mask(rng, shape, p, x.dtype), 1.0 / (1.0 - p))
+
+
+def _dropout_rng(train: bool, rng: np.random.Generator | None):
+    """The rng a forward pass draws its masks from: None outside training."""
+    if not train:
+        return None
+    if rng is None:
+        raise ValueError("training forward needs an rng for dropout")
+    return rng
 
 
 def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, h0, c0):
@@ -89,26 +109,6 @@ class Dropouts:
     hidden: float = 0.3
     weight: float = 0.5
     head: float = 0.1
-
-    def scaled(self, factor: float) -> "Dropouts":
-        return replace(
-            self,
-            emb=self.emb * factor,
-            input=self.input * factor,
-            hidden=self.hidden * factor,
-            weight=self.weight * factor,
-            head=self.head * factor,
-        )
-
-
-@dataclass
-class EncoderMasks:
-    """One training forward pass worth of dropout masks."""
-
-    emb_rows: np.ndarray | None
-    input_mask: np.ndarray | None
-    wh_masks: list  # per layer, mask or None
-    between: list  # per layer gap (n_layers - 1 entries), mask or None
 
 
 class LstmLayer:
@@ -186,55 +186,26 @@ class Encoder:
             for layer in self.layers
         ]
 
-    def build_masks(self, rng: np.random.Generator, batch_size: int) -> EncoderMasks:
-        """Draw one forward pass worth of masks, in a fixed order."""
-        d = self.dropouts
-        emb_rows = (
-            keep_mask(rng, (self.vocab_size, 1), d.emb, self.dtype) if d.emb else None
-        )
-        input_mask = (
-            keep_mask(rng, (1, batch_size, self.emb_size), d.input, self.dtype)
-            if d.input
-            else None
-        )
-        wh_masks = []
-        between = []
-        for l, layer in enumerate(self.layers):
-            wh_masks.append(
-                keep_mask(rng, layer.wh.shape, d.weight, self.dtype) if d.weight else None
-            )
-            if l < self.n_layers - 1:
-                between.append(
-                    keep_mask(rng, (1, batch_size, layer.hidden), d.hidden, self.dtype)
-                    if d.hidden
-                    else None
-                )
-        return EncoderMasks(emb_rows, input_mask, wh_masks, between)
-
-    def embed(self, ids: np.ndarray, masks: EncoderMasks | None = None) -> Tensor:
+    def embed(self, ids: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
         """Token ids (T, B) -> embedded inputs (T, B, emb_size).
 
-        Applies embedding dropout (whole rows) then the input-site
-        variational mask when masks are given.
+        With an rng, applies embedding dropout (whole rows) then the
+        input-site variational mask.
         """
         d = self.dropouts
-        emb_weights = self.emb
-        if masks and masks.emb_rows is not None:
-            emb_weights = ad.apply_mask(self.emb, masks.emb_rows, 1.0 / (1.0 - d.emb))
-        x = ad.embedding_lookup(emb_weights, ids)
-        if masks and masks.input_mask is not None:
-            x = ad.apply_mask(x, masks.input_mask, 1.0 / (1.0 - d.input))
-        return x
+        emb = dropout(self.emb, rng, d.emb, (self.vocab_size, 1))
+        x = ad.embedding_lookup(emb, ids)
+        return dropout(x, rng, d.input, (1, ids.shape[1], self.emb_size))
 
     def forward(
         self,
         ids: np.ndarray,
         state: list | None = None,
-        masks: EncoderMasks | None = None,
+        rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, list]:
         """ids (T, B) int -> hidden outputs (T, B, out_size), new state.
 
-        masks=None is evaluation mode. The returned state is detached; pass
+        rng=None is evaluation mode. The returned state is detached; pass
         it back in to carry across consecutive windows of the same streams.
         """
         ids = np.asarray(ids)
@@ -243,17 +214,15 @@ class Encoder:
         if state is None:
             state = self.initial_state(ids.shape[1])
         d = self.dropouts
-        x = self.embed(ids, masks)
+        x = self.embed(ids, rng)
         new_state = []
         for l, layer in enumerate(self.layers):
-            wh = layer.wh
-            if masks and masks.wh_masks[l] is not None:
-                wh = ad.apply_mask(layer.wh, masks.wh_masks[l], 1.0 / (1.0 - d.weight))
+            wh = dropout(layer.wh, rng, d.weight, layer.wh.shape)
             h0, c0 = state[l]
             x, last = lstm_sequence(x, layer.wx, wh, layer.b, h0, c0)
             new_state.append(last)
-            if l < self.n_layers - 1 and masks and masks.between[l] is not None:
-                x = ad.apply_mask(x, masks.between[l], 1.0 / (1.0 - d.hidden))
+            if l < self.n_layers - 1:
+                x = dropout(x, rng, d.hidden, (1, ids.shape[1], layer.hidden))
         return x, new_state
 
     def copy_values_from(self, other: "Encoder") -> None:
@@ -288,10 +257,6 @@ class LanguageModel:
             np.zeros(encoder.vocab_size, dtype=encoder.dtype), "decoder.b", dec_group
         )
 
-    @property
-    def n_groups(self) -> int:
-        return self.encoder.n_layers + 2
-
     def parameters(self) -> list[Parameter]:
         out = self.encoder.parameters()
         if self.dec_w is not None:
@@ -308,19 +273,9 @@ class LanguageModel:
     ) -> tuple[Tensor, list]:
         """ids (T, B) -> logits (T*B, vocab), new state."""
         enc = self.encoder
-        masks = None
-        out_mask = None
-        if train:
-            if rng is None:
-                raise ValueError("training forward needs an rng for dropout")
-            masks = enc.build_masks(rng, ids.shape[1])
-            if enc.dropouts.hidden:
-                out_mask = keep_mask(
-                    rng, (1, ids.shape[1], enc.out_size), enc.dropouts.hidden, enc.dtype
-                )
-        out, new_state = enc.forward(ids, state, masks)
-        if out_mask is not None:
-            out = ad.apply_mask(out, out_mask, 1.0 / (1.0 - enc.dropouts.hidden))
+        rng = _dropout_rng(train, rng)
+        out, new_state = enc.forward(ids, state, rng)
+        out = dropout(out, rng, enc.dropouts.hidden, (1, out.shape[1], enc.out_size))
         flat = ad.reshape(out, (-1, enc.out_size))
         proj = ad.transpose(enc.emb) if self.dec_w is None else self.dec_w
         logits = ad.add(ad.matmul(flat, proj), self.dec_b)
@@ -396,15 +351,8 @@ class Classifier:
         lengths = np.asarray(lengths, dtype=np.int64)
         T, B = ids.shape
         enc = self.encoder
-        masks = None
-        head_mask = None
-        if train:
-            if rng is None:
-                raise ValueError("training forward needs an rng for dropout")
-            masks = enc.build_masks(rng, B)
-            if enc.dropouts.head:
-                head_mask = keep_mask(rng, (B, self.head_hidden), enc.dropouts.head, enc.dtype)
-        out, _ = enc.forward(ids, None, masks)
+        rng = _dropout_rng(train, rng)
+        out, _ = enc.forward(ids, None, rng)
         valid = (np.arange(T)[:, None] < lengths[None, :]).astype(enc.dtype)
         rep = ad.concat(
             [
@@ -415,8 +363,7 @@ class Classifier:
             axis=1,
         )
         hid = ad.relu(ad.add(ad.matmul(rep, self.w1), self.b1))
-        if head_mask is not None:
-            hid = ad.apply_mask(hid, head_mask, 1.0 / (1.0 - enc.dropouts.head))
+        hid = dropout(hid, rng, enc.dropouts.head, (B, self.head_hidden))
         return ad.add(ad.matmul(hid, self.w2), self.b2)
 
     def loss(self, ids, lengths, labels, train=False, rng=None) -> Tensor:

@@ -78,6 +78,8 @@ def synth_records(per_class: int = 50, seed: int = 7, mean_len: int = 120,
         raise ValueError("dup_normals must be between 0 and per_class")
     if jitter < 0 or mean_len - jitter < 1:
         raise ValueError("need mean_len - jitter >= 1")
+    if plants < 1:
+        raise ValueError("plants must be >= 1")
     rng = np.random.default_rng(seed)
     out: list[ContractRecord] = []
     counter = 0

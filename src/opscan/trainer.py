@@ -145,7 +145,7 @@ def lr_find(
     mini-batch loss. Weights are restored bitwise before returning; the
     throwaway optimizer never leaks state.
     """
-    if max_steps < 2 or lr_start <= 0 or lr_end <= lr_start:
+    if not (max_steps >= 2 and 0 < lr_start < lr_end < math.inf):
         raise TrainerError("need max_steps >= 2 and 0 < lr_start < lr_end")
     snapshot = [p.data.copy() for p in params]
     opt = Adam(params, lr=lr_start)
@@ -291,7 +291,7 @@ def train_lm(
     seed: int = 0,
     out_dir=None,
     vocab=None,
-    schedule_overrides: dict | None = None,
+    warmup_frac: float = 0.3,
 ) -> TrainResult:
     """Next-opcode pretraining with one-cycle over all steps.
 
@@ -308,7 +308,7 @@ def train_lm(
     steps_per_epoch = sum(1 for _ in corpus_mod.lm_batches(train_seqs, batch_size, bptt))
     if steps_per_epoch == 0:
         raise TrainerError("training stream produced no batches")
-    sched = OneCycleSchedule(max_lr, epochs * steps_per_epoch, **(schedule_overrides or {}))
+    sched = OneCycleSchedule(max_lr, epochs * steps_per_epoch, warmup_frac)
     opt = Adam(lm.parameters(), lr=max_lr, weight_decay=weight_decay)
     params = lm.parameters()
     best_snap = None
@@ -399,7 +399,7 @@ def train_clf(
     seed: int = 0,
     out_dir=None,
     vocab=None,
-    schedule_overrides: dict | None = None,
+    warmup_frac: float = 0.3,
 ) -> TrainResult:
     """Fine-tune with gradual unfreezing and discriminative learning rates.
 
@@ -419,7 +419,7 @@ def train_clf(
         raise TrainerError("training split produced no batches")
     steps_per_epoch = len(batches)
     max_stage = clf.encoder.n_layers + 1
-    group_lrs = discriminative_lrs(clf.encoder.n_layers + 2, lr_lo, lr_hi)
+    group_lrs = discriminative_lrs(clf.n_groups, lr_lo, lr_hi)
 
     def stage_of(epoch0: int) -> int:
         return min(epoch0 // epochs_per_stage, max_stage)
@@ -440,9 +440,7 @@ def train_clf(
         gradual_unfreeze(clf, stage)
         if epoch0 == 0 or stage != stage_of(epoch0 - 1):
             sched = OneCycleSchedule(
-                lr_hi,
-                max(3, stage_span(stage) * steps_per_epoch),
-                **(schedule_overrides or {}),
+                lr_hi, max(3, stage_span(stage) * steps_per_epoch), warmup_frac
             )
             local_step = 0
         rng = np.random.default_rng([seed, epoch0])

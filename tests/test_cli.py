@@ -418,7 +418,8 @@ class TestExitCodes:
         """A misspelt key, a wrong-typed value or a non-positive lr exits 2."""
         root, _ = ws
         bad = tmp_path / "bad.json"
-        for text in ('{"emb_sizee": 8}', '{"emb_size": "64"}', '{"max_lr": -1}'):
+        for text in ('{"emb_sizee": 8}', '{"emb_size": "64"}', '{"max_lr": -1}',
+                     '{"keep_tail": true}'):
             bad.write_text(text)
             assert main(["train-lm", "--data", str(root / "prep"),
                          "--out", str(tmp_path), "--config", str(bad)]) == 2, text
@@ -455,6 +456,155 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["train-lm"])  # --data missing
         assert exc.value.code == 2
+
+
+GOOD_LINE = '{"address": "0x1", "label": 1, "tokens": ["PUSH1", "ADD"]}\n'
+NON_UTF8 = b"\xff\xfe"
+TOO_DEEP = b"[" * 100_000 + b"]" * 100_000  # past the JSON decoder's recursion limit
+
+
+def _write(tmp_path, name, data) -> str:
+    path = tmp_path / name
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return str(path)
+
+
+def _prep(tmp_path, second_line):
+    """prep over a corpus whose line 2 is second_line."""
+    corpus = _write(tmp_path, "corpus.jsonl", GOOD_LINE.encode() + second_line + b"\n")
+    return ["prep", "--corpus", corpus, "--out", str(tmp_path / "out")]
+
+
+def _eval(tmp_path, row):
+    """eval over a predictions file whose line 1 is row (JSON text if bytes)."""
+    line = row if isinstance(row, bytes) else json.dumps(row).encode()
+    preds = _write(tmp_path, "preds.jsonl", line + b"\n")
+    return ["eval", "--predictions", preds, "--out", str(tmp_path / "out")]
+
+
+def _predict_too_deep_header(root, tmp_path):
+    """predict from a classifier checkpoint whose JSON header nests too deeply."""
+    raw = (root / "clf" / "clf_best.ckpt").read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    ckpt = raw[:8] + struct.pack("<I", len(TOO_DEEP)) + TOO_DEEP + raw[12 + length :]
+    return ["predict", "--checkpoint", _write(tmp_path, "clf.ckpt", ckpt), "--bytecode", "6001"]
+
+
+# case -> (exit code, the line the message names or None, argv from (ws root, tmp_path))
+MALFORMED_INPUTS = {
+    "disasm-input-is-a-directory": (3, None, lambda root, tmp: ["disasm", "--input", str(tmp)]),
+    "prep-corpus-is-a-directory": (3, None, lambda root, tmp: [
+        "prep", "--corpus", str(tmp), "--out", str(tmp / "out")]),
+    "eval-predictions-is-a-directory": (3, None, lambda root, tmp: [
+        "eval", "--predictions", str(tmp), "--out", str(tmp / "out")]),
+    "train-clf-lm-is-a-directory": (3, None, lambda root, tmp: [
+        "train-clf", "--data", str(root / "prep"), "--lm", str(tmp), "--out", str(tmp / "out")]),
+    "disasm-out-is-a-file": (3, None, lambda root, tmp: [
+        "disasm", "--bytecode", "6001", "--out", _write(tmp, "taken", "")]),
+    "disasm-input-not-utf8": (3, None, lambda root, tmp: [
+        "disasm", "--input", _write(tmp, "code.hex", NON_UTF8)]),
+    "predict-input-not-utf8": (3, None, lambda root, tmp: [
+        "predict", "--checkpoint", str(root / "clf" / "clf_best.ckpt"),
+        "--input", _write(tmp, "code.hex", NON_UTF8)]),
+    "corpus-not-utf8": (3, None, lambda root, tmp: _prep(tmp, NON_UTF8)),
+    "corpus-label-list": (3, 2, lambda root, tmp: _prep(
+        tmp, b'{"address": "0x2", "label": [1], "tokens": ["ADD"]}')),
+    "corpus-label-bool": (3, 2, lambda root, tmp: _prep(
+        tmp, b'{"address": "0x2", "label": true, "tokens": ["ADD"]}')),
+    "corpus-bytecode-number": (3, 2, lambda root, tmp: _prep(
+        tmp, b'{"address": "0x2", "label": 1, "bytecode": 123}')),
+    "eval-scores-string": (3, 1, lambda root, tmp: _eval(
+        tmp, {"actual": 1, "predicted": 1, "scores": "abc"})),
+    "eval-scores-three-wide": (3, 1, lambda root, tmp: _eval(
+        tmp, {"actual": 1, "predicted": 1, "scores": [0.5, 0.25, 0.25]})),
+    "eval-actual-overflows": (3, 1, lambda root, tmp: _eval(
+        tmp, {"actual": 10**30, "predicted": 1})),
+    "corpus-nested-too-deep": (3, 2, lambda root, tmp: _prep(tmp, TOO_DEEP)),
+    "eval-row-nested-too-deep": (3, 1, lambda root, tmp: _eval(tmp, TOO_DEEP)),
+    "config-nested-too-deep": (2, None, lambda root, tmp: [
+        "synth", "--config", _write(tmp, "cfg.json", TOO_DEEP), "--out", str(tmp)]),
+    "checkpoint-header-nested-too-deep": (4, None, _predict_too_deep_header),
+    "lr-find-one-step": (2, None, lambda root, tmp: [
+        "lr-find", "--data", str(root / "prep"), "--steps", "1", "--out", str(tmp)]),
+    "lr-find-start-above-end": (2, None, lambda root, tmp: [
+        "lr-find", "--data", str(root / "prep"), "--lr-start", "1", "--lr-end", "0.1",
+        "--out", str(tmp)]),
+    "lr-find-nan-start": (2, None, lambda root, tmp: [
+        "lr-find", "--data", str(root / "prep"), "--lr-start", "nan", "--out", str(tmp)]),
+    "synth-negative-per-class": (2, None, lambda root, tmp: [
+        "synth", "--per-class", "-3", "--out", str(tmp)]),
+    "synth-zero-mean-len": (2, None, lambda root, tmp: [
+        "synth", "--mean-len", "0", "--out", str(tmp)]),
+    "synth-zero-plants": (2, None, lambda root, tmp: [
+        "synth", "--plants", "0", "--out", str(tmp)]),
+}
+
+
+def _exit_code(argv) -> int:
+    """main(argv) with its output swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+# A JSON value of any type, nested a little.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+HEX = st.text("0123456789abcdefx", max_size=40)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_exits_with_its_code(self, ws, tmp_path, capsys, case):
+        code, line, argv = MALFORMED_INPUTS[case]
+        root, _ = ws
+        assert main(argv(root, tmp_path)) == code
+        if line is not None:
+            assert f"line {line}" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(
+        st.fixed_dictionaries({
+            "address": st.sampled_from(["0x1", "0x2"]),
+            "label": JSON_VALUES | st.integers(0, 6),
+        }, optional={
+            "tokens": JSON_VALUES | st.lists(st.sampled_from(["PUSH1", "ADD", "STOP"])),
+            "bytecode": JSON_VALUES | HEX,
+        }).map(json.dumps) | JSON_VALUES.map(json.dumps) | st.text(max_size=20),
+        min_size=1, max_size=4,
+    ))
+    def test_any_corpus_line(self, ws, lines):
+        root, _ = ws
+        corpus = _write(root, "fuzz.jsonl", "\n".join(lines) + "\n")
+        assert _exit_code(["prep", "--corpus", corpus, "--out", str(root / "fuzz")]) in (0, 2, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(
+        st.fixed_dictionaries({
+            "actual": st.integers(1, 4) | JSON_VALUES,
+            "predicted": st.integers(1, 4) | JSON_VALUES,
+        }, optional={
+            "scores": st.lists(st.floats(), min_size=3, max_size=5) | JSON_VALUES,
+        }) | JSON_VALUES,
+        min_size=1, max_size=6,
+    ))
+    def test_any_prediction_row(self, ws, rows):
+        root, _ = ws
+        preds = _write(root, "fuzz-preds.jsonl", "\n".join(map(json.dumps, rows)) + "\n")
+        assert _exit_code(["eval", "--predictions", preds, "--out", str(root / "fuzz")]) in (0, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.binary(max_size=40) | HEX.map(str.encode), command=st.sampled_from(
+        ["disasm", "predict"]))
+    def test_any_input_bytes(self, ws, data, command):
+        root, _ = ws
+        argv = [command, "--input", _write(root, "fuzz.hex", data)]
+        if command == "predict":
+            argv += ["--checkpoint", str(root / "clf" / "clf_best.ckpt")]
+        assert _exit_code(argv) in (0, 3)
 
 
 class TestOutRoot:

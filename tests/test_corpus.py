@@ -324,11 +324,6 @@ class TestClfBatches:
         assert lengths[0] == 10
         np.testing.assert_array_equal(ids[0], np.arange(10))
 
-    def test_truncation_keep_tail_flag(self):
-        seqs = [np.arange(20, dtype=np.int64)]
-        (ids, _, _), = C.clf_batches(seqs, [0], batch_size=1, max_len=10, keep_tail=True)
-        np.testing.assert_array_equal(ids[0], np.arange(10, 20))
-
     def test_batch_count_ceiling(self):
         seqs = self.seqs([4] * 10)
         got = list(C.clf_batches(seqs, list(range(10)) , batch_size=4))

@@ -19,6 +19,20 @@ def tiny_encoder(vocab=9, emb=6, hidden=8, layers=2, dropouts=NO_DROP, dtype=np.
     )
 
 
+def record_masks(monkeypatch) -> list:
+    """Record (shape, p, mask) of every keep mask the model draws."""
+    drawn = []
+    draw = M.keep_mask
+
+    def recording(rng, shape, p, dtype=np.float64):
+        mask = draw(rng, shape, p, dtype)
+        drawn.append((tuple(shape), p, mask))
+        return mask
+
+    monkeypatch.setattr(M, "keep_mask", recording)
+    return drawn
+
+
 class TestCellStep:
     def test_matches_scalar_oracle_100_instances(self):
         rng = np.random.default_rng(40)
@@ -74,50 +88,75 @@ class TestMasks:
             acc += ad.apply_mask(x, M.keep_mask(rng, 64, 0.3), 1.0 / 0.7).data
         np.testing.assert_allclose(acc / n, x.data, rtol=0.02)
 
-    def test_build_masks_shapes(self):
+    def test_masks_drawn_in_order_of_application(self, monkeypatch):
+        """One training forward draws each site's mask, with its shape, in the
+        order the sites apply them, one after another from the rng."""
+        keep_mask = M.keep_mask
+        drawn = record_masks(monkeypatch)
         enc = tiny_encoder(dropouts=ALL_DROP)
-        masks = enc.build_masks(np.random.default_rng(3), batch_size=4)
-        assert masks.emb_rows.shape == (9, 1)
-        assert masks.input_mask.shape == (1, 4, 6)
-        assert len(masks.wh_masks) == 2 and len(masks.between) == 1
-        assert masks.wh_masks[0].shape == enc.layers[0].wh.shape
-        assert masks.between[0].shape == (1, 4, 8)
+        d, B = ALL_DROP, 4
+        ids = np.random.default_rng(0).integers(0, 9, (5, B))
+        encoder_sites = [
+            ((9, 1), d.emb),  # embedding rows
+            ((1, B, 6), d.input),
+            (enc.layers[0].wh.shape, d.weight),
+            ((1, B, 8), d.hidden),  # between layers 0 and 1
+            (enc.layers[1].wh.shape, d.weight),
+        ]
+        M.LanguageModel(enc).forward(ids, train=True, rng=np.random.default_rng(3))
+        lm_sites = encoder_sites + [((1, B, 6), d.hidden)]  # LM output
+        M.Classifier(enc, head_hidden=7).forward(ids, np.full(B, 5), train=True,
+                                                 rng=np.random.default_rng(3))
+        clf_sites = encoder_sites + [((B, 7), d.head)]
+        assert [(shape, p) for shape, p, _ in drawn] == lm_sites + clf_sites
+        for sites, masks in ((lm_sites, drawn[: len(lm_sites)]),
+                             (clf_sites, drawn[len(lm_sites) :])):
+            replay = np.random.default_rng(3)
+            for (shape, p), (_, _, mask) in zip(sites, masks):
+                np.testing.assert_array_equal(mask, keep_mask(replay, shape, p))
 
-    def test_no_drop_builds_no_masks(self):
+    def test_no_drop_draws_no_masks(self, monkeypatch):
+        drawn = record_masks(monkeypatch)
         enc = tiny_encoder(dropouts=NO_DROP)
-        masks = enc.build_masks(np.random.default_rng(3), 4)
-        assert masks.emb_rows is None and masks.input_mask is None
-        assert masks.wh_masks == [None, None] and masks.between == [None]
+        ids = np.zeros((3, 4), dtype=np.int64)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        M.LanguageModel(enc).forward(ids, train=True, rng=rng)
+        M.Classifier(enc).forward(ids, np.full(4, 3), train=True, rng=rng)
+        assert drawn == [] and rng.bit_generator.state == before
 
-    def test_weight_drop_rate(self):
+    def test_weight_drop_rate(self, monkeypatch):
+        drawn = record_masks(monkeypatch)
         enc = tiny_encoder(dropouts=M.Dropouts(0, 0, 0, 0.5, 0))
         rng = np.random.default_rng(7)
-        rates = [enc.build_masks(rng, 1).wh_masks[0].mean() for _ in range(50)]
+        for _ in range(50):
+            enc.forward(np.zeros((1, 1), dtype=np.int64), rng=rng)
+        rates = [mask.mean() for shape, _, mask in drawn if shape == enc.layers[0].wh.shape]
+        assert len(rates) == 50
         assert abs(1.0 - np.mean(rates) - 0.5) < 0.05
 
     def test_dropped_embedding_row_zero_everywhere(self):
         enc = tiny_encoder(dropouts=M.Dropouts(emb=0.5, input=0, hidden=0, weight=0, head=0))
-        rng = np.random.default_rng(11)
-        masks = enc.build_masks(rng, 2)
-        dropped = np.where(masks.emb_rows[:, 0] == 0.0)[0]
+        # the embedding-row mask is the first draw of a forward pass
+        rows = M.keep_mask(np.random.default_rng(11), (9, 1), 0.5)
+        dropped = np.where(rows[:, 0] == 0.0)[0]
         assert dropped.size  # p=0.5 over 9 rows: seed chosen so some drop
         token = int(dropped[0])
         ids = np.full((5, 2), token)
-        x = enc.embed(ids, masks)
+        x = enc.embed(ids, np.random.default_rng(11))
         assert np.all(x.data == 0.0)
         # a surviving row is scaled by 1/(1-p)
-        kept = int(np.where(masks.emb_rows[:, 0] == 1.0)[0][0])
-        x2 = enc.embed(np.full((1, 1), kept), masks)
+        kept = int(np.where(rows[:, 0] == 1.0)[0][0])
+        x2 = enc.embed(np.full((1, 1), kept), np.random.default_rng(11))
         np.testing.assert_allclose(x2.data[0, 0], enc.emb.data[kept] * 2.0, rtol=1e-12)
 
     def test_variational_mask_constant_over_time(self):
         enc = tiny_encoder(dropouts=M.Dropouts(0, 0.4, 0, 0, 0))
-        rng = np.random.default_rng(5)
-        masks = enc.build_masks(rng, 3)
         ids = np.zeros((6, 3), dtype=np.int64)
-        x = enc.embed(ids, masks)
+        x = enc.embed(ids, np.random.default_rng(5))
         # every timestep of a sequence sees the same dropped coordinates
         zeros_t0 = x.data[0] == 0.0
+        assert zeros_t0.any() and not zeros_t0.all()
         for t in range(1, 6):
             np.testing.assert_array_equal(x.data[t] == 0.0, zeros_t0)
 

@@ -165,6 +165,8 @@ def vocab_from_header(header: dict) -> Vocab | None:
 
 
 def _rebuild(header: dict):
+    """The model the header describes, its parameters allocated but not
+    drawn (seed=None): the body read fills every one of them."""
     hp = header["hyperparams"]
     try:
         enc = Encoder(
@@ -175,6 +177,7 @@ def _rebuild(header: dict):
             dropouts=Dropouts(**hp["dropouts"]),
             tie_last=hp["tie_last"],
             dtype=_NP_DTYPE[hp["dtype"]],
+            seed=None,
         )
         if header["kind"] == "clf":
             return Classifier(
@@ -182,10 +185,11 @@ def _rebuild(header: dict):
                 n_classes=hp["n_classes"],
                 head_hidden=hp["head_hidden"],
                 vocab_hash=header["vocab_hash"],
+                seed=None,
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt header: bad hyperparameters ({exc!r})") from exc
-    return LanguageModel(enc, vocab_hash=header["vocab_hash"])
+    return LanguageModel(enc, vocab_hash=header["vocab_hash"], seed=None)
 
 
 def _manifest(header: dict) -> list[tuple[str, list, np.dtype]]:

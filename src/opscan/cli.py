@@ -1,6 +1,6 @@
 """Command-line surface tying the pipeline together.
 
-Commands: synth, disasm, prep, split, lr-find, train-lm, train-clf, eval,
+Commands: synth, disasm, prep, lr-find, train-lm, train-clf, eval,
 predict. Every command accepts --seed and --out; when --out is omitted the
 output directory defaults to $OPSCAN_OUT/<command> (or ./runs/<command>).
 
@@ -162,19 +162,6 @@ def cmd_prep(args) -> int:
     return 0
 
 
-def cmd_split(args) -> int:
-    cfg = _load_config(args)
-    out = _resolve_out(args, "split")
-    records, _ = corpus_mod.ingest(args.corpus)
-    deduped = corpus_mod.dedup_normals(records)
-    split = corpus_mod.stratified_split(deduped, ratios=cfg.ratios(), seed=cfg.seed)
-    split.save_manifest(out / "split.json")
-    cfg.write(out)
-    sizes = {n: len(getattr(split, n)) for n in ("train", "valid", "test")}
-    print(json.dumps(sizes, sort_keys=True))
-    return 0
-
-
 def cmd_lr_find(args) -> int:
     if not (args.steps >= 2 and 0 < args.lr_start < args.lr_end < np.inf):
         raise UsageError("need --steps >= 2 and 0 < --lr-start < --lr-end, all finite")
@@ -283,6 +270,7 @@ def cmd_train_clf(args) -> int:
 def _eval_predictions_file(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     n_classes = metrics_mod.N_CLASSES
     actual, predicted, scores = [], [], []
+    first_unscored = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -310,9 +298,13 @@ def _eval_predictions_file(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarra
                         or not np.isfinite(row_scores).all():
                     raise CorpusError(f"line {lineno}: scores must be {n_classes} finite numbers")
                 scores.append(row_scores)
+            elif first_unscored is None:
+                first_unscored = lineno
     if not actual:
         raise CorpusError(f"{path}: no prediction rows")
-    score_arr = np.asarray(scores, dtype=np.float64) if len(scores) == len(actual) else None
+    if scores and first_unscored is not None:
+        raise CorpusError(f"line {first_unscored}: no scores, though other rows carry them")
+    score_arr = np.asarray(scores, dtype=np.float64) if scores else None
     return np.asarray(actual), np.asarray(predicted), score_arr
 
 
@@ -412,7 +404,7 @@ def _common(sub: argparse.ArgumentParser) -> None:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on first use. Parsing never changes it, so every
-    main() call in a process shares one instead of rebuilding nine
+    main() call in a process shares one instead of rebuilding eight
     subparsers."""
     parser = argparse.ArgumentParser(
         prog="opscan",
@@ -441,11 +433,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--min-freq", type=int, default=None)
     _common(p)
     p.set_defaults(func=cmd_prep)
-
-    p = subs.add_parser("split", help="write a stratified split manifest")
-    p.add_argument("--corpus", required=True)
-    _common(p)
-    p.set_defaults(func=cmd_split)
 
     p = subs.add_parser("lr-find", help="learning-rate range test")
     p.add_argument("--data", required=True, help="prep output directory")

@@ -102,6 +102,9 @@ class RunConfig:
                 raise ConfigError(f"{key} must be a finite number > 0")
         if self.lr_lo > self.lr_hi:
             raise ConfigError("lr_lo must be <= lr_hi")
+        if not all(0 <= r <= 1 for r in self.ratios()) or abs(sum(self.ratios()) - 1) > 1e-9:
+            raise ConfigError("train_ratio, valid_ratio and test_ratio must lie in [0, 1] "
+                              "and sum to 1")
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":

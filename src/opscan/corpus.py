@@ -153,17 +153,15 @@ class Split:
 
 def _split_counts(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
     # floor the train and test shares; valid absorbs the rounding remainder.
-    # If flooring empties a split, repair by pulling from train.
-    n_train = int(ratios[0] * n)
-    n_test = int(ratios[2] * n)
-    n_valid = n - n_train - n_test
-    if n_test == 0 and n_train > 1:
-        n_train -= 1
-        n_test = 1
-    if n_valid == 0 and n_train > 1:
-        n_train -= 1
-        n_valid = 1
-    return n_train, n_valid, n_test
+    # A split that flooring empties takes one record from train if train can
+    # spare it, else from the largest split, which for n >= 3 always can.
+    counts = [int(ratios[0] * n), 0, int(ratios[2] * n)]
+    counts[1] = n - counts[0] - counts[2]
+    for k in (2, 1, 0):
+        if counts[k] == 0:
+            counts[0 if counts[0] > 1 else counts.index(max(counts))] -= 1
+            counts[k] = 1
+    return tuple(counts)
 
 
 def stratified_split(

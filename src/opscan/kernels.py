@@ -9,10 +9,20 @@ Packed layout: the four gates are concatenated along the last weight axis
 in the order [input, forget, cell, output], so wx is (D, 4H), wh is
 (H, 4H), b is (4H,). States are (B, H); sequences are time-major (T, B, *).
 
+Gate activations are fused (Appleyard et al. 2016, arXiv:1604.01946): the
+sigmoid is computed as sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5, so one tanh
+over the whole (B, 4H) block gives all four gates. The forward halves the
+i, f and o columns of copies of wx, wh and b once per call (exact in
+floating point); each step then takes tanh of the block and maps the i, f
+and o columns through * 0.5 + 0.5. The g columns are the tanh values as
+they come. The backward reads the post-activation gates, so it does not
+depend on how they were computed.
+
 Contract of the two time loops:
   - outputs are bit-identical to the plain per-step loops kept in
-    tests/ref_recurrence.py: every product and sum keeps its operands and
-    their order, e.g. ((dc * g) * i) * (1 - i);
+    tests/ref_recurrence.py, which use the same fused formula: every
+    product and sum keeps its operands and their order, e.g.
+    ((dc * g) * i) * (1 - i);
   - no timestep allocates: every ufunc and the recurrent dot write into
     buffers made once per call, and constants are 0-d arrays of the data's
     dtype;
@@ -42,52 +52,46 @@ def _constants(dtype) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((), dtype), np.ones((), dtype)
 
 
-def _sigmoid(a, out, work, zero, one):
-    """exp(min(a,0)) / (1 + exp(-|a|)) into ``out``; ``work`` is (2, *a.shape)
-    scratch that holds numerator and denominator, so one exp call covers both."""
-    num, den = work
-    np.minimum(a, zero, out=num)
-    np.abs(a, den)
-    np.negative(den, den)
-    np.exp(work, work)
-    np.add(one, den, den)
-    return np.divide(num, den, out)
-
-
 def sigmoid(a: np.ndarray) -> np.ndarray:
-    """Logistic function as exp(min(a,0)) / (1 + exp(-|a|)): no large exponents."""
+    """Logistic function as 0.5 * tanh(0.5 * a) + 0.5: one tanh, no large
+    exponents, and the same formula the forward time loop uses."""
     a = np.asarray(a)
     if a.dtype.kind != "f":
         a = a.astype(np.float64)
-    return _sigmoid(a, np.empty_like(a), np.empty((2,) + a.shape, a.dtype), *_constants(a.dtype))
+    half = np.asarray(0.5, a.dtype)
+    out = np.multiply(a, half, out=np.empty_like(a))
+    np.tanh(out, out)
+    np.multiply(out, half, out)
+    return np.add(out, half, out)
 
 
 def _fw_recurrence(xp, wh, h0, c0, h_seq, c_seq, gates):
-    """Forward time loop. xp already holds x @ wx + b, shape (T, B, 4H).
+    """Forward time loop. xp already holds x @ wx + b, shape (T, B, 4H), and
+    xp and wh come with their i, f and o columns halved.
 
     Fills h_seq (T, B, H). c_seq (T or 1, B, H) and the post-activation
     gates (T or 1, B, 4H) receive every step, or, with one row, the latest.
     """
     T, B, H4 = xp.shape
     H = H4 // 4
-    dt = xp.dtype
-    zero, one = _constants(dt)
-    a = np.empty((B, H4), dtype=dt)
-    work = np.empty((2, B, H4), dtype=dt)
-    tmp = np.empty((B, H), dtype=dt)
-    a_g = a[:, 2 * H : 3 * H]
+    half = np.asarray(0.5, xp.dtype)
+    tmp = np.empty((B, H), dtype=xp.dtype)
     # At small B the loop is bound by call overhead, so every view it reads
     # is made here, ufuncs are bound to locals and outputs passed by position.
-    rows = [(gates[k], c_seq[k]) + tuple(gates[k, :, q * H : (q + 1) * H] for q in range(4))
+    rows = [(gates[k], c_seq[k], gates[k, :, : 2 * H])
+            + tuple(gates[k, :, q * H : (q + 1) * H] for q in range(4))
             for k in range(len(c_seq))]
     dot, add, mul, tanh = np.dot, np.add, np.multiply, np.tanh
     h_prev, c_prev = h0, c0
     for t, (x_t, h_t) in enumerate(zip(xp, h_seq)):
-        gate, c, i, f, g, o = rows[t % len(rows)]
-        dot(h_prev, wh, a)
-        add(x_t, a, a)
-        _sigmoid(a, gate, work, zero, one)
-        tanh(a_g, g)
+        gate, c, i_f, i, f, g, o = rows[t % len(rows)]
+        dot(h_prev, wh, gate)
+        add(x_t, gate, gate)
+        tanh(gate, gate)
+        mul(i_f, half, i_f)
+        add(i_f, half, i_f)
+        mul(o, half, o)
+        add(o, half, o)
         mul(i, g, tmp)
         mul(f, c_prev, c)
         add(c, tmp, c)
@@ -167,6 +171,16 @@ def _bw_recurrence(dh_seq, wh_t, gates, c_seq, c0, da_all, dh0, dc0):
     dc0[...] = dc
 
 
+def _halve_ifo(w: np.ndarray) -> np.ndarray:
+    """C-contiguous copy of a packed weight or bias with its i, f and o
+    columns halved, so that the time loop's tanh yields 0.5 * a for them."""
+    w = np.array(w, order="C")
+    H = w.shape[-1] // 4
+    w[..., : 2 * H] *= 0.5
+    w[..., 3 * H :] *= 0.5
+    return w
+
+
 def lstm_seq_forward(x, wx, wh, b, h0, c0, for_backward=True):
     """Run the LSTM over a full sequence.
 
@@ -181,6 +195,7 @@ def lstm_seq_forward(x, wx, wh, b, h0, c0, for_backward=True):
         raise ValueError("packed weight shapes do not match input width")
     if h0.shape != (B, H) or c0.shape != (B, H):
         raise ValueError("state shapes do not match batch")
+    wx, wh, b = (_halve_ifo(w) for w in (wx, wh, b))
     xp = np.ascontiguousarray(x).reshape(T * B, D) @ wx
     xp += b
     xp = np.ascontiguousarray(xp.reshape(T, B, 4 * H))
@@ -188,7 +203,7 @@ def lstm_seq_forward(x, wx, wh, b, h0, c0, for_backward=True):
     h_seq = np.empty((T, B, H), dtype=x.dtype)
     c_seq = np.empty((kept, B, H), dtype=x.dtype)
     gates = np.empty((kept, B, 4 * H), dtype=x.dtype)
-    _fw_recurrence(xp, np.ascontiguousarray(wh), np.ascontiguousarray(h0), np.ascontiguousarray(c0), h_seq, c_seq, gates)
+    _fw_recurrence(xp, wh, np.ascontiguousarray(h0), np.ascontiguousarray(c0), h_seq, c_seq, gates)
     return h_seq, c_seq, gates
 
 

@@ -102,6 +102,20 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, h0, c0):
     return out, (h_seq[-1].copy(), c_seq[-1].copy())
 
 
+def _rng(seed: int | None) -> np.random.Generator | None:
+    """The init rng for ``seed``; None for a model whose values a
+    checkpoint load fills, which then draws nothing."""
+    return None if seed is None else np.random.default_rng(seed)
+
+
+def _uniform(rng: np.random.Generator | None, bound: float, shape, dtype) -> np.ndarray:
+    """U(-bound, bound) drawn from rng, or, without one, an allocated array
+    left for the caller to fill."""
+    if rng is None:
+        return np.empty(shape, dtype)
+    return rng.uniform(-bound, bound, shape).astype(dtype)
+
+
 @dataclass
 class Dropouts:
     emb: float = 0.05
@@ -116,14 +130,10 @@ class LstmLayer:
         bound = 1.0 / np.sqrt(hidden)
         group = index + 1  # group 0 is the embedding
         self.hidden = hidden
-        self.wx = Parameter(
-            rng.uniform(-bound, bound, (d_in, 4 * hidden)).astype(dtype),
-            f"lstm{index}.wx", group,
-        )
-        self.wh = Parameter(
-            rng.uniform(-bound, bound, (hidden, 4 * hidden)).astype(dtype),
-            f"lstm{index}.wh", group,
-        )
+        self.wx = Parameter(_uniform(rng, bound, (d_in, 4 * hidden), dtype),
+                            f"lstm{index}.wx", group)
+        self.wh = Parameter(_uniform(rng, bound, (hidden, 4 * hidden), dtype),
+                            f"lstm{index}.wh", group)
         b = np.zeros(4 * hidden, dtype=dtype)
         b[hidden : 2 * hidden] = 1.0  # forget gate starts open
         self.b = Parameter(b, f"lstm{index}.b", group)
@@ -136,7 +146,8 @@ class Encoder:
     """Stacked weight-dropped LSTM over embedded token ids.
 
     With tie_last (the default) the last layer's width equals the embedding
-    size so a decoder can share the embedding matrix.
+    size so a decoder can share the embedding matrix. seed=None allocates
+    the weights without drawing them, for a caller that fills every value.
     """
 
     def __init__(
@@ -148,11 +159,11 @@ class Encoder:
         dropouts: Dropouts | None = None,
         tie_last: bool = True,
         dtype=np.float32,
-        seed: int = 0,
+        seed: int | None = 0,
     ):
         if n_layers < 1:
             raise ValueError("need at least one layer")
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         self.vocab_size = vocab_size
         self.emb_size = emb_size
         self.hidden_size = hidden_size
@@ -160,9 +171,7 @@ class Encoder:
         self.tie_last = tie_last
         self.dropouts = dropouts or Dropouts()
         self.dtype = np.dtype(dtype)
-        self.emb = Parameter(
-            rng.uniform(-0.1, 0.1, (vocab_size, emb_size)).astype(self.dtype), "emb", 0
-        )
+        self.emb = Parameter(_uniform(rng, 0.1, (vocab_size, emb_size), self.dtype), "emb", 0)
         self.layers: list[LstmLayer] = []
         d_in = emb_size
         for l in range(n_layers):
@@ -236,21 +245,20 @@ class Encoder:
 
 class LanguageModel:
     """Encoder plus next-token decoder. The decoder projection is the
-    embedding matrix itself when tied (mutating one mutates the other)."""
+    embedding matrix itself when tied (mutating one mutates the other).
+    seed=None allocates the decoder without drawing it."""
 
-    def __init__(self, encoder: Encoder, vocab_hash: str | None = None, seed: int = 1):
+    def __init__(self, encoder: Encoder, vocab_hash: str | None = None, seed: int | None = 1):
         self.encoder = encoder
         self.vocab_hash = vocab_hash
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         dec_group = encoder.n_layers + 1
         if encoder.tie_last:
             self.dec_w = None
         else:
             bound = 1.0 / np.sqrt(encoder.out_size)
             self.dec_w = Parameter(
-                rng.uniform(-bound, bound, (encoder.out_size, encoder.vocab_size)).astype(
-                    encoder.dtype
-                ),
+                _uniform(rng, bound, (encoder.out_size, encoder.vocab_size), encoder.dtype),
                 "decoder.w", dec_group,
             )
         self.dec_b = Parameter(
@@ -296,7 +304,8 @@ class LanguageModel:
 
 
 class Classifier:
-    """Encoder plus pooled head: concat(last, max, mean) -> hidden -> logits."""
+    """Encoder plus pooled head: concat(last, max, mean) -> hidden -> logits.
+    seed=None allocates the head without drawing it."""
 
     def __init__(
         self,
@@ -304,25 +313,21 @@ class Classifier:
         n_classes: int = 4,
         head_hidden: int = 50,
         vocab_hash: str | None = None,
-        seed: int = 2,
+        seed: int | None = 2,
     ):
         self.encoder = encoder
         self.n_classes = n_classes
         self.head_hidden = head_hidden
         self.vocab_hash = vocab_hash
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         group = encoder.n_layers + 1
         rep = 3 * encoder.out_size
         b1 = 1.0 / np.sqrt(rep)
         b2 = 1.0 / np.sqrt(head_hidden)
-        self.w1 = Parameter(
-            rng.uniform(-b1, b1, (rep, head_hidden)).astype(encoder.dtype), "head.w1", group
-        )
+        self.w1 = Parameter(_uniform(rng, b1, (rep, head_hidden), encoder.dtype), "head.w1", group)
         self.b1 = Parameter(np.zeros(head_hidden, dtype=encoder.dtype), "head.b1", group)
-        self.w2 = Parameter(
-            rng.uniform(-b2, b2, (head_hidden, n_classes)).astype(encoder.dtype),
-            "head.w2", group,
-        )
+        self.w2 = Parameter(_uniform(rng, b2, (head_hidden, n_classes), encoder.dtype),
+                            "head.w2", group)
         self.b2 = Parameter(np.zeros(n_classes, dtype=encoder.dtype), "head.b2", group)
 
     @property
@@ -331,9 +336,6 @@ class Classifier:
 
     def parameters(self) -> list[Parameter]:
         return self.encoder.parameters() + [self.w1, self.b1, self.w2, self.b2]
-
-    def head_parameters(self) -> list[Parameter]:
-        return [self.w1, self.b1, self.w2, self.b2]
 
     def forward(
         self,
@@ -405,7 +407,7 @@ def transfer_encoder(
         dropouts=dropouts or src.dropouts,
         tie_last=src.tie_last,
         dtype=src.dtype,
-        seed=seed,
+        seed=None,
     )
     enc.copy_values_from(src)
     for p in enc.parameters():

@@ -105,19 +105,3 @@ OPCODES: dict[int, tuple[str, int]] = {
 # as 0xfe (it is also the token for any undefined byte).
 BYTE_OF: dict[str, int] = {name: byte for byte, (name, _) in OPCODES.items()}
 
-
-def lookup(byte: int) -> tuple[str, int]:
-    """Mnemonic and immediate width for a byte value; INVALID if undefined."""
-    if not 0 <= byte <= 0xFF:
-        raise ValueError(f"not a byte value: {byte}")
-    return OPCODES.get(byte, (INVALID, 0))
-
-
-def token_set(collapse_push: bool = False) -> set[str]:
-    """Every token the disassembler can emit."""
-    names = {INVALID}
-    for name, _ in OPCODES.values():
-        if collapse_push and name.startswith("PUSH"):
-            name = "PUSH"
-        names.add(name)
-    return names

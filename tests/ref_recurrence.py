@@ -4,14 +4,16 @@ The straightforward numpy form of ``kernels._fw_recurrence`` and
 ``kernels._bw_recurrence``: every step allocates its temporaries and uses
 Python-float constants. The package loops write into preallocated buffers
 instead and must produce bit-identical outputs, so these keep the exact
-order of every product and sum.
+order of every product and sum, and the same fused gate formula:
+sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5, with xp and wh arriving with their
+i, f and o columns already halved.
 """
 
 import numpy as np
 
 
 def sigmoid(a):
-    return np.exp(np.minimum(a, 0.0)) / (1.0 + np.exp(-np.abs(a)))
+    return 0.5 * np.tanh(0.5 * a) + 0.5
 
 
 def fw_recurrence(xp, wh, h0, c0, h_seq, c_seq, gates):
@@ -22,9 +24,9 @@ def fw_recurrence(xp, wh, h0, c0, h_seq, c_seq, gates):
         k = t % rows
         h_prev = h_seq[t - 1] if t > 0 else h0
         c_prev = c_seq[(t - 1) % rows] if t > 0 else c0
-        a = xp[t] + np.dot(h_prev, wh)
-        gates[k] = sigmoid(a)
-        gates[k, :, 2 * H : 3 * H] = np.tanh(a[:, 2 * H : 3 * H])
+        gates[k] = np.tanh(xp[t] + np.dot(h_prev, wh))
+        for cols in (slice(0, 2 * H), slice(3 * H, 4 * H)):
+            gates[k, :, cols] = 0.5 * gates[k, :, cols] + 0.5
         i = gates[k, :, :H]
         f = gates[k, :, H : 2 * H]
         g = gates[k, :, 2 * H : 3 * H]

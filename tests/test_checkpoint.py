@@ -89,6 +89,27 @@ class TestRoundTrip:
         assert back.dec_w is not None
         np.testing.assert_array_equal(back.dec_w.data, lm.dec_w.data)
 
+    def test_load_draws_from_no_rng(self, tmp_path, monkeypatch):
+        vocab = small_vocab()
+        untied = M.LanguageModel(M.Encoder(len(vocab), emb_size=6, hidden_size=8, n_layers=1,
+                                           tie_last=False))
+        saved = []
+        for name, model in (("clf", make_clf(vocab)), ("lm", untied)):
+            save_checkpoint(model, tmp_path / f"{name}.ckpt", vocab=vocab)
+            saved.append((tmp_path / f"{name}.ckpt", model))
+
+        class NoDraws:
+            def __getattr__(self, method):
+                raise AssertionError(f"drew from an rng ({method})")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
+        with pytest.raises(AssertionError, match="drew"):
+            make_clf(vocab)  # a fresh model does draw, so the stand-in catches draws
+        for path, model in saved:
+            back = load_checkpoint(path)
+            for a, b in zip(model.parameters(), back.parameters()):
+                assert a.name == b.name and np.array_equal(a.data, b.data)
+
     def test_dropout_config_round_trips(self, tmp_path):
         vocab = small_vocab()
         drops = M.Dropouts(emb=0.11, input=0.22, hidden=0.33, weight=0.44, head=0.05)

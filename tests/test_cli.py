@@ -1,6 +1,7 @@
 """End-to-end command tests driven through main(argv) -> exit code."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -18,6 +19,7 @@ from opscan import model as M
 from opscan import optim
 from opscan.autodiff import Parameter
 from opscan.cli import main
+from opscan.config import RunConfig
 from opscan.disasm import disassemble
 from opscan.model import Classifier
 
@@ -121,16 +123,6 @@ class TestPrep:
         vocab = C.Vocab.load(root / "prep" / "vocab.tsv")
         summary = json.loads((root / "prep" / "prep.json").read_text())
         assert vocab.content_hash() == summary["vocab_hash"]
-
-
-class TestSplitCmd:
-    def test_manifest_written(self, ws, tmp_path):
-        root, _ = ws
-        assert main(["split", "--corpus", str(root / "syn" / "corpus.jsonl"),
-                     "--seed", "4", "--out", str(tmp_path)]) == 0
-        manifest = json.loads((tmp_path / "split.json").read_text())
-        assert set(manifest) >= {"train", "valid", "test", "seed", "ratios"}
-        assert manifest["seed"] == 4
 
 
 def poison_head_gradient(monkeypatch) -> list:
@@ -246,6 +238,16 @@ class TestEvalPredictionsFile:
         assert main(["eval", "--predictions", str(path), "--out", str(tmp_path)]) == 0
         for label in (1, 2, 3, 4):
             assert (tmp_path / f"roc_type{label}.csv").exists()
+
+    def test_scores_on_some_rows_only(self, tmp_path, capsys):
+        scored = {"actual": 1, "predicted": 1, "scores": [0.7, 0.1, 0.1, 0.1]}
+        unscored = {"actual": 2, "predicted": 2}
+        for rows, line in (([scored, unscored], 2), ([unscored, scored], 1)):
+            path = tmp_path / "preds.jsonl"
+            path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+            assert main(["eval", "--predictions", str(path), "--out", str(tmp_path)]) == 3
+            assert f"line {line}: no scores" in capsys.readouterr().err
+            assert not list(tmp_path.glob("roc_type*.csv"))
 
     def test_malformed_row(self, tmp_path, capsys):
         path = tmp_path / "preds.jsonl"
@@ -554,6 +556,30 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 HEX = st.text("0123456789abcdefx", max_size=40)
+# A config object: known and unknown keys, values of any JSON type or near a
+# key's valid range, and sometimes three split ratios that sum to 1.
+CONFIG_VALUES = (JSON_VALUES | st.integers(-2, 100) | st.floats(-0.5, 1.5)
+                 | st.sampled_from(["f32", "f64"]))
+SPLIT_RATIOS = st.tuples(st.floats(0, 1), st.floats(0, 1)).filter(
+    lambda r: r[0] + r[1] <= 1).map(
+    lambda r: {"train_ratio": r[0], "valid_ratio": r[1], "test_ratio": 1 - r[0] - r[1]})
+CONFIGS = st.builds(
+    lambda keys, ratios: {**keys, **ratios},
+    st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(RunConfig)])
+                    | st.text(max_size=4), CONFIG_VALUES, max_size=5),
+    st.just({}) | SPLIT_RATIOS,
+) | JSON_VALUES
+# vocab.tsv text: the reserved header or not, then token/id lines whose ids
+# run in order or not; or any bytes at all.
+VOCAB_LINES = st.tuples(st.text(max_size=6), st.integers(-1, 12) | st.text(max_size=3))
+VOCAB_BYTES = st.builds(
+    lambda header, lines, in_order: "".join(
+        f"{tok}\t{i if in_order else idx}\n"
+        for i, (tok, idx) in enumerate(header + lines)).encode(),
+    st.just([]) | st.just([(t, 0) for t in C.Vocab.RESERVED]),
+    st.lists(VOCAB_LINES, max_size=6),
+    st.booleans(),
+) | st.binary(max_size=60)
 
 
 class TestMalformedInput:
@@ -606,11 +632,32 @@ class TestMalformedInput:
             argv += ["--checkpoint", str(root / "clf" / "clf_best.ckpt")]
         assert _exit_code(argv) in (0, 3)
 
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=CONFIGS)
+    def test_any_config(self, ws, cfg):
+        root, _ = ws
+        argv = ["prep", "--corpus", str(root / "syn" / "corpus.jsonl"),
+                "--config", _write(root, "fuzz-cfg.json", json.dumps(cfg)),
+                "--out", str(root / "fuzz-prep")]
+        assert _exit_code(argv) in (0, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=VOCAB_BYTES)
+    def test_any_vocab_bytes(self, ws, data):
+        root, cfg = ws
+        data_dir = root / "fuzz-data"
+        if not data_dir.exists():
+            shutil.copytree(root / "prep", data_dir)
+        (data_dir / "vocab.tsv").write_bytes(data)
+        argv = ["train-lm", "--data", str(data_dir), "--out", str(root / "fuzz-lm"),
+                "--epochs", "1", "--batch-size", "8", "--bptt", "20", "--config", str(cfg)]
+        assert _exit_code(argv) in (0, 3)
+
 
 class TestOutRoot:
     def test_env_var_default(self, ws, tmp_path, monkeypatch, capsys):
         root, _ = ws
         monkeypatch.setenv("OPSCAN_OUT", str(tmp_path / "envroot"))
-        assert main(["split", "--corpus", str(root / "syn" / "corpus.jsonl"),
+        assert main(["prep", "--corpus", str(root / "syn" / "corpus.jsonl"),
                      "--seed", "1"]) == 0
-        assert (tmp_path / "envroot" / "split" / "split.json").exists()
+        assert (tmp_path / "envroot" / "prep" / "split.json").exists()

@@ -56,6 +56,8 @@ class TestValidation:
         {"max_lr": -1}, {"max_lr": 0}, {"lr_lo": 0}, {"lr_hi": float("inf")},
         {"max_lr": float("nan")}, {"lr_lo": 0.5, "lr_hi": 0.1}, {"p_weight": 1.0},
         {"p_emb": -0.1}, {"warmup_frac": 0}, {"seed": -1},
+        {"train_ratio": 0.8}, {"valid_ratio": float("nan")},
+        {"train_ratio": 1.2, "valid_ratio": -0.1, "test_ratio": -0.1},
     ])
     def test_out_of_range(self, bad):
         with pytest.raises(ConfigError):

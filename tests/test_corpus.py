@@ -5,7 +5,8 @@ import pytest
 
 from opscan import corpus as C
 from opscan.corpus import ContractRecord, CorpusError, Vocab
-from opscan.opcodes import token_set
+
+from helpers import token_set
 
 
 def rec(address, tokens, label=3):
@@ -140,6 +141,14 @@ class TestStratifiedSplit:
         for part in (split.train, split.valid, split.test):
             for label in range(4):
                 assert sum(r.label == label for r in part) == 1
+
+    @pytest.mark.parametrize("ratios", [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                        (0.05, 0.05, 0.9)])
+    def test_extreme_ratios_fill_every_split(self, ratios):
+        for n in (3, 4, 12):
+            split = C.stratified_split(synthetic_class(2, n), ratios)
+            sizes = [len(part) for part in (split.train, split.valid, split.test)]
+            assert min(sizes) >= 1 and sum(sizes) == n, (n, sizes)
 
     def test_too_small_class_rejected(self):
         records = synthetic_class(0, 2) + synthetic_class(3, 10)

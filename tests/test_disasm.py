@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from opscan.disasm import DisasmError, Instruction, decode_hex, disassemble, scan
-from opscan.opcodes import BYTE_OF, INVALID, OPCODES, lookup, token_set
+from opscan.opcodes import BYTE_OF, INVALID, OPCODES
 
 from canon_table import CANON, PUSH_FIXTURE_HEX, PUSH_FIXTURE_TOKENS, canon_token
+from helpers import lookup, token_set
 
 
 class TestTable:

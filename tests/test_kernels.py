@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -76,6 +77,37 @@ class TestForward:
             K.lstm_seq_forward(x, wx[:, :-1], wh, b, h0, c0)
         with pytest.raises(ValueError):
             K.lstm_seq_forward(x, wx, wh, b, h0[:1], c0)
+
+
+class TestFusedGates:
+    """The gates come from one tanh: sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5."""
+
+    def test_sigmoid_close_to_float64_logistic(self):
+        a = np.linspace(-40, 40, 200_001, dtype=np.float32)
+        want = 1.0 / (1.0 + np.exp(-a.astype(np.float64)))
+        got = K.sigmoid(a)
+        assert got.dtype == np.float32
+        assert np.abs(got - want).max() <= 1.2e-7
+
+    def test_sigmoid_saturates_exactly_without_warning(self):
+        for dtype in (np.float32, np.float64):
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                got = K.sigmoid(np.array([-1e4, 1e4], dtype=dtype))
+            assert got.dtype == dtype and got.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("B", [1, 4])
+    def test_g_columns_are_tanh_of_preactivation(self, dtype, B):
+        T, D, H = 9, 5, 6
+        x, wx, wh, b, h0, c0 = case = random_case(np.random.default_rng(13), T, B, D, H, dtype)
+        h_seq, _, gates = K.lstm_seq_forward(*case)
+        xp = (x.reshape(T * B, D) @ wx).reshape(T, B, 4 * H)
+        xp += b
+        g_cols = slice(2 * H, 3 * H)
+        for t in range(T):
+            a = xp[t] + np.dot(h_seq[t - 1] if t else h0, wh)
+            assert np.array_equal(gates[t][:, g_cols], np.tanh(a[:, g_cols]))
 
 
 class TestBackward:

@@ -6,6 +6,7 @@ from opscan import model as M
 from opscan.autodiff import backward, grad_check, zero_grads
 from opscan.optim import Adam
 
+from helpers import head_parameters
 from oracle_lstm import cell_scalar
 
 NO_DROP = M.Dropouts(emb=0.0, input=0.0, hidden=0.0, weight=0.0, head=0.0)
@@ -313,7 +314,7 @@ class TestClassifier:
         loss = clf.loss(ids, np.full(3, 5), rng.integers(0, 4, 3), train=True, rng=rng)
         backward(loss)
         assert all(p.grad is None for p in clf.encoder.parameters())
-        assert all(p.grad is not None for p in clf.head_parameters())
+        assert all(p.grad is not None for p in head_parameters(clf))
 
 
 class TestTransfer:
@@ -328,7 +329,7 @@ class TestTransfer:
             np.testing.assert_array_equal(a.data, b.data)
             assert a is not b
             assert a.frozen
-        assert not any(p.frozen for p in clf.head_parameters())
+        assert not any(p.frozen for p in head_parameters(clf))
         assert clf.vocab_hash == "aaa111"
 
     def test_copy_is_independent(self):

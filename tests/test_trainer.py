@@ -14,6 +14,8 @@ from opscan.corpus import ContractRecord
 from opscan.optim import Adam
 from opscan.trainer import OneCycleSchedule, TrainerError
 
+from helpers import head_parameters
+
 MOTIFS = [
     ("CALLVALUE", "ISZERO", "PUSH2", "JUMPI"),
     ("DUP1", "SWAP1", "SSTORE", "POP"),
@@ -163,7 +165,7 @@ class TestGradualUnfreeze:
     def test_stage_zero_freezes_encoder_only(self):
         clf = T.gradual_unfreeze(small_clf(), 0)
         assert all(p.frozen for p in clf.encoder.parameters())
-        assert not any(p.frozen for p in clf.head_parameters())
+        assert not any(p.frozen for p in head_parameters(clf))
 
     def test_stages_unfreeze_top_down(self):
         clf = small_clf()
@@ -513,12 +515,12 @@ class TestTrainClf:
     def test_first_epoch_leaves_encoder_untouched(self):
         clf, vocab, train_data, valid_data = clf_setup()
         enc_before = {p.name: p.data.copy() for p in clf.encoder.parameters()}
-        head_before = {p.name: p.data.copy() for p in clf.head_parameters()}
+        head_before = {p.name: p.data.copy() for p in head_parameters(clf)}
         T.train_clf(clf, train_data, valid_data, epochs=1, batch_size=8, seed=1)
         for p in clf.encoder.parameters():
             assert np.array_equal(p.data, enc_before[p.name]), p.name
         assert any(not np.array_equal(p.data, head_before[p.name])
-                   for p in clf.head_parameters())
+                   for p in head_parameters(clf))
 
     def test_same_seed_identical_history(self):
         a = T.train_clf(*self._fresh(), epochs=3, batch_size=8, seed=9)

@@ -223,6 +223,10 @@ def load_checkpoint(path, kind: str | None = None, vocab: Vocab | None = None):
         embedded = vocab_from_header(header)
 
         model = _rebuild(header)
+        for tokens in (vocab, embedded):
+            if tokens is not None and len(tokens) > model.encoder.vocab_size:
+                raise CheckpointError(f"a vocabulary of {len(tokens)} tokens does not fit "
+                                      f"the model's vocab_size {model.encoder.vocab_size}")
         by_name = {p.name: p for p in model.parameters()}
         manifest = _manifest(header)
         if set(by_name) != {name for name, _, _ in manifest}:

@@ -61,18 +61,9 @@ def _load_config(args, **flag_overrides) -> RunConfig:
     return cfg.replaced(**overrides)
 
 
-def _read_split_dir(data_dir: str | Path) -> tuple[Vocab, dict[str, list]]:
-    """Load a prep output directory: vocab plus the three record lists."""
-    data_dir = Path(data_dir)
-    vocab = Vocab.load(data_dir / "vocab.tsv")
-    splits = {}
-    for name in ("train", "valid", "test"):
-        records, _ = corpus_mod.ingest(data_dir / f"{name}.jsonl")
-        splits[name] = records
-    return vocab, splits
-
-
-def _ids_and_labels(records, vocab) -> tuple[list[np.ndarray], list[int]]:
+def _read_split(data_dir: str | Path, name: str, vocab: Vocab) -> tuple[list, list[int]]:
+    """Token ids and labels of one split of a prep output directory."""
+    records, _ = corpus_mod.ingest(Path(data_dir) / f"{name}.jsonl")
     ids = [corpus_mod.numericalize(r.tokens, vocab) for r in records]
     return ids, [r.label for r in records]
 
@@ -167,40 +158,29 @@ def cmd_lr_find(args) -> int:
         raise UsageError("need --steps >= 2 and 0 < --lr-start < --lr-end, all finite")
     cfg = _load_config(args, batch_size=args.batch_size)
     out = _resolve_out(args, "lr-find")
-    vocab, splits = _read_split_dir(args.data)
-    train_ids, train_labels = _ids_and_labels(splits["train"], vocab)
+    vocab = Vocab.load(Path(args.data) / "vocab.tsv")
+    ids, labels = _read_split(args.data, "train", vocab)
+    # the models' training loss streams, batches in their stored order
     if args.model == "lm":
-        lm = LanguageModel(_encoder_from_config(cfg, len(vocab)),
-                           vocab_hash=vocab.content_hash(), seed=cfg.seed + 1)
-        params = lm.parameters()
-        steps = trainer_mod.lm_loss_steps(lm, train_ids, cfg.batch_size, cfg.bptt,
-                                          seed=cfg.seed)
+        model = LanguageModel(_encoder_from_config(cfg, len(vocab)),
+                              vocab_hash=vocab.content_hash(), seed=cfg.seed + 1)
+        batches = corpus_mod.lm_batches(ids, cfg.batch_size, cfg.bptt)
+        epoch_losses = trainer_mod.lm_losses
     else:
-        clf = Classifier(_encoder_from_config(cfg, len(vocab)), n_classes=4,
-                         head_hidden=cfg.head_hidden, vocab_hash=vocab.content_hash(),
-                         seed=cfg.seed + 2)
-        params = clf.parameters()
-        steps = _clf_loss_steps(clf, train_ids, train_labels, cfg)
-    result = trainer_mod.lr_find(params, steps, lr_start=args.lr_start,
+        model = Classifier(_encoder_from_config(cfg, len(vocab)), n_classes=4,
+                           head_hidden=cfg.head_hidden, vocab_hash=vocab.content_hash(),
+                           seed=cfg.seed + 2)
+        batches = corpus_mod.clf_batches(ids, labels, cfg.batch_size, cfg.max_len)
+        epoch_losses = functools.partial(trainer_mod.clf_losses, shuffle=False)
+    batches = trainer_mod.checked_split("train", batches)
+    losses = trainer_mod.cycle(functools.partial(epoch_losses, model, batches), cfg.seed)
+    result = trainer_mod.lr_find(model.parameters(), losses, lr_start=args.lr_start,
                                  lr_end=args.lr_end, max_steps=args.steps)
     result.write_csv(out / "lr_find.csv")
     cfg.write(out)
     print(json.dumps({"suggestion": result.suggestion,
                       "stopped_early": result.stopped_early}))
     return 0
-
-
-def _clf_loss_steps(clf, id_seqs, labels, cfg):
-    epoch = 0
-    while True:
-        rng = np.random.default_rng([cfg.seed, epoch])
-        for ids, lengths, labs in corpus_mod.clf_batches(id_seqs, labels,
-                                                         cfg.batch_size, cfg.max_len):
-            def make_loss(ids=ids, lengths=lengths, labs=labs, rng=rng):
-                return clf.loss(ids.T, lengths, labs, train=True, rng=rng)
-
-            yield make_loss
-        epoch += 1
 
 
 def _report_abort(result) -> int:
@@ -216,9 +196,9 @@ def cmd_train_lm(args) -> int:
     cfg = _load_config(args, epochs=args.epochs, batch_size=args.batch_size,
                        bptt=args.bptt, max_lr=args.max_lr)
     out = _resolve_out(args, "train-lm")
-    vocab, splits = _read_split_dir(args.data)
-    train_ids, _ = _ids_and_labels(splits["train"], vocab)
-    valid_ids, _ = _ids_and_labels(splits["valid"], vocab)
+    vocab = Vocab.load(Path(args.data) / "vocab.tsv")
+    train_ids, _ = _read_split(args.data, "train", vocab)
+    valid_ids, _ = _read_split(args.data, "valid", vocab)
     lm = LanguageModel(_encoder_from_config(cfg, len(vocab)),
                        vocab_hash=vocab.content_hash(), seed=cfg.seed + 1)
     cfg.write(out)
@@ -240,9 +220,9 @@ def cmd_train_clf(args) -> int:
     cfg = _load_config(args, epochs=args.epochs, batch_size=args.batch_size,
                        lr_hi=args.lr_hi, epochs_per_stage=args.epochs_per_stage)
     out = _resolve_out(args, "train-clf")
-    vocab, splits = _read_split_dir(args.data)
-    train_data = _ids_and_labels(splits["train"], vocab)
-    valid_data = _ids_and_labels(splits["valid"], vocab)
+    vocab = Vocab.load(Path(args.data) / "vocab.tsv")
+    train_data = _read_split(args.data, "train", vocab)
+    valid_data = _read_split(args.data, "valid", vocab)
     if args.lm:
         lm = load_checkpoint(args.lm, kind="lm", vocab=vocab)
         clf = transfer_encoder(lm, vocab_hash=vocab.content_hash(),
@@ -308,13 +288,6 @@ def _eval_predictions_file(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return np.asarray(actual), np.asarray(predicted), score_arr
 
 
-def _write_report(out: Path, rep, cm, curves) -> None:
-    (out / "metrics.json").write_text(rep.to_json() + "\n", encoding="utf-8")
-    metrics_mod.write_confusion_csv(cm, out / "confusion.csv")
-    for label, curve in curves.items():
-        metrics_mod.write_roc_csv({label: curve}, out / f"roc_type{label}.csv")
-
-
 def _load_for_inference(path) -> tuple[Classifier, Vocab]:
     """A classifier checkpoint and its embedded vocabulary. Every parameter
     is frozen, so forward passes record no backward closures."""
@@ -327,6 +300,20 @@ def _load_for_inference(path) -> tuple[Classifier, Vocab]:
     return clf, vocab
 
 
+def _eval_checkpoint(args, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(actual, predicted, class probabilities) of a classifier checkpoint
+    over one split of a prep output directory."""
+    clf, vocab = _load_for_inference(args.checkpoint)
+    ids, labels = _read_split(args.data, args.split, vocab)
+    trainer_mod.checked_split(args.split, ids)
+    actual, probs = [], []
+    for bids, lengths, labs in corpus_mod.clf_batches(ids, labels, cfg.batch_size, cfg.max_len):
+        probs.append(clf.predict_proba(bids.T, lengths))
+        actual.append(labs)
+    probs = np.concatenate(probs)
+    return np.concatenate(actual), np.argmax(probs, axis=1), probs
+
+
 def cmd_eval(args) -> int:
     if (args.predictions is None) == (args.checkpoint is None):
         raise UsageError("exactly one of --predictions or --checkpoint is required")
@@ -334,34 +321,18 @@ def cmd_eval(args) -> int:
         raise UsageError("--checkpoint needs --data")
     cfg = _load_config(args, batch_size=args.batch_size)
     out = _resolve_out(args, "eval")
-
     if args.predictions:
         actual, predicted, scores = _eval_predictions_file(args.predictions)
-        cm = metrics_mod.confusion_matrix(predicted, actual)
-        rep = metrics_mod.report(cm, scores=scores,
-                                 labels=actual if scores is not None else None)
-        curves = {}
-        if scores is not None:
-            curves = {c + 1: metrics_mod.roc_curve(scores[:, c], actual == c)
-                      for c in range(cm.shape[0])}
     else:
-        clf, vocab = _load_for_inference(args.checkpoint)
-        records, _ = corpus_mod.ingest(Path(args.data) / f"{args.split}.jsonl")
-        ids, labels = _ids_and_labels(records, vocab)
-        actual_list, prob_rows = [], []
-        for bids, lengths, labs in corpus_mod.clf_batches(ids, labels, cfg.batch_size,
-                                                          cfg.max_len):
-            prob_rows.append(clf.predict_proba(bids.T, lengths))
-            actual_list.append(labs)
-        actual = np.concatenate(actual_list)
-        probs = np.concatenate(prob_rows)
-        predicted = np.argmax(probs, axis=1)
-        cm = metrics_mod.confusion_matrix(predicted, actual)
-        rep = metrics_mod.report(cm, scores=probs, labels=actual)
-        curves = {c + 1: metrics_mod.roc_curve(probs[:, c], actual == c)
-                  for c in range(cm.shape[0])}
-
-    _write_report(out, rep, cm, curves)
+        actual, predicted, scores = _eval_checkpoint(args, cfg)
+    cm = metrics_mod.confusion_matrix(predicted, actual)
+    rep = metrics_mod.report(cm, scores=scores, labels=actual if scores is not None else None)
+    curves = {} if scores is None else {
+        c + 1: metrics_mod.roc_curve(scores[:, c], actual == c) for c in range(cm.shape[0])}
+    (out / "metrics.json").write_text(rep.to_json() + "\n", encoding="utf-8")
+    metrics_mod.write_confusion_csv(cm, out / "confusion.csv")
+    for label, curve in curves.items():
+        metrics_mod.write_roc_csv({label: curve}, out / f"roc_type{label}.csv")
     cfg.write(out)
     print(rep.to_json())
     return 0

@@ -1,13 +1,25 @@
 """Training orchestration: LR finder, one-cycle schedule, discriminative
 per-group learning rates, gradual unfreezing, and the LM / classifier
-epoch loops with history tracking and best-checkpoint selection.
+trainers.
+
+Each training policy is coded once. ``_step`` is the optimizer step of
+train_lm, train_clf and lr_find. ``_fit`` is the epoch loop of both
+trainers: history.jsonl, best-epoch selection, the best checkpoint and
+the abort bookkeeping. ``lm_losses`` and ``clf_losses`` are each model's
+one-epoch loss stream, which lr_find consumes through ``cycle``.
+
+A split with no batch raises corpus.CorpusError naming it before the
+first epoch. A non-finite loss or gradient ends a run early, and
+TrainResult.abort_reason names the step.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -18,6 +30,7 @@ from . import autodiff as ad
 from . import corpus as corpus_mod
 from .autodiff import Parameter, Tensor, backward
 from .checkpoint import save_checkpoint
+from .corpus import CorpusError
 from .metrics import MetricsReport, confusion_matrix, report
 from .model import Classifier, LanguageModel
 from .optim import Adam, NumericalError
@@ -112,6 +125,66 @@ def gradual_unfreeze(model, stage: int):
 
 
 # ---------------------------------------------------------------------------
+# the optimizer step and the loss streams
+
+def _step(opt: Adam, loss: Tensor, raw: float, lr, beta1: float | None = None) -> str | None:
+    """One optimizer step on ``loss``, whose value is ``raw``: backward, Adam
+    at ``lr`` and ``beta1``, zero_grad. Returns None, or why no step was
+    taken: a non-finite loss or a non-finite gradient."""
+    if not math.isfinite(raw):
+        return f"non-finite training loss {raw}"
+    backward(loss)
+    try:
+        opt.step(lr=lr, beta1=beta1)
+    except NumericalError as exc:
+        return str(exc)
+    opt.zero_grad()
+    return None
+
+
+def checked_split(name: str, items: Iterable) -> list:
+    """The items (records or batches) of split ``name`` as a list. Raises
+    CorpusError naming the split when it has none, or when corpus.lm_batches
+    finds it too short for one window."""
+    try:
+        out = list(items)
+    except CorpusError as exc:
+        raise CorpusError(f"{name} split: {exc}") from exc
+    if not out:
+        raise CorpusError(f"{name} split is empty")
+    return out
+
+
+def lm_losses(lm: LanguageModel, batches: Sequence, rng: np.random.Generator
+              ) -> Iterator[tuple[Tensor, int]]:
+    """One epoch of LM training: the loss of each corpus.lm_batches batch in
+    order, the recurrent state carried across them, each of weight 1."""
+    state = None
+    for x, y in batches:
+        loss, state = lm.loss(x.T, y.T, state, train=True, rng=rng)
+        yield loss, 1
+
+
+def clf_losses(clf: Classifier, batches: Sequence, rng: np.random.Generator,
+               shuffle: bool = True) -> Iterator[tuple[Tensor, int]]:
+    """One epoch of classifier training: the loss of each corpus.clf_batches
+    batch, weighted by its size. ``shuffle`` first draws the batch order
+    from ``rng``; without it the batches come in their stored order."""
+    for i in rng.permutation(len(batches)) if shuffle else range(len(batches)):
+        ids, lengths, labs = batches[i]
+        yield clf.loss(ids.T, lengths, labs, train=True, rng=rng), len(labs)
+
+
+def cycle(epoch_losses: Callable[[np.random.Generator], Iterable[tuple[Tensor, int]]],
+          seed: int = 0) -> Iterator[Tensor]:
+    """Endless loss stream for lr_find: epoch after epoch of ``epoch_losses``,
+    epoch e (from 0) drawing from rng [seed, e]. Each epoch must yield."""
+    for epoch in itertools.count():
+        for loss, _ in epoch_losses(np.random.default_rng([seed, epoch])):
+            yield loss
+
+
+# ---------------------------------------------------------------------------
 # learning-rate finder
 
 @dataclass
@@ -131,7 +204,7 @@ class LrFinderResult:
 
 def lr_find(
     params: Sequence[Parameter],
-    loss_steps: Iterable[Callable[[], Tensor]],
+    losses: Iterable[Tensor],
     lr_start: float = 1e-7,
     lr_end: float = 10.0,
     max_steps: int = 100,
@@ -141,45 +214,32 @@ def lr_find(
     """Ramp the learning rate geometrically, one mini-batch per step, and
     suggest the lr at the steepest descent of the smoothed loss.
 
-    ``loss_steps`` yields zero-argument callables, each computing one
-    mini-batch loss. Weights are restored bitwise before returning; the
-    throwaway optimizer never leaks state.
+    ``losses`` yields one mini-batch loss per step, computed as it is drawn
+    (``cycle`` makes one from a model's training stream). Weights are
+    restored bitwise before returning; the throwaway optimizer never leaks
+    state.
     """
     if not (max_steps >= 2 and 0 < lr_start < lr_end < math.inf):
         raise TrainerError("need max_steps >= 2 and 0 < lr_start < lr_end")
     snapshot = [p.data.copy() for p in params]
     opt = Adam(params, lr=lr_start)
+    opt.zero_grad()
     ratio = (lr_end / lr_start) ** (1.0 / (max_steps - 1))
-    lrs: list[float] = []
-    smoothed: list[float] = []
-    raw_losses: list[float] = []
-    avg = 0.0
-    best = math.inf
-    stopped = False
+    lrs, smoothed, raw_losses = [], [], []
+    avg, best, stopped = 0.0, math.inf, False
     try:
-        for i, make_loss in enumerate(loss_steps):
-            if i >= max_steps:
-                break
+        for i, loss in enumerate(itertools.islice(losses, max_steps)):
             lr = lr_start * ratio**i
-            opt.zero_grad()
-            loss = make_loss()
             raw = loss.item()
-            if not math.isfinite(raw):
-                stopped = True
-                break
-            avg = beta * avg + (1.0 - beta) * raw
-            sm = avg / (1.0 - beta ** (i + 1))
-            lrs.append(lr)
-            smoothed.append(sm)
-            raw_losses.append(raw)
-            if sm > divergence * best:
-                stopped = True
-                break
-            best = min(best, sm)
-            backward(loss)
-            try:
-                opt.step(lr=lr)
-            except NumericalError:
+            if math.isfinite(raw):
+                avg = beta * avg + (1.0 - beta) * raw
+                sm = avg / (1.0 - beta ** (i + 1))
+                lrs.append(lr)
+                smoothed.append(sm)
+                raw_losses.append(raw)
+                stopped = sm > divergence * best
+                best = min(best, sm)
+            if stopped or _step(opt, loss, raw, lr) is not None:
                 stopped = True
                 break
     finally:
@@ -195,31 +255,8 @@ def lr_find(
     return LrFinderResult(lrs, smoothed, raw_losses, suggestion, stopped)
 
 
-def lm_loss_steps(
-    lm: LanguageModel,
-    id_seqs: Sequence[np.ndarray],
-    batch_size: int,
-    bptt: int,
-    seed: int = 0,
-) -> Iterator[Callable[[], Tensor]]:
-    """Endless stream of LM mini-batch loss closures for lr_find, cycling
-    over the data with fresh shuffling-free epochs and per-epoch state."""
-    epoch = 0
-    while True:
-        rng = np.random.default_rng([seed, epoch])
-        carry = {"state": None}
-        for x, y in corpus_mod.lm_batches(id_seqs, batch_size, bptt):
-
-            def make_loss(x=x, y=y, carry=carry, rng=rng):
-                loss, carry["state"] = lm.loss(x.T, y.T, carry["state"], train=True, rng=rng)
-                return loss
-
-            yield make_loss
-        epoch += 1
-
-
 # ---------------------------------------------------------------------------
-# epoch loops
+# the epoch loop
 
 @dataclass
 class TrainResult:
@@ -233,21 +270,60 @@ class TrainResult:
         return self.abort_reason is not None
 
 
-def _start_run(out_dir: Path | None, *artifacts: str) -> None:
-    """Empty history.jsonl and delete the named artifacts of an earlier run,
-    so a rerun into the same directory holds one run even if it aborts
-    before writing its own."""
+def _fit(model, opt: Adam, epochs: int, plans: Iterator, validate: Callable[[], tuple],
+         metric: str, out_dir, vocab, *artifacts: str) -> TrainResult:
+    """The epoch loop of both trainers.
+
+    It first empties history.jsonl and deletes ``artifacts`` (the best
+    checkpoint's name first), so a rerun into the same directory holds one
+    run even if it stops before writing its own. Only then does it start
+    ``plans``, a generator that checks the splits and yields one ``(losses,
+    hyper, where)`` per epoch: the epoch's stream of (loss, weight), step
+    i's (lr, beta1) and step i's name in an abort reason. Each completed
+    epoch appends {"epoch", "train_loss", "valid_loss", "valid_fbeta"}
+    (from ``validate()``) to the history, and the best one by ``metric``
+    (lowest valid_loss, highest valid_fbeta) is checkpointed. A non-finite
+    loss or gradient ends the run with result.abort_reason. Either way the
+    model is left holding the best epoch's weights.
+    """
+    result = TrainResult()
     if out_dir is not None:
         (Path(out_dir) / "history.jsonl").write_text("", encoding="utf-8")
         for name in artifacts:
             (Path(out_dir) / name).unlink(missing_ok=True)
-
-
-def _append_history(out_dir: Path | None, entry: dict) -> None:
-    if out_dir is None:
-        return
-    with open(Path(out_dir) / "history.jsonl", "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    if epochs == 0:
+        return result
+    params = model.parameters()
+    better = operator.lt if metric == "valid_loss" else operator.gt
+    best_snap = None
+    for epoch, (losses, hyper, where) in enumerate(plans, start=1):
+        total, n = 0.0, 0
+        for i, (loss, weight) in enumerate(losses):
+            raw = loss.item()
+            result.abort_reason = _step(opt, loss, raw, *hyper(i))
+            if result.aborted:
+                result.abort_reason += f" at epoch {epoch}, {where(i)}"
+                break
+            total += raw * weight
+            n += weight
+        if result.aborted:
+            break
+        valid_loss, valid_fbeta = validate()
+        entry = {"epoch": epoch, "train_loss": total / n, "valid_loss": valid_loss,
+                 "valid_fbeta": valid_fbeta}
+        result.history.append(entry)
+        if out_dir is not None:
+            with open(Path(out_dir) / "history.jsonl", "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        if result.best_metric is None or better(entry[metric], result.best_metric):
+            result.best_metric, result.best_epoch = entry[metric], epoch
+            best_snap = [p.data.copy() for p in params]
+            if out_dir is not None:
+                save_checkpoint(model, Path(out_dir) / artifacts[0], vocab=vocab)
+    if best_snap is not None:
+        for p, snap in zip(params, best_snap):
+            p.data[:] = snap
+    return result
 
 
 @contextlib.contextmanager
@@ -265,17 +341,16 @@ def _frozen(params: Sequence[Parameter]) -> Iterator[None]:
             p.frozen = flag
 
 
+# ---------------------------------------------------------------------------
+# the two trainers
+
 def _lm_valid_loss(lm: LanguageModel, valid_seqs, batch_size: int, bptt: int) -> float:
-    total = 0.0
-    n = 0
-    state = None
+    total, n, state = 0.0, 0, None
     with _frozen(lm.parameters()):
         for x, y in corpus_mod.lm_batches(valid_seqs, batch_size, bptt):
             loss, state = lm.loss(x.T, y.T, state)
             total += loss.item()
             n += 1
-    if n == 0:
-        raise TrainerError("validation stream produced no batches")
     return total / n
 
 
@@ -293,70 +368,27 @@ def train_lm(
     vocab=None,
     warmup_frac: float = 0.3,
 ) -> TrainResult:
-    """Next-opcode pretraining with one-cycle over all steps.
+    """Next-opcode pretraining with one one-cycle over all steps (at least 3).
 
-    History gets one {"epoch", "train_loss", "valid_loss", "valid_fbeta"}
-    entry per completed epoch (valid_fbeta stays None for the LM). On a
-    non-finite loss or gradient the run aborts, result.abort_reason says
-    where, and the best weights so far are kept. The model is left holding
-    the best-validation-loss weights.
+    Both splits must hold one (batch_size, bptt + 1) window. valid_fbeta
+    stays None in the history; the best epoch is the one of lowest
+    validation loss. An abort names the epoch, the step and its lr. See
+    _fit for the rest.
     """
-    result = TrainResult()
-    _start_run(out_dir, "lm_best.ckpt")
-    if epochs == 0:
-        return result
-    steps_per_epoch = sum(1 for _ in corpus_mod.lm_batches(train_seqs, batch_size, bptt))
-    if steps_per_epoch == 0:
-        raise TrainerError("training stream produced no batches")
-    sched = OneCycleSchedule(max_lr, epochs * steps_per_epoch, warmup_frac)
-    opt = Adam(lm.parameters(), lr=max_lr, weight_decay=weight_decay)
-    params = lm.parameters()
-    best_snap = None
-    step = 0
-    for epoch in range(1, epochs + 1):
-        rng = np.random.default_rng([seed, epoch])
-        state = None
-        total = 0.0
-        n = 0
-        for x, y in corpus_mod.lm_batches(train_seqs, batch_size, bptt):
-            loss, state = lm.loss(x.T, y.T, state, train=True, rng=rng)
-            raw = loss.item()
-            lr = sched.lr(step)
-            if not math.isfinite(raw):
-                result.abort_reason = f"non-finite training loss {raw}"
-                break
-            backward(loss)
-            try:
-                opt.step(lr=lr, beta1=sched.momentum(step))
-            except NumericalError as exc:
-                result.abort_reason = str(exc)
-                break
-            opt.zero_grad()
-            total += raw
-            n += 1
-            step += 1
-        if result.aborted:
-            result.abort_reason += f" at epoch {epoch}, step {step}, lr {lr:.6g}"
-            break
-        valid_loss = _lm_valid_loss(lm, valid_seqs, batch_size, bptt)
-        entry = {
-            "epoch": epoch,
-            "train_loss": total / n,
-            "valid_loss": valid_loss,
-            "valid_fbeta": None,
-        }
-        result.history.append(entry)
-        _append_history(out_dir, entry)
-        if result.best_metric is None or valid_loss < result.best_metric:
-            result.best_metric = valid_loss
-            result.best_epoch = epoch
-            best_snap = [p.data.copy() for p in params]
-            if out_dir is not None:
-                save_checkpoint(lm, Path(out_dir) / "lm_best.ckpt", vocab=vocab)
-    if best_snap is not None:
-        for p, snap in zip(params, best_snap):
-            p.data[:] = snap
-    return result
+
+    def plans():
+        batches = checked_split("train", corpus_mod.lm_batches(train_seqs, batch_size, bptt))
+        checked_split("valid", corpus_mod.lm_batches(valid_seqs, batch_size, bptt))
+        sched = OneCycleSchedule(max_lr, max(3, epochs * len(batches)), warmup_frac)
+        for epoch in range(1, epochs + 1):
+            first = (epoch - 1) * len(batches)  # the schedule step of the epoch's first batch
+            yield (lm_losses(lm, batches, np.random.default_rng([seed, epoch])),
+                   lambda i: (sched.lr(first + i), sched.momentum(first + i)),
+                   lambda i: f"step {first + i}, lr {sched.lr(first + i):.6g}")
+
+    return _fit(lm, Adam(lm.parameters(), lr=max_lr, weight_decay=weight_decay), epochs,
+                plans(), lambda: (_lm_valid_loss(lm, valid_seqs, batch_size, bptt), None),
+                "valid_loss", out_dir, vocab, "lm_best.ckpt")
 
 
 def evaluate_classifier(
@@ -405,94 +437,39 @@ def train_clf(
 
     Epochs walk the unfreeze stages (``epochs_per_stage`` each, head-only
     first); remaining epochs train fully unfrozen. Every stage runs its own
-    one-cycle. Best checkpoint = highest validation weighted F_beta; the
-    model is left holding those weights. An abort is reported as in train_lm.
+    one-cycle (at least 3 steps), and every epoch draws a fresh batch
+    order. The best epoch is the one of highest validation weighted F_beta,
+    and fbeta.csv lists each completed epoch's. An abort names the epoch,
+    the stage, the step within it and the head's lr. See _fit for the rest.
     """
-    result = TrainResult()
-    _start_run(out_dir, "clf_best.ckpt", "fbeta.csv")
-    if epochs == 0:
-        return result
-    train_ids, train_labels = train_data
     valid_ids, valid_labels = valid_data
-    batches = list(corpus_mod.clf_batches(train_ids, train_labels, batch_size, max_len))
-    if not batches:
-        raise TrainerError("training split produced no batches")
-    steps_per_epoch = len(batches)
-    max_stage = clf.encoder.n_layers + 1
-    group_lrs = discriminative_lrs(clf.n_groups, lr_lo, lr_hi)
 
-    def stage_of(epoch0: int) -> int:
-        return min(epoch0 // epochs_per_stage, max_stage)
+    def plans():
+        batches = checked_split("train", corpus_mod.clf_batches(*train_data, batch_size, max_len))
+        checked_split("valid", valid_ids)
+        max_stage = clf.encoder.n_layers + 1
+        group_lrs = discriminative_lrs(clf.n_groups, lr_lo, lr_hi)
+        for epoch0 in range(epochs):
+            stage = min(epoch0 // epochs_per_stage, max_stage)
+            gradual_unfreeze(clf, stage)
+            start = stage * epochs_per_stage  # the stage's first epoch
+            span = epochs - start if stage == max_stage else min(epochs_per_stage, epochs - start)
+            sched = OneCycleSchedule(lr_hi, max(3, span * len(batches)), warmup_frac)
+            first = (epoch0 - start) * len(batches)
+            yield (clf_losses(clf, batches, np.random.default_rng([seed, epoch0])),
+                   lambda i: ([g * (sched.lr(first + i) / lr_hi) for g in group_lrs],
+                              sched.momentum(first + i)),
+                   lambda i: f"stage {stage} step {first + i}, head lr {sched.lr(first + i):.6g}")
 
-    def stage_span(stage: int) -> int:
-        if stage < max_stage:
-            return min(epochs_per_stage, epochs - stage * epochs_per_stage)
-        return epochs - max_stage * epochs_per_stage
-
-    opt = Adam(clf.parameters(), lr=lr_hi, weight_decay=weight_decay)
-    params = clf.parameters()
-    best_snap = None
-    fbeta_rows: list[tuple[int, float]] = []
-    sched = None
-    local_step = 0
-    for epoch0 in range(epochs):
-        stage = stage_of(epoch0)
-        gradual_unfreeze(clf, stage)
-        if epoch0 == 0 or stage != stage_of(epoch0 - 1):
-            sched = OneCycleSchedule(
-                lr_hi, max(3, stage_span(stage) * steps_per_epoch), warmup_frac
-            )
-            local_step = 0
-        rng = np.random.default_rng([seed, epoch0])
-        order = rng.permutation(len(batches))
-        total = 0.0
-        count = 0
-        for bi in order:
-            ids, lengths, labs = batches[bi]
-            loss = clf.loss(ids.T, lengths, labs, train=True, rng=rng)
-            raw = loss.item()
-            s = min(local_step, sched.total_steps - 1)
-            if not math.isfinite(raw):
-                result.abort_reason = f"non-finite training loss {raw}"
-                break
-            backward(loss)
-            factor = sched.lr(s) / lr_hi
-            try:
-                opt.step(lr=[g * factor for g in group_lrs], beta1=sched.momentum(s))
-            except NumericalError as exc:
-                result.abort_reason = str(exc)
-                break
-            opt.zero_grad()
-            total += raw * len(labs)
-            count += len(labs)
-            local_step += 1
-        if result.aborted:
-            result.abort_reason += (f" at epoch {epoch0 + 1}, stage {stage} step {s}, "
-                                    f"head lr {sched.lr(s):.6g}")
-            break
+    def validate():
         valid_loss, rep = evaluate_classifier(clf, valid_ids, valid_labels, batch_size, max_len)
-        fbeta = rep.weighted["fbeta"]
-        entry = {
-            "epoch": epoch0 + 1,
-            "train_loss": total / count,
-            "valid_loss": valid_loss,
-            "valid_fbeta": fbeta,
-        }
-        result.history.append(entry)
-        _append_history(out_dir, entry)
-        fbeta_rows.append((epoch0 + 1, fbeta))
-        if result.best_metric is None or fbeta > result.best_metric:
-            result.best_metric = fbeta
-            result.best_epoch = epoch0 + 1
-            best_snap = [p.data.copy() for p in params]
-            if out_dir is not None:
-                save_checkpoint(clf, Path(out_dir) / "clf_best.ckpt", vocab=vocab)
-    if out_dir is not None and fbeta_rows:
+        return valid_loss, rep.weighted["fbeta"]
+
+    result = _fit(clf, Adam(clf.parameters(), lr=lr_hi, weight_decay=weight_decay), epochs,
+                  plans(), validate, "valid_fbeta", out_dir, vocab, "clf_best.ckpt", "fbeta.csv")
+    if out_dir is not None and result.history:
         with open(Path(out_dir) / "fbeta.csv", "w", encoding="utf-8") as fh:
             fh.write("epoch,fbeta\n")
-            for epoch, fb in fbeta_rows:
-                fh.write(f"{epoch},{fb!r}\n")
-    if best_snap is not None:
-        for p, snap in zip(params, best_snap):
-            p.data[:] = snap
+            for entry in result.history:
+                fh.write(f"{entry['epoch']},{entry['valid_fbeta']!r}\n")
     return result

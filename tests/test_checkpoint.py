@@ -31,6 +31,14 @@ def rewrite_header(path, edit):
     path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + length :])
 
 
+def grow_vocab(header, token="PUSH33"):
+    """Append a token to the embedded vocabulary and recompute its hash, so
+    the vocabulary is consistent but longer than the model's vocab_size.
+    PUSH33 is no opcode, so no corpus vocabulary holds it."""
+    header["vocab"].append(token)
+    header["vocab_hash"] = C.Vocab(header["vocab"][len(C.Vocab.RESERVED):]).content_hash()
+
+
 def make_clf(vocab, dtype=np.float64, seed=4):
     enc = M.Encoder(len(vocab), emb_size=6, hidden_size=8, n_layers=2, dtype=dtype, seed=seed)
     return M.Classifier(enc, n_classes=4, head_hidden=5, vocab_hash=vocab.content_hash())
@@ -205,7 +213,8 @@ class TestRefusals:
         lambda h: h["vocab"].append(h["vocab"][-1]),
         lambda h: h["vocab"].append(["ADD"]),
         lambda h: h.update(vocab=7),
-    ], ids=["duplicate", "unhashable", "not-a-list"])
+        grow_vocab,
+    ], ids=["duplicate", "unhashable", "not-a-list", "longer-than-model"])
     def test_corrupt_embedded_vocab(self, tmp_path, edit):
         path = tmp_path / "clf.ckpt"
         save_checkpoint(make_clf(small_vocab()), path, vocab=small_vocab())
@@ -237,6 +246,15 @@ class TestRefusals:
         other = C.build_vocab([ContractRecord("0x2", ("SSTORE", "SLOAD"), 0)])
         with pytest.raises(CheckpointError, match="different vocabulary"):
             load_checkpoint(path, vocab=other)
+
+    def test_given_vocab_longer_than_model_refused(self, tmp_path):
+        vocab = small_vocab()
+        longer = C.Vocab(vocab.itos[len(C.Vocab.RESERVED):] + ["PUSH1"])
+        path = tmp_path / "lm.ckpt"
+        save_checkpoint(make_lm(vocab), path)
+        rewrite_header(path, lambda h: h.update(vocab_hash=longer.content_hash()))
+        with pytest.raises(CheckpointError, match=f"{len(longer)} tokens .* {len(vocab)}"):
+            load_checkpoint(path, kind="lm", vocab=longer)
 
     def test_truncated_body_names_parameter(self, tmp_path):
         vocab = small_vocab()

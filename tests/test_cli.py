@@ -17,6 +17,7 @@ from opscan import checkpoint as ckpt_mod
 from opscan import corpus as C
 from opscan import model as M
 from opscan import optim
+from opscan import trainer
 from opscan.autodiff import Parameter
 from opscan.cli import main
 from opscan.config import RunConfig
@@ -24,7 +25,7 @@ from opscan.disasm import disassemble
 from opscan.model import Classifier
 
 from ref_eval import HEADLINE, HEADLINE_TOL_PP, REF_CM
-from test_checkpoint import rewrite_header
+from test_checkpoint import grow_vocab, rewrite_header
 
 SMALL_CFG = {
     "emb_size": 16, "hidden_size": 16, "n_layers": 2, "head_hidden": 12,
@@ -125,20 +126,50 @@ class TestPrep:
         assert vocab.content_hash() == summary["vocab_hash"]
 
 
-def poison_head_gradient(monkeypatch) -> list:
-    """Make every optimizer step see an infinite gradient on the last
-    parameter; returns the list that collects that parameter's name."""
+def poison_head_gradient(monkeypatch, at=1) -> list:
+    """Make the at-th optimizer step (from 1) see an infinite gradient on
+    the last parameter; returns the list that collects that parameter's
+    name."""
     real_step = optim.Adam.step
     poisoned = []
+    calls = []
 
     def poisoned_step(self, *args, **kwargs):
-        head = self.params[-1]  # trainable in every unfreeze stage
-        head.grad = np.full_like(head.data, np.inf)
-        poisoned.append(head.name)
+        calls.append(1)
+        if len(calls) == at:
+            head = self.params[-1]  # trainable in every unfreeze stage
+            head.grad = np.full_like(head.data, np.inf)
+            poisoned.append(head.name)
         real_step(self, *args, **kwargs)
 
     monkeypatch.setattr(optim.Adam, "step", poisoned_step)
     return poisoned
+
+
+def poison_loss(monkeypatch, model_cls, at) -> None:
+    """Make the at-th training loss (from 1) of ``model_cls`` NaN."""
+    real_loss = model_cls.loss
+    calls = []
+
+    def loss(self, *args, **kwargs):
+        out = real_loss(self, *args, **kwargs)
+        if kwargs.get("train"):
+            calls.append(1)
+            if len(calls) == at:
+                value = out[0] if isinstance(out, tuple) else out
+                value.data = np.full_like(value.data, np.nan)
+        return out
+
+    monkeypatch.setattr(model_cls, "loss", loss)
+
+
+def steps_per_epoch(prep, command, batch_size, bptt=RunConfig.bptt):
+    vocab = C.Vocab.load(prep / "vocab.tsv")
+    records, _ = C.ingest(prep / "train.jsonl")
+    if command == "train-lm":
+        return len(list(C.lm_batches([C.numericalize(r.tokens, vocab) for r in records],
+                                     batch_size, bptt)))
+    return math.ceil(len(records) / batch_size)
 
 
 class TestTraining:
@@ -164,6 +195,40 @@ class TestTraining:
         assert "epoch 1, " in err and "no checkpoint written" in err
         assert not list(tmp_path.glob("*.ckpt"))
 
+    @pytest.mark.parametrize("when", ["first-step", "epoch-2-step-2"])
+    @pytest.mark.parametrize("kind", ["loss", "gradient"])
+    @pytest.mark.parametrize("command", ["train-lm", "train-clf"])
+    def test_abort_message_names_the_step(self, ws, tmp_path, monkeypatch, capsys,
+                                          command, kind, when):
+        root, cfg = ws
+        n = steps_per_epoch(root / "prep", command, batch_size=8)
+        at = 1 if when == "first-step" else n + 2
+        if kind == "loss":
+            poison_loss(monkeypatch, M.LanguageModel if command == "train-lm" else Classifier, at)
+            reason = "non-finite training loss nan"
+        else:
+            poison_head_gradient(monkeypatch, at)
+            name = "decoder.b" if command == "train-lm" else "head.b2"
+            reason = f"non-finite gradient in parameter {name!r}"
+        if when == "first-step":
+            where = {"train-lm": "epoch 1, step 0, lr 0.0012",
+                     "train-clf": "epoch 1, stage 0 step 0, head lr 0.0016"}[command]
+            kept = "no checkpoint written"
+        else:
+            # the LM runs one one-cycle over both epochs; the classifier's
+            # second epoch is unfreeze stage 1, with a one-cycle of its own
+            if command == "train-lm":
+                lr = trainer.OneCycleSchedule(RunConfig.max_lr, 2 * n).lr(n + 1)
+                where = f"epoch 2, step {n + 1}, lr {lr:.6g}"
+            else:
+                lr = trainer.OneCycleSchedule(RunConfig.lr_hi, max(3, n)).lr(1)
+                where = f"epoch 2, stage 1 step 1, head lr {lr:.6g}"
+            kept = "best checkpoint (epoch 1) kept"
+        assert main([command, "--data", str(root / "prep"), "--out", str(tmp_path),
+                     "--epochs", "2", "--batch-size", "8", "--config", str(cfg)]) == 5
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"training aborted: {reason} at {where}; {kept}"
+
     @pytest.mark.parametrize("command", ["train-lm", "train-clf"])
     def test_aborted_rerun_leaves_no_earlier_artifacts(self, ws, tmp_path, monkeypatch,
                                                        command):
@@ -183,6 +248,70 @@ class TestTraining:
                      "--seed", "3", "--epochs", "1", "--batch-size", "8",
                      "--config", str(cfg)]) == 0
         assert (tmp_path / "clf_best.ckpt").exists()
+
+
+def _split_commands(root, data, out):
+    """argv of every command that reads a prep directory's training splits."""
+    common = ["--data", str(data), "--batch-size", "8", "--config", str(root / "cfg.json")]
+    return {
+        "train-lm": ["train-lm", *common, "--out", str(out), "--epochs", "1", "--bptt", "20"],
+        "train-clf": ["train-clf", *common, "--out", str(out), "--epochs", "1"],
+        "lr-find-lm": ["lr-find", *common, "--out", str(out), "--model", "lm",
+                       "--steps", "12", "--lr-end", "1e-3"],
+        "lr-find-clf": ["lr-find", *common, "--out", str(out), "--model", "clf",
+                        "--steps", "12", "--lr-end", "1e-3"],
+    }
+
+
+class TestSplits:
+    """Each command reads only the splits it uses, and a split it cannot
+    batch exits 3, naming the split, before the first epoch."""
+
+    @pytest.mark.parametrize("command", ["train-lm", "train-clf", "lr-find-lm", "lr-find-clf"])
+    def test_test_split_not_needed(self, ws, tmp_path, command):
+        root, _ = ws
+        data = shutil.copytree(root / "prep", tmp_path / "prep")
+        (data / "test.jsonl").unlink()
+        assert main(_split_commands(root, data, tmp_path / "out")[command]) == 0
+
+    @pytest.mark.parametrize("command", ["train-lm", "train-clf", "lr-find-lm", "lr-find-clf"])
+    def test_empty_train_split(self, ws, tmp_path, monkeypatch, capsys, command):
+        root, _ = ws
+        data = shutil.copytree(root / "prep", tmp_path / "prep")
+        (data / "train.jsonl").write_text("")
+        real_batches, batchings = C.clf_batches, []
+
+        def clf_batches(*args):
+            # an lr-find stream over no batches must not be cycled forever
+            batchings.append(1)
+            assert len(batchings) < 100, "the empty split is batched again and again"
+            return real_batches(*args)
+
+        monkeypatch.setattr(C, "clf_batches", clf_batches)
+        assert main(_split_commands(root, data, tmp_path / "out")[command]) == 3
+        assert "train split" in capsys.readouterr().err
+        if command.startswith("train"):
+            assert (tmp_path / "out" / "history.jsonl").read_text() == ""
+
+    @pytest.mark.parametrize("command, valid", [
+        ("train-lm", "empty"), ("train-lm", "one-short-record"), ("train-clf", "empty")])
+    def test_unusable_valid_split_fails_before_training(self, ws, tmp_path, capsys,
+                                                        command, valid):
+        root, _ = ws
+        data = shutil.copytree(root / "prep", tmp_path / "prep")
+        short = '{"address": "0x1", "label": 1, "tokens": ["PUSH1", "ADD"]}\n'
+        (data / "valid.jsonl").write_text("" if valid == "empty" else short)
+        assert main(_split_commands(root, data, tmp_path / "out")[command]) == 3
+        assert "valid split" in capsys.readouterr().err
+        assert (tmp_path / "out" / "history.jsonl").read_text() == ""
+
+    def test_eval_empty_split(self, ws, tmp_path, capsys):
+        root, _ = ws
+        data = shutil.copytree(root / "prep", tmp_path / "prep")
+        (data / "test.jsonl").write_text("")
+        assert main(["eval", "--checkpoint", str(root / "clf" / "clf_best.ckpt"),
+                     "--data", str(data), "--out", str(tmp_path / "out")]) == 3
+        assert "test split is empty" in capsys.readouterr().err
 
 
 class TestLrFind:
@@ -492,6 +621,25 @@ def _predict_too_deep_header(root, tmp_path):
     return ["predict", "--checkpoint", _write(tmp_path, "clf.ckpt", ckpt), "--bytecode", "6001"]
 
 
+def _grown_checkpoint(root, tmp_path, kind):
+    """A copy of the ws checkpoint of ``kind`` whose embedded vocabulary has
+    one more token than its vocab_size, its hash recomputed to match."""
+    path = tmp_path / f"{kind}.ckpt"
+    path.write_bytes((root / kind / f"{kind}_best.ckpt").read_bytes())
+    rewrite_header(path, grow_vocab)
+    return path
+
+
+def _train_clf_grown_vocab(root, tmp_path):
+    """train-clf --lm where the prep vocabulary, and the LM's embedded one
+    with its hash, have one more token than the LM's vocab_size."""
+    data = shutil.copytree(root / "prep", tmp_path / "prep")
+    with open(data / "vocab.tsv", "a", encoding="utf-8") as fh:
+        fh.write(f"PUSH33\t{len(C.Vocab.load(root / 'prep' / 'vocab.tsv'))}\n")
+    return ["train-clf", "--data", str(data), "--lm", str(_grown_checkpoint(root, tmp_path, "lm")),
+            "--out", str(tmp_path / "out"), "--epochs", "1"]
+
+
 # case -> (exit code, the line the message names or None, argv from (ws root, tmp_path))
 MALFORMED_INPUTS = {
     "disasm-input-is-a-directory": (3, None, lambda root, tmp: ["disasm", "--input", str(tmp)]),
@@ -526,6 +674,13 @@ MALFORMED_INPUTS = {
     "config-nested-too-deep": (2, None, lambda root, tmp: [
         "synth", "--config", _write(tmp, "cfg.json", TOO_DEEP), "--out", str(tmp)]),
     "checkpoint-header-nested-too-deep": (4, None, _predict_too_deep_header),
+    "predict-vocab-longer-than-model": (4, None, lambda root, tmp: [
+        "predict", "--checkpoint", str(_grown_checkpoint(root, tmp, "clf")), "--bytecode",
+        "6001600201331450"]),
+    "eval-vocab-longer-than-model": (4, None, lambda root, tmp: [
+        "eval", "--checkpoint", str(_grown_checkpoint(root, tmp, "clf")), "--data",
+        str(root / "prep"), "--out", str(tmp / "out")]),
+    "train-clf-lm-vocab-longer-than-model": (4, None, _train_clf_grown_vocab),
     "lr-find-one-step": (2, None, lambda root, tmp: [
         "lr-find", "--data", str(root / "prep"), "--steps", "1", "--out", str(tmp)]),
     "lr-find-start-above-end": (2, None, lambda root, tmp: [

@@ -244,18 +244,16 @@ def quadratic_param():
     return Parameter(np.array([0.0]), "w")
 
 
-def quadratic_steps(w, target=3.0):
+def quadratic_losses(w, target=3.0):
     while True:
-        def make_loss():
-            d = ad.add(w, Tensor(np.array([-target])))
-            return ad.sum_all(ad.mul(d, d))
-        yield make_loss
+        d = ad.add(w, Tensor(np.array([-target])))
+        yield ad.sum_all(ad.mul(d, d))
 
 
 class TestLrFind:
     def test_lrs_geometric_and_increasing(self):
         w = quadratic_param()
-        res = T.lr_find([w], quadratic_steps(w), lr_start=1e-5, lr_end=1.0, max_steps=40)
+        res = T.lr_find([w], quadratic_losses(w), lr_start=1e-5, lr_end=1.0, max_steps=40)
         lrs = np.array(res.lrs)
         assert np.all(np.diff(lrs) > 0)
         ratios = lrs[1:] / lrs[:-1]
@@ -264,19 +262,19 @@ class TestLrFind:
     def test_weights_restored_bitwise(self):
         w = quadratic_param()
         w.data[:] = 1.25
-        T.lr_find([w], quadratic_steps(w), lr_start=1e-5, lr_end=1.0, max_steps=30)
+        T.lr_find([w], quadratic_losses(w), lr_start=1e-5, lr_end=1.0, max_steps=30)
         assert w.data[0] == 1.25
 
     def test_suggestion_in_grid_search_descent_region(self):
         w = quadratic_param()
-        res = T.lr_find([w], quadratic_steps(w), lr_start=1e-5, lr_end=10.0, max_steps=60)
+        res = T.lr_find([w], quadratic_losses(w), lr_start=1e-5, lr_end=10.0, max_steps=60)
 
         def final_loss(lr, steps=15):
             w.data[:] = 0.0
             opt = Adam([w], lr=lr)
             for _ in range(steps):
                 opt.zero_grad()
-                loss = next(quadratic_steps(w))()
+                loss = next(quadratic_losses(w))
                 backward(loss)
                 opt.step()
             return float((w.data[0] - 3.0) ** 2)
@@ -288,7 +286,7 @@ class TestLrFind:
 
     def test_divergence_stops_early(self):
         w = quadratic_param()
-        res = T.lr_find([w], quadratic_steps(w), lr_start=1e-4, lr_end=1000.0, max_steps=100)
+        res = T.lr_find([w], quadratic_losses(w), lr_start=1e-4, lr_end=1000.0, max_steps=100)
         assert res.stopped_early
         assert len(res.lrs) < 100
 
@@ -296,19 +294,17 @@ class TestLrFind:
         w = quadratic_param()
         planted = [1.0, 1.0, 50.0]  # EMA blows past 4x best on the third point
 
-        def steps():
+        def losses():
             for v in planted:
-                def make_loss(v=v):
-                    w.data[:] = math.sqrt(v)
-                    return ad.sum_all(ad.mul(w, w))
-                yield make_loss
+                w.data[:] = math.sqrt(v)
+                yield ad.sum_all(ad.mul(w, w))
 
         with pytest.raises(TrainerError, match="smaller lr_start"):
-            T.lr_find([w], steps(), lr_start=1e-4, lr_end=1.0, max_steps=100)
+            T.lr_find([w], losses(), lr_start=1e-4, lr_end=1.0, max_steps=100)
 
     def test_exhausted_stream_without_enough_points_errors(self):
         w = quadratic_param()
-        only_eight = itertools.islice(quadratic_steps(w), 8)
+        only_eight = itertools.islice(quadratic_losses(w), 8)
         with pytest.raises(TrainerError, match="smaller lr_start"):
             T.lr_find([w], only_eight, lr_start=1e-4, lr_end=1.0, max_steps=100)
 
@@ -319,7 +315,8 @@ class TestLrFind:
         lm = M.LanguageModel(enc, vocab_hash=vocab.content_hash())
         before = {p.name: p.data.copy() for p in lm.parameters()}
         ids = [C.numericalize(r.tokens, vocab) for r in records]
-        T.lr_find(lm.parameters(), T.lm_loss_steps(lm, ids, 4, 10),
+        batches = list(C.lm_batches(ids, 4, 10))
+        T.lr_find(lm.parameters(), T.cycle(lambda rng: T.lm_losses(lm, batches, rng)),
                   lr_start=1e-5, lr_end=0.5, max_steps=25)
         for p in lm.parameters():
             assert np.array_equal(p.data, before[p.name]), p.name
@@ -327,7 +324,7 @@ class TestLrFind:
 
     def test_csv_output(self, tmp_path):
         w = quadratic_param()
-        res = T.lr_find([w], quadratic_steps(w), lr_start=1e-5, lr_end=1.0, max_steps=30)
+        res = T.lr_find([w], quadratic_losses(w), lr_start=1e-5, lr_end=1.0, max_steps=30)
         path = tmp_path / "lr.csv"
         res.write_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -408,6 +405,17 @@ class TestTrainLm:
         # re-evaluating the returned weights reproduces the best metric
         again = T._lm_valid_loss(lm, valid_ids, 4, 10)
         assert again == pytest.approx(result.best_metric, abs=1e-12)
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_fewer_than_three_steps_in_all(self, epochs):
+        lm, vocab, train_ids, _ = lm_setup(n_train=20)
+        bptt = sum(map(len, train_ids)) // 4 - 1  # the longest bptt of one (4, bptt) window
+        assert len(list(C.lm_batches(train_ids, 4, bptt))) == 1  # one step per epoch
+        result = T.train_lm(lm, train_ids, train_ids, epochs=epochs, batch_size=4, bptt=bptt,
+                            max_lr=0.005, seed=0)
+        assert not result.aborted
+        assert [h["epoch"] for h in result.history] == list(range(1, epochs + 1))
+        assert all(math.isfinite(h["train_loss"]) for h in result.history)
 
     def test_nonfinite_loss_aborts(self):
         lm, vocab, train_ids, valid_ids = lm_setup(n_train=12, n_valid=8)

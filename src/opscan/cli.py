@@ -1,8 +1,9 @@
 """Command-line surface tying the pipeline together.
 
 Commands: synth, disasm, prep, lr-find, train-lm, train-clf, eval,
-predict. Every command accepts --seed and --out; when --out is omitted the
-output directory defaults to $OPSCAN_OUT/<command> (or ./runs/<command>).
+predict. Every command accepts --seed and --out. Without --out, disasm and
+predict write no file, and the others write to <root>/<command>, where
+<root> is $OPSCAN_OUT or ./runs.
 
 Exit codes: 0 ok, 2 bad usage or malformed config, 3 bad input data or a
 missing file, 4 checkpoint error, 5 numerical failure.
@@ -113,11 +114,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_disasm(args) -> int:
+def _bytecode(args) -> str:
+    """The hex of --bytecode, or of the --input file: exactly one is given."""
     if (args.bytecode is None) == (args.input is None):
         raise UsageError("exactly one of --bytecode or --input is required")
-    hexstr = args.bytecode if args.bytecode else Path(args.input).read_text().strip()
-    tokens = disassemble(hexstr, collapse_push=args.collapse_push)
+    return args.bytecode if args.bytecode is not None else Path(args.input).read_text().strip()
+
+
+def cmd_disasm(args) -> int:
+    tokens = disassemble(_bytecode(args), collapse_push=args.collapse_push)
     text = "\n".join(tokens)
     print(text)
     if args.out:
@@ -289,29 +294,11 @@ def _eval_predictions_file(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _load_for_inference(path) -> tuple[Classifier, Vocab]:
-    """A classifier checkpoint and its embedded vocabulary. Every parameter
-    is frozen, so forward passes record no backward closures."""
+    """A classifier checkpoint and its embedded vocabulary."""
     clf = load_checkpoint(path, kind="clf")
-    vocab = clf.checkpoint_vocab
-    if vocab is None:
+    if clf.checkpoint_vocab is None:
         raise CheckpointError(f"{path}: no vocabulary embedded")
-    for p in clf.parameters():
-        p.frozen = True
-    return clf, vocab
-
-
-def _eval_checkpoint(args, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(actual, predicted, class probabilities) of a classifier checkpoint
-    over one split of a prep output directory."""
-    clf, vocab = _load_for_inference(args.checkpoint)
-    ids, labels = _read_split(args.data, args.split, vocab)
-    trainer_mod.checked_split(args.split, ids)
-    actual, probs = [], []
-    for bids, lengths, labs in corpus_mod.clf_batches(ids, labels, cfg.batch_size, cfg.max_len):
-        probs.append(clf.predict_proba(bids.T, lengths))
-        actual.append(labs)
-    probs = np.concatenate(probs)
-    return np.concatenate(actual), np.argmax(probs, axis=1), probs
+    return clf, clf.checkpoint_vocab
 
 
 def cmd_eval(args) -> int:
@@ -324,30 +311,31 @@ def cmd_eval(args) -> int:
     if args.predictions:
         actual, predicted, scores = _eval_predictions_file(args.predictions)
     else:
-        actual, predicted, scores = _eval_checkpoint(args, cfg)
+        clf, vocab = _load_for_inference(args.checkpoint)
+        ids, actual = _read_split(args.data, args.split, vocab)
+        scores = trainer_mod.classify(clf, trainer_mod.checked_split(args.split, ids),
+                                      cfg.batch_size, cfg.max_len)
+        predicted = np.argmax(scores, axis=1)
     cm = metrics_mod.confusion_matrix(predicted, actual)
-    rep = metrics_mod.report(cm, scores=scores, labels=actual if scores is not None else None)
-    curves = {} if scores is None else {
-        c + 1: metrics_mod.roc_curve(scores[:, c], actual == c) for c in range(cm.shape[0])}
+    rep = metrics_mod.report(cm, scores=scores, labels=actual)
     (out / "metrics.json").write_text(rep.to_json() + "\n", encoding="utf-8")
     metrics_mod.write_confusion_csv(cm, out / "confusion.csv")
-    for label, curve in curves.items():
-        metrics_mod.write_roc_csv({label: curve}, out / f"roc_type{label}.csv")
+    for c in rep.per_class:
+        if c.roc is not None:
+            metrics_mod.write_roc_csv(c.label, c.roc, out / f"roc_type{c.label}.csv")
     cfg.write(out)
     print(rep.to_json())
     return 0
 
 
 def cmd_predict(args) -> int:
-    if (args.bytecode is None) == (args.input is None):
-        raise UsageError("exactly one of --bytecode or --input is required")
+    cfg = _load_config(args)
+    hexstr = _bytecode(args)
     clf, vocab = _load_for_inference(args.checkpoint)
-    hexstr = args.bytecode if args.bytecode else Path(args.input).read_text().strip()
     tokens = disassemble(hexstr)
     if not tokens:
         raise CorpusError("bytecode disassembles to zero opcodes")
-    ids = corpus_mod.numericalize(tokens, vocab)
-    probs = clf.predict_proba(ids[:, None], np.array([len(ids)]))[0]
+    probs = trainer_mod.classify(clf, [corpus_mod.numericalize(tokens, vocab)], 1, cfg.max_len)[0]
     label = int(np.argmax(probs))
     result = {
         "label": label + 1,

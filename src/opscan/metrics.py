@@ -126,6 +126,7 @@ class ClassReport:
     fbeta: float
     auc: float | None = None
     flags: list[str] = field(default_factory=list)
+    roc: tuple | None = field(default=None, repr=False)  # (fpr, tpr, thresholds); not serialised
 
 
 @dataclass
@@ -161,8 +162,11 @@ def report(cm: np.ndarray, scores=None, labels=None, beta: float = 1.0) -> Metri
     """Assemble the full report from a confusion matrix.
 
     scores (n, K) class probabilities and labels (n,) actual class indices
-    are optional; when given, per-class one-vs-rest AUC is filled in.
+    are optional; when given, each class's one-vs-rest ROC curve and AUC are
+    filled in, or it is flagged auc_undefined.
     """
+    if scores is not None:
+        scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int64)
     k = cm.shape[0]
     supports = cm.sum(axis=1)
     predicted_counts = cm.sum(axis=0)
@@ -178,13 +182,10 @@ def report(cm: np.ndarray, scores=None, labels=None, beta: float = 1.0) -> Metri
             flags.append("never_predicted")
         if supports[i] and predicted_counts[i] and prec[i] + rec[i] == 0:
             flags.append("zero_precision_and_recall")
-        cls_auc = None
+        curve = None
         if scores is not None:
-            scores_arr = np.asarray(scores, dtype=np.float64)
-            labels_arr = np.asarray(labels, dtype=np.int64)
             try:
-                fpr, tpr, _ = roc_curve(scores_arr[:, i], labels_arr == i)
-                cls_auc = auc(fpr, tpr)
+                curve = roc_curve(scores[:, i], labels == i)
             except MetricsError:
                 flags.append("auc_undefined")
         name = CLASS_NAMES[i] if k == N_CLASSES else f"class-{i + 1}"
@@ -196,8 +197,9 @@ def report(cm: np.ndarray, scores=None, labels=None, beta: float = 1.0) -> Metri
                 precision=float(prec[i]),
                 recall=float(rec[i]),
                 fbeta=float(fb[i]),
-                auc=cls_auc,
+                auc=None if curve is None else auc(*curve[:2]),
                 flags=flags,
+                roc=curve,
             )
         )
     weights = {
@@ -218,12 +220,10 @@ def write_confusion_csv(cm: np.ndarray, path) -> None:
             w.writerow([f"Type-{i + 1}"] + [int(x) for x in cm[i]])
 
 
-def write_roc_csv(curves: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]], path) -> None:
-    """curves maps 1-based class label -> (fpr, tpr, thresholds)."""
+def write_roc_csv(label: int, curve: tuple[np.ndarray, np.ndarray, np.ndarray], path) -> None:
+    """One class's curve (fpr, tpr, thresholds); label is 1-based."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["class", "threshold", "fpr", "tpr"])
-        for label in sorted(curves):
-            fpr, tpr, thr = curves[label]
-            for t, x, y in zip(thr, fpr, tpr):
-                w.writerow([f"Type-{label}", "inf" if np.isinf(t) else repr(float(t)), repr(float(x)), repr(float(y))])
+        for x, y, t in zip(*curve):
+            w.writerow([f"Type-{label}", "inf" if np.isinf(t) else repr(float(t)), repr(float(x)), repr(float(y))])

@@ -417,6 +417,18 @@ def evaluate_classifier(
     return total / n, report(cm)
 
 
+def classify(clf: Classifier, id_seqs: Sequence[np.ndarray], batch_size: int,
+             max_len: int | None) -> np.ndarray:
+    """(N, n_classes) class probabilities of id_seqs, in input order: the one
+    scoring pass of eval and predict. Every parameter is frozen for the pass."""
+    probs = np.empty((len(id_seqs), clf.n_classes))
+    with _frozen(clf.parameters()):
+        for ids, lengths, rows in corpus_mod.clf_batches(id_seqs, range(len(id_seqs)),
+                                                         batch_size, max_len):
+            probs[rows] = clf.predict_proba(ids.T, lengths)
+    return probs
+
+
 def train_clf(
     clf: Classifier,
     train_data: tuple[Sequence[np.ndarray], Sequence[int]],

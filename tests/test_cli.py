@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from opscan import checkpoint as ckpt_mod
 from opscan import corpus as C
+from opscan import metrics as metrics_mod
 from opscan import model as M
 from opscan import optim
 from opscan import trainer
@@ -99,6 +100,10 @@ class TestDisasm:
         src = tmp_path / "x.hex"
         src.write_text("6001")
         assert main(["disasm", "--bytecode", "6001", "--input", str(src)]) == 2
+
+    def test_empty_bytecode_is_no_opcodes(self, capsys):
+        assert main(["disasm", "--bytecode", ""]) == 0
+        assert capsys.readouterr().out.strip() == ""
 
 
 class TestPrep:
@@ -368,6 +373,21 @@ class TestEvalPredictionsFile:
         for label in (1, 2, 3, 4):
             assert (tmp_path / f"roc_type{label}.csv").exists()
 
+    def test_class_without_roc_gets_no_roc_file(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        rows = [
+            {"actual": 1, "predicted": 1, "scores": [0.7, 0.1, 0.1, 0.1]},
+            {"actual": 2, "predicted": 2, "scores": [0.2, 0.6, 0.1, 0.1]},
+            {"actual": 2, "predicted": 1, "scores": [0.5, 0.3, 0.1, 0.1]},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        assert main(["eval", "--predictions", str(path), "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.glob("roc_type*.csv")) == [
+            "roc_type1.csv", "roc_type2.csv"]
+        per_class = json.loads((tmp_path / "metrics.json").read_text())["per_class"]
+        assert [c["auc"] is None for c in per_class] == [False, False, True, True]
+        assert ["auc_undefined" in c["flags"] for c in per_class] == [False, False, True, True]
+
     def test_scores_on_some_rows_only(self, tmp_path, capsys):
         scored = {"actual": 1, "predicted": 1, "scores": [0.7, 0.1, 0.1, 0.1]}
         unscored = {"actual": 2, "predicted": 2}
@@ -401,6 +421,23 @@ class TestEvalCheckpoint:
         assert all(r["auc"] is not None for r in rep["per_class"])
         for label in (1, 2, 3, 4):
             assert (tmp_path / f"roc_type{label}.csv").exists()
+
+    def test_one_roc_curve_per_class(self, ws, tmp_path, monkeypatch):
+        root, _ = ws
+        real, curves = metrics_mod.roc_curve, []
+
+        def roc_curve(*args):
+            curves.append(real(*args))
+            return curves[-1]
+
+        monkeypatch.setattr(metrics_mod, "roc_curve", roc_curve)
+        assert main(["eval", "--checkpoint", str(root / "clf" / "clf_best.ckpt"),
+                     "--data", str(root / "prep"), "--split", "valid",
+                     "--out", str(tmp_path)]) == 0
+        assert len(curves) == 4
+        for label, (fpr, _, _) in enumerate(curves, start=1):
+            rows = (tmp_path / f"roc_type{label}.csv").read_text().splitlines()
+            assert len(rows) == len(fpr) + 1  # the header, then one row per point
 
     def test_lm_checkpoint_refused(self, ws, tmp_path):
         root, _ = ws
@@ -466,6 +503,47 @@ class TestPredict:
     def test_missing_checkpoint(self, tmp_path, capsys):
         assert main(["predict", "--checkpoint", str(tmp_path / "nope.ckpt"),
                      "--bytecode", "6001"]) == 3
+
+    def test_empty_bytecode_is_zero_opcodes(self, ws, capsys):
+        root, _ = ws
+        assert main(["predict", "--checkpoint", str(root / "clf" / "clf_best.ckpt"),
+                     "--bytecode", ""]) == 3
+        assert "zero opcodes" in capsys.readouterr().err
+
+    def test_matches_eval_under_one_config(self, ws, tmp_path, monkeypatch, capsys):
+        """Under the same --config, predict gives a contract the probabilities
+        eval gives it, also when the contract is longer than max_len."""
+        root, _ = ws
+        max_len = 8
+        cfg = _write(tmp_path, "cfg.json", json.dumps({"max_len": max_len}))
+        ckpt = str(root / "clf" / "clf_best.ckpt")
+        scored = {}  # eval's probabilities by the ids of the row they score
+        real = Classifier.predict_proba
+
+        def capture(clf, ids, lengths):
+            probs = real(clf, ids, lengths)
+            for row, n, p in zip(ids.T, lengths, probs):
+                scored[row[:n].tobytes()] = p
+            return probs
+
+        with monkeypatch.context() as m:
+            m.setattr(Classifier, "predict_proba", capture)
+            assert main(["eval", "--checkpoint", ckpt, "--data", str(root / "prep"),
+                         "--split", "valid", "--config", cfg, "--out", str(tmp_path)]) == 0
+        vocab = ckpt_mod.load_checkpoint(ckpt).checkpoint_vocab
+        with open(root / "syn" / "corpus.jsonl", encoding="utf-8") as fh:
+            bytecode = {row["address"]: row["bytecode"] for row in map(json.loads, fh)}
+        records, _ = C.ingest(root / "prep" / "valid.jsonl")
+        long = [r for r in records if len(r.tokens) > max_len][:6]
+        assert long
+        capsys.readouterr()
+        for rec in long:
+            assert main(["predict", "--checkpoint", ckpt, "--config", cfg,
+                         "--bytecode", bytecode[rec.address]]) == 0
+            got = json.loads(capsys.readouterr().out)["probabilities"]
+            ids = C.numericalize(rec.tokens, vocab)[:max_len].astype(np.int64)
+            np.testing.assert_allclose([got[name] for name in metrics_mod.CLASS_NAMES],
+                                       scored[ids.tobytes()], rtol=0, atol=1e-5)
 
 
 class TestLoadsOnce:
@@ -778,11 +856,15 @@ class TestMalformedInput:
         assert _exit_code(["eval", "--predictions", preds, "--out", str(root / "fuzz")]) in (0, 3)
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.binary(max_size=40) | HEX.map(str.encode), command=st.sampled_from(
-        ["disasm", "predict"]))
+    @given(data=st.binary(max_size=40) | HEX.map(str.encode) | st.text(max_size=40) | HEX,
+           command=st.sampled_from(["disasm", "predict"]))
     def test_any_input_bytes(self, ws, data, command):
+        """Bytes go in through --input, text (the empty string too) through --bytecode."""
         root, _ = ws
-        argv = [command, "--input", _write(root, "fuzz.hex", data)]
+        if isinstance(data, str):
+            argv = [command, f"--bytecode={data}"]
+        else:
+            argv = [command, "--input", _write(root, "fuzz.hex", data)]
         if command == "predict":
             argv += ["--checkpoint", str(root / "clf" / "clf_best.ckpt")]
         assert _exit_code(argv) in (0, 3)

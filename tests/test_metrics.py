@@ -226,8 +226,12 @@ class TestReport:
         preds = scores.argmax(axis=1)
         cm = M.confusion_matrix(preds, labels)
         rep = M.report(cm, scores=scores, labels=labels)
-        for c in rep.per_class:
+        for i, c in enumerate(rep.per_class):
             assert c.auc is not None and 0.5 < c.auc <= 1.0
+            for got, want in zip(c.roc, M.roc_curve(scores[:, i], labels == i)):
+                np.testing.assert_array_equal(got, want)
+            assert c.auc == M.auc(*c.roc[:2])
+        assert "roc" not in rep.to_json()
 
     def test_csv_writers(self, tmp_path):
         cm = np.array(REF_CM)
@@ -237,7 +241,7 @@ class TestReport:
         assert lines[1].split(",")[1:] == ["648", "4", "3", "215"]
 
         fpr, tpr, thr = M.roc_curve([0.9, 0.1], [True, False])
-        M.write_roc_csv({1: (fpr, tpr, thr)}, tmp_path / "roc.csv")
+        M.write_roc_csv(1, (fpr, tpr, thr), tmp_path / "roc.csv")
         rows = (tmp_path / "roc.csv").read_text().strip().splitlines()
         assert rows[0] == "class,threshold,fpr,tpr"
         assert len(rows) == 4

@@ -500,6 +500,29 @@ class TestValidationRecordsNoTape:
         assert [p.frozen for p in clf.parameters()] == flags
 
 
+class TestClassify:
+    """trainer.classify, the one scoring pass of eval and predict."""
+
+    def test_rows_in_input_order_and_no_tape(self, monkeypatch):
+        clf, _, _, (valid_ids, _) = clf_setup()
+        # lengths that rise with the index, so the length-sorted batches run backwards
+        seqs = [ids[: 8 + i] for i, ids in enumerate(valid_ids)]
+        alone = [clf.predict_proba(s[:, None], np.array([s.size]))[0] for s in seqs]
+        T.gradual_unfreeze(clf, 1)
+        flags = [p.frozen for p in clf.parameters()]
+        recorded = record_closures(monkeypatch)
+        probs = T.classify(clf, seqs, 3, None)
+        assert probs.shape == (len(seqs), 4)
+        np.testing.assert_allclose(probs, alone, rtol=0, atol=1e-6)
+        assert recorded and not any(recorded)
+        assert [p.frozen for p in clf.parameters()] == flags
+
+    def test_max_len_scores_the_first_ids(self):
+        clf, _, _, (valid_ids, _) = clf_setup()
+        np.testing.assert_array_equal(T.classify(clf, valid_ids, 4, max_len=5),
+                                      T.classify(clf, [s[:5] for s in valid_ids], 4, None))
+
+
 class TestTrainClf:
     def test_pretrained_encoder_learns_motif_classes(self):
         # the staged-unfreezing recipe assumes an encoder that already

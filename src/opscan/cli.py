@@ -321,8 +321,11 @@ def cmd_eval(args) -> int:
     (out / "metrics.json").write_text(rep.to_json() + "\n", encoding="utf-8")
     metrics_mod.write_confusion_csv(cm, out / "confusion.csv")
     for c in rep.per_class:
-        if c.roc is not None:
-            metrics_mod.write_roc_csv(c.label, c.roc, out / f"roc_type{c.label}.csv")
+        roc_path = out / f"roc_type{c.label}.csv"
+        if c.roc is None:
+            roc_path.unlink(missing_ok=True)  # an earlier run's curve
+        else:
+            metrics_mod.write_roc_csv(c.label, c.roc, roc_path)
     cfg.write(out)
     print(rep.to_json())
     return 0

@@ -267,11 +267,8 @@ def build_vocab(train_records: Sequence[ContractRecord], min_freq: int = 1) -> V
 
 def numericalize(tokens: Sequence[str], vocab: Vocab) -> np.ndarray:
     """Map tokens to ids with a BOS prefix; unknown tokens become UNK."""
-    out = np.empty(len(tokens) + 1, dtype=np.int64)
-    out[0] = vocab.BOS
-    for i, tok in enumerate(tokens):
-        out[i + 1] = vocab.id(tok)
-    return out
+    get, unk = vocab.stoi.get, vocab.UNK
+    return np.array([vocab.BOS] + [get(t, unk) for t in tokens], dtype=np.int64)
 
 
 def lm_batches(

@@ -13,10 +13,11 @@ Gate activations are fused (Appleyard et al. 2016, arXiv:1604.01946): the
 sigmoid is computed as sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5, so one tanh
 over the whole (B, 4H) block gives all four gates. The forward halves the
 i, f and o columns of copies of wx, wh and b once per call (exact in
-floating point); each step then takes tanh of the block and maps the i, f
-and o columns through * 0.5 + 0.5. The g columns are the tanh values as
-they come. The backward reads the post-activation gates, so it does not
-depend on how they were computed.
+floating point); each step then takes tanh of the block, writing it
+gate-major (4, B, H) so that every later call works on contiguous (B, H)
+rows, not strided slices of a (B, 4H) row, and maps i, f and o through
+* 0.5 + 0.5; g is the tanh value as it comes. The backward reads the
+stored gates as they are, so it does not depend on how they were computed.
 
 Contract of the two time loops:
   - outputs are bit-identical to the plain per-step loops kept in
@@ -39,10 +40,10 @@ def active_backend() -> str:
     return "numpy"
 
 
-# Bytes of per-block scratch in the backward loop: enough steps per block
-# to amortise the block's own calls (17 at B=16, H=64 in float32), few
-# enough that the block and the recurrent matrix stay in cache (4 steps at
-# H=256). A full-length copy ran slower at H=256.
+# Bytes of per-block scratch in the backward loop, 11 (B, H) rows per step:
+# enough steps per block to amortise the block's own calls (23 at B=16,
+# H=64 in float32), few enough that the block and the recurrent matrix stay
+# in cache (5 steps at H=256). A full-length copy ran slower at H=256.
 _BW_SCRATCH_BYTES = 1 << 20
 
 
@@ -69,25 +70,26 @@ def _fw_recurrence(xp, wh, h0, c0, h_seq, c_seq, gates):
     """Forward time loop. xp already holds x @ wx + b, shape (T, B, 4H), and
     xp and wh come with their i, f and o columns halved.
 
-    Fills h_seq (T, B, H). c_seq (T or 1, B, H) and the post-activation
-    gates (T or 1, B, 4H) receive every step, or, with one row, the latest.
+    Fills h_seq (T, B, H). c_seq (T or 1, B, H) and the gate-major gates
+    (T or 1, 4, B, H) receive every step, or, with one row, the latest.
     """
     T, B, H4 = xp.shape
     H = H4 // 4
     half = np.asarray(0.5, xp.dtype)
+    pre = np.empty((B, H4), dtype=xp.dtype)
+    pre_bgh = pre.reshape(B, 4, H)
     tmp = np.empty((B, H), dtype=xp.dtype)
     # At small B the loop is bound by call overhead, so every view it reads
     # is made here, ufuncs are bound to locals and outputs passed by position.
-    rows = [(gates[k], c_seq[k], gates[k, :, : 2 * H])
-            + tuple(gates[k, :, q * H : (q + 1) * H] for q in range(4))
+    rows = [(gates[k].transpose(1, 0, 2), c_seq[k], gates[k, :2].reshape(2 * B, H), *gates[k])
             for k in range(len(c_seq))]
     dot, add, mul, tanh = np.dot, np.add, np.multiply, np.tanh
     h_prev, c_prev = h0, c0
     for t, (x_t, h_t) in enumerate(zip(xp, h_seq)):
-        gate, c, i_f, i, f, g, o = rows[t % len(rows)]
-        dot(h_prev, wh, gate)
-        add(x_t, gate, gate)
-        tanh(gate, gate)
+        gate_bgh, c, i_f, i, f, g, o = rows[t % len(rows)]
+        dot(h_prev, wh, pre)
+        add(x_t, pre, pre)
+        tanh(pre_bgh, gate_bgh)
         mul(i_f, half, i_f)
         add(i_f, half, i_f)
         mul(o, half, o)
@@ -103,22 +105,22 @@ def _fw_recurrence(xp, wh, h0, c0, h_seq, c_seq, gates):
 def _bw_recurrence(dh_seq, wh_t, gates, c_seq, c0, da_all, dh0, dc0):
     """Reverse time loop: gate pre-activation grads into da_all (T, B, 4H).
 
-    wh_t is the transposed recurrent matrix (4H, H), C-contiguous. dh0/dc0
-    receive the gradients flowing into the initial state.
+    wh_t is the transposed recurrent matrix (4H, H), C-contiguous. gates
+    are the forward's, gate-major (T, 4, B, H). dh0/dc0 receive the
+    gradients flowing into the initial state.
 
-    What a step reads but does not carry (the gates, tanh(c), 1 - tanh(c)^2,
-    1 - gate, 1 - g^2, c_prev) is laid out gate-major, (4 or 2, B, H), for a
-    block of steps at a time, so that each step works on contiguous pairs of
-    gates: [i, f] as ((dc * [g, c_prev]) * [i, f]) * [1-i, 1-f] and [g, o] as
-    ([dc, do] * [i, o]) * [1-g^2, 1-o], the same products in the same order
-    as one gate at a time. Blocks hold at most _BW_SCRATCH_BYTES.
+    What else a step reads but does not carry (tanh(c), 1 - tanh(c)^2,
+    1 - gate, 1 - g^2, c_prev) is laid out gate-major too, (4 or 2, B, H),
+    for a block of steps at a time, so that each step works on contiguous
+    pairs of gates: [i, f] as ((dc * [g, c_prev]) * [i, f]) * [1-i, 1-f] and
+    [g, o] as ([dc, do] * [i, o]) * [1-g^2, 1-o], the same products in the
+    same order as one gate at a time. Blocks hold at most _BW_SCRATCH_BYTES.
     """
     T, B, H = dh_seq.shape
     dt = dh_seq.dtype
     zero, one = _constants(dt)
-    # The six block arrays below hold 15 (B, H) rows per step.
-    n_blk = max(1, min(T, _BW_SCRATCH_BYTES // (15 * B * H * dt.itemsize)))
-    gm_blk = np.empty((n_blk, 4, B, H), dtype=dt)   # [i, f, g, o]
+    # The five block arrays below hold 11 (B, H) rows per step.
+    n_blk = max(1, min(T, _BW_SCRATCH_BYTES // (11 * B * H * dt.itemsize)))
     om_blk = np.empty((n_blk, 4, B, H), dtype=dt)   # [1-i, 1-f, 1-g^2, 1-o]
     gc_blk = np.empty((n_blk, 2, B, H), dtype=dt)   # [g, c_prev]
     io_blk = np.empty((n_blk, 2, B, H), dtype=dt)   # [i, o]
@@ -131,14 +133,13 @@ def _bw_recurrence(dh_seq, wh_t, gates, c_seq, c0, da_all, dh0, dc0):
     da_gm_t = da_gm.transpose(1, 0, 2)
     dh = np.empty((B, H), dtype=dt)
     dh0[...] = zero
-    g4 = gates.reshape(T, B, 4, H)
     da4 = da_all.reshape(T, B, 4, H)
     dot, add, mul = np.dot, np.add, np.multiply
     for end in range(T, 0, -n_blk):
         start = max(0, end - n_blk)
         n = end - start
-        gm, om, gc, io, to, dtc = (a[:n] for a in (gm_blk, om_blk, gc_blk, io_blk, to_blk, dtc_blk))
-        np.copyto(gm, g4[start:end].transpose(0, 2, 1, 3))
+        gm = gates[start:end]                       # [i, f, g, o]
+        om, gc, io, to, dtc = (a[:n] for a in (om_blk, gc_blk, io_blk, to_blk, dtc_blk))
         np.subtract(one, gm, om)
         mul(gm[:, 2], gm[:, 2], om[:, 2])
         np.subtract(one, om[:, 2], om[:, 2])
@@ -185,7 +186,8 @@ def lstm_seq_forward(x, wx, wh, b, h0, c0, for_backward=True):
     """Run the LSTM over a full sequence.
 
     x (T, B, D); returns (h_seq, c_seq, gates) with h_seq/c_seq (T, B, H)
-    and post-activation gates (T, B, 4H), all fresh C-contiguous arrays.
+    and the post-activation gates gate-major, (T, 4, B, H) in [i, f, g, o]
+    order, all fresh C-contiguous arrays.
     Without for_backward, c_seq and gates hold only the last step (one row
     each): the backward needs every step, a carried state only the last.
     """
@@ -202,7 +204,7 @@ def lstm_seq_forward(x, wx, wh, b, h0, c0, for_backward=True):
     kept = T if for_backward else 1
     h_seq = np.empty((T, B, H), dtype=x.dtype)
     c_seq = np.empty((kept, B, H), dtype=x.dtype)
-    gates = np.empty((kept, B, 4 * H), dtype=x.dtype)
+    gates = np.empty((kept, 4, B, H), dtype=x.dtype)
     _fw_recurrence(xp, wh, np.ascontiguousarray(h0), np.ascontiguousarray(c0), h_seq, c_seq, gates)
     return h_seq, c_seq, gates
 

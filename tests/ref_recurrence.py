@@ -6,7 +6,8 @@ Python-float constants. The package loops write into preallocated buffers
 instead and must produce bit-identical outputs, so these keep the exact
 order of every product and sum, and the same fused gate formula:
 sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5, with xp and wh arriving with their
-i, f and o columns already halved.
+i, f and o columns already halved. Gates are stored gate-major,
+(T or 1, 4, B, H) in [i, f, g, o] order.
 """
 
 import numpy as np
@@ -17,20 +18,17 @@ def sigmoid(a):
 
 
 def fw_recurrence(xp, wh, h0, c0, h_seq, c_seq, gates):
-    T = xp.shape[0]
+    T, B = xp.shape[:2]
     H = wh.shape[0]
     rows = len(c_seq)
     for t in range(T):
         k = t % rows
         h_prev = h_seq[t - 1] if t > 0 else h0
         c_prev = c_seq[(t - 1) % rows] if t > 0 else c0
-        gates[k] = np.tanh(xp[t] + np.dot(h_prev, wh))
-        for cols in (slice(0, 2 * H), slice(3 * H, 4 * H)):
-            gates[k, :, cols] = 0.5 * gates[k, :, cols] + 0.5
-        i = gates[k, :, :H]
-        f = gates[k, :, H : 2 * H]
-        g = gates[k, :, 2 * H : 3 * H]
-        o = gates[k, :, 3 * H :]
+        gates[k] = np.tanh(xp[t] + np.dot(h_prev, wh)).reshape(B, 4, H).transpose(1, 0, 2)
+        for q in (0, 1, 3):
+            gates[k, q] = 0.5 * gates[k, q] + 0.5
+        i, f, g, o = gates[k]
         c_seq[k] = f * c_prev + i * g
         h_seq[t] = o * np.tanh(c_seq[k])
 
@@ -40,10 +38,7 @@ def bw_recurrence(dh_seq, wh_t, gates, c_seq, c0, da_all, dh0, dc0):
     dh0[:] = 0.0
     dc0[:] = 0.0
     for t in range(T - 1, -1, -1):
-        i = gates[t, :, :H]
-        f = gates[t, :, H : 2 * H]
-        g = gates[t, :, 2 * H : 3 * H]
-        o = gates[t, :, 3 * H :]
+        i, f, g, o = gates[t]
         c_prev = c_seq[t - 1] if t > 0 else c0
         tc = np.tanh(c_seq[t])
         dh = dh_seq[t] + dh0

@@ -388,6 +388,22 @@ class TestEvalPredictionsFile:
         assert [c["auc"] is None for c in per_class] == [False, False, True, True]
         assert ["auc_undefined" in c["flags"] for c in per_class] == [False, False, True, True]
 
+    def test_rerun_removes_roc_file_of_class_without_curve(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        rows = [
+            {"actual": 1, "predicted": 1, "scores": [0.9, 0.05, 0.03, 0.02]},
+            {"actual": 2, "predicted": 2, "scores": [0.1, 0.8, 0.05, 0.05]},
+            {"actual": 3, "predicted": 3, "scores": [0.1, 0.1, 0.7, 0.1]},
+            {"actual": 4, "predicted": 4, "scores": [0.05, 0.05, 0.1, 0.8]},
+        ]
+        for kept in (rows, rows[:3]):
+            path.write_text("\n".join(json.dumps(r) for r in kept) + "\n")
+            assert main(["eval", "--predictions", str(path), "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.glob("roc_type*.csv")) == [
+            "roc_type1.csv", "roc_type2.csv", "roc_type3.csv"]
+        per_class = json.loads((tmp_path / "metrics.json").read_text())["per_class"]
+        assert "auc_undefined" in per_class[3]["flags"]
+
     def test_scores_on_some_rows_only(self, tmp_path, capsys):
         scored = {"actual": 1, "predicted": 1, "scores": [0.7, 0.1, 0.1, 0.1]}
         unscored = {"actual": 2, "predicted": 2}

@@ -231,7 +231,8 @@ def cmd_train_clf(args) -> int:
     if args.lm:
         lm = load_checkpoint(args.lm, kind="lm", vocab=vocab)
         clf = transfer_encoder(lm, vocab_hash=vocab.content_hash(),
-                               head_hidden=cfg.head_hidden, seed=cfg.seed + 2)
+                               head_hidden=cfg.head_hidden, dropouts=cfg.dropouts(),
+                               seed=cfg.seed + 2)
     else:
         clf = Classifier(_encoder_from_config(cfg, len(vocab)), n_classes=4,
                          head_hidden=cfg.head_hidden, vocab_hash=vocab.content_hash(),
@@ -252,6 +253,19 @@ def cmd_train_clf(args) -> int:
     return 0
 
 
+def _row_scores(value, n_classes: int) -> np.ndarray | None:
+    """A prediction row's scores as float64, or None unless they are a list of
+    n_classes JSON numbers (no bool, no string) each finite as a float64."""
+    if not isinstance(value, list) or len(value) != n_classes \
+            or not all(type(v) in (int, float) for v in value):
+        return None
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except OverflowError:  # an integer beyond float64's range
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
 def _eval_predictions_file(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     n_classes = metrics_mod.N_CLASSES
     actual, predicted, scores = [], [], []
@@ -266,21 +280,18 @@ def _eval_predictions_file(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarra
                 raise CorpusError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
             except RecursionError as exc:
                 raise CorpusError(f"line {lineno}: JSON nested too deeply") from exc
-            try:
-                pair = int(row["actual"]), int(row["predicted"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise CorpusError(f"line {lineno}: needs integer actual/predicted") from exc
-            if not all(1 <= v <= n_classes for v in pair):
-                raise CorpusError(f"line {lineno}: actual/predicted must lie in 1..{n_classes}")
+            if not isinstance(row, dict):
+                row = {}
+            pair = row.get("actual"), row.get("predicted")
+            # type(), not isinstance(): JSON true is a bool, and bool is an int
+            if not all(type(v) is int and 1 <= v <= n_classes for v in pair):
+                raise CorpusError(
+                    f"line {lineno}: actual/predicted must be integers in 1..{n_classes}")
             actual.append(pair[0] - 1)
             predicted.append(pair[1] - 1)
             if "scores" in row:
-                try:
-                    row_scores = np.asarray(row["scores"], dtype=np.float64)
-                except (TypeError, ValueError, OverflowError):
-                    row_scores = None
-                if row_scores is None or row_scores.shape != (n_classes,) \
-                        or not np.isfinite(row_scores).all():
+                row_scores = _row_scores(row["scores"], n_classes)
+                if row_scores is None:
                     raise CorpusError(f"line {lineno}: scores must be {n_classes} finite numbers")
                 scores.append(row_scores)
             elif first_unscored is None:

@@ -216,9 +216,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.itos)
 
-    def id(self, token: str) -> int:
-        return self.stoi.get(token, self.UNK)
-
     def content_hash(self) -> str:
         h = hashlib.sha256()
         for i, tok in enumerate(self.itos):

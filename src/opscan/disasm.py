@@ -1,19 +1,21 @@
-"""Linear-scan EVM bytecode disassembler.
+"""Table-driven EVM bytecode disassembler.
 
-Produces the opcode token stream a contract's runtime bytecode spells out.
-PUSH immediates are consumed but never tokenized: the token sequence is the
-instruction skeleton only, which is what the sequence models consume.
+Produces the opcode token stream a contract's runtime bytecode spells out,
+in one pass over the decoded bytes. PUSH immediates are skipped, never
+tokenized: the token sequence is the instruction skeleton only, which is
+what the sequence models consume.
 """
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
-from typing import Iterator
+import re
 
 from .opcodes import OPCODES, INVALID
 
-_HEX_DIGITS = frozenset(string.hexdigits)
+_NON_HEX = re.compile(r"[^0-9a-fA-F]")
+
+# (mnemonic, immediate width) for every byte value; undefined bytes -> INVALID.
+_TABLE = tuple(OPCODES.get(byte, (INVALID, 0)) for byte in range(256))
 
 
 class DisasmError(ValueError):
@@ -24,54 +26,32 @@ class DisasmError(ValueError):
         self.byte_offset = byte_offset
 
 
-@dataclass(frozen=True, slots=True)
-class Instruction:
-    offset: int
-    mnemonic: str
-    immediate: bytes = b""
-
-
 def decode_hex(bytecode: str) -> bytes:
     """Hex string (optional 0x prefix) to bytes, with offset-bearing errors."""
     text = bytecode.strip()
     if text[:2] in ("0x", "0X"):
         text = text[2:]
-    for pos, ch in enumerate(text):
-        if ch not in _HEX_DIGITS:
-            raise DisasmError(f"non-hex character {ch!r}", pos // 2)
+    bad = _NON_HEX.search(text)
+    if bad:
+        raise DisasmError(f"non-hex character {bad.group()!r}", bad.start() // 2)
     if len(text) % 2:
         raise DisasmError("odd-length hex string", len(text) // 2)
     return bytes.fromhex(text)
 
 
-def scan(code: bytes) -> Iterator[Instruction]:
-    """Yield instructions in address order.
-
-    A PUSH whose immediate runs past the end of the code still yields (with
-    the short immediate it has) and the scan stops there.
-    """
-    i = 0
-    n = len(code)
-    while i < n:
-        mnemonic, width = OPCODES.get(code[i], (INVALID, 0))
-        if width:
-            immediate = code[i + 1 : i + 1 + width]
-            yield Instruction(i, mnemonic, immediate)
-            i += 1 + width
-        else:
-            yield Instruction(i, mnemonic)
-            i += 1
-
-
 def disassemble(bytecode: str, collapse_push: bool = False) -> list[str]:
-    """Token sequence for a hex-encoded bytecode string.
+    """Token sequence for a hex-encoded bytecode string, in one table pass.
 
-    collapse_push folds PUSH1..PUSH32 into a single PUSH token.
+    Each byte's mnemonic is emitted and its PUSH immediate skipped. A PUSH
+    whose immediate runs past the end of the code is still emitted, and the
+    pass stops there. collapse_push folds PUSH1..PUSH32 into a single PUSH
+    token.
     """
+    code = decode_hex(bytecode)
     tokens = []
-    for ins in scan(decode_hex(bytecode)):
-        name = ins.mnemonic
-        if collapse_push and name.startswith("PUSH"):
-            name = "PUSH"
-        tokens.append(name)
+    i, n = 0, len(code)
+    while i < n:
+        name, width = _TABLE[code[i]]
+        tokens.append("PUSH" if collapse_push and width else name)
+        i += 1 + width
     return tokens

@@ -234,14 +234,6 @@ class Encoder:
                 x = dropout(x, rng, d.hidden, (1, ids.shape[1], layer.hidden))
         return x, new_state
 
-    def copy_values_from(self, other: "Encoder") -> None:
-        mine = self.parameters()
-        theirs = other.parameters()
-        for a, b in zip(mine, theirs):
-            if a.shape != b.shape:
-                raise TransferError(f"shape mismatch for {a.name}: {a.shape} vs {b.shape}")
-            a.data = b.data.copy()
-
 
 class LanguageModel:
     """Encoder plus next-token decoder. The decoder projection is the
@@ -389,6 +381,8 @@ def transfer_encoder(
 ) -> Classifier:
     """Classifier whose encoder starts from the LM's encoder values.
 
+    Shapes come from the LM; dropouts, when given, replace the LM's rates.
+
     The encoder arrives frozen (training stage 0); unfreeze gradually via
     trainer.gradual_unfreeze. vocab_hash, when both sides carry one, must
     match the LM's: transferring across vocabularies is an error.
@@ -409,9 +403,9 @@ def transfer_encoder(
         dtype=src.dtype,
         seed=None,
     )
-    enc.copy_values_from(src)
-    for p in enc.parameters():
-        p.frozen = True
+    for mine, theirs in zip(enc.parameters(), src.parameters()):
+        mine.data[:] = theirs.data
+        mine.frozen = True
     return Classifier(
         enc,
         n_classes=n_classes,

@@ -20,6 +20,23 @@ def token_set(collapse_push: bool = False) -> set[str]:
     return names
 
 
+def reference_tokens(code: bytes, collapse_push: bool = False) -> list[str]:
+    """Tokens of a plain address-order walk over OPCODES.
+
+    Each PUSH skips its immediate; one cut short by the end of the code
+    still counts, and the walk stops there. An oracle for disasm.disassemble.
+    """
+    tokens = []
+    i = 0
+    while i < len(code):
+        name, width = OPCODES.get(code[i], (INVALID, 0))
+        if collapse_push and name.startswith("PUSH"):
+            name = "PUSH"
+        tokens.append(name)
+        i += 1 + width
+    return tokens
+
+
 def head_parameters(clf) -> list:
     """The classifier head's parameters, in parameters() order."""
     return [clf.w1, clf.b1, clf.w2, clf.b2]

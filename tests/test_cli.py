@@ -188,6 +188,19 @@ class TestTraining:
         for name in ("clf_best.ckpt", "history.jsonl", "fbeta.csv", "config.json"):
             assert (root / "clf" / name).exists(), name
 
+    def test_clf_from_lm_takes_config_dropouts(self, ws, tmp_path):
+        root, _ = ws
+        rates = {"p_emb": 0.0, "p_input": 0.1, "p_hidden": 0.2, "p_weight": 0.3,
+                 "p_head": 0.9}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CFG, **rates}))
+        assert main(["train-clf", "--data", str(root / "prep"),
+                     "--lm", str(root / "lm" / "lm_best.ckpt"), "--out", str(tmp_path / "clf"),
+                     "--epochs", "1", "--batch-size", "8", "--config", str(cfg)]) == 0
+        lm_drops = ckpt_mod.read_header(root / "lm" / "lm_best.ckpt")["hyperparams"]["dropouts"]
+        drops = ckpt_mod.read_header(tmp_path / "clf" / "clf_best.ckpt")["hyperparams"]["dropouts"]
+        assert drops == dataclasses.asdict(RunConfig(**rates).dropouts()) != lm_drops
+
     @pytest.mark.parametrize("command", ["train-lm", "train-clf"])
     def test_nonfinite_gradient_abort_is_explained(self, ws, tmp_path, monkeypatch,
                                                    capsys, command):
@@ -502,7 +515,7 @@ class TestPredict:
         root, _ = ws
         vocab = C.Vocab.load(root / "prep" / "vocab.tsv")
         hexstr = "08090b"  # ADDMOD MULMOD SIGNEXTEND: absent from the synth pools
-        assert all(vocab.id(t) == C.Vocab.UNK for t in disassemble(hexstr))
+        assert list(C.numericalize(disassemble(hexstr), vocab)[1:]) == [C.Vocab.UNK] * 3
         assert main(["predict", "--checkpoint", str(root / "clf" / "clf_best.ckpt"),
                      "--bytecode", hexstr]) == 0
         result = json.loads(capsys.readouterr().out)
@@ -763,6 +776,20 @@ MALFORMED_INPUTS = {
         tmp, {"actual": 1, "predicted": 1, "scores": [0.5, 0.25, 0.25]})),
     "eval-actual-overflows": (3, 1, lambda root, tmp: _eval(
         tmp, {"actual": 10**30, "predicted": 1})),
+    "eval-actual-float": (3, 1, lambda root, tmp: _eval(
+        tmp, {"actual": 1.9, "predicted": 1})),
+    "eval-actual-string": (3, 1, lambda root, tmp: _eval(
+        tmp, {"actual": "2", "predicted": 2})),
+    "eval-predicted-bool": (3, 1, lambda root, tmp: _eval(
+        tmp, {"actual": 1, "predicted": True})),
+    "eval-predicted-float": (3, 1, lambda root, tmp: _eval(
+        tmp, {"actual": 2, "predicted": 2.99})),
+    "eval-scores-string-entry": (3, 1, lambda root, tmp: _eval(
+        tmp, {"actual": 1, "predicted": 1, "scores": ["0.5", 0.2, 0.2, 0.1]})),
+    "eval-scores-bool-entry": (3, 1, lambda root, tmp: _eval(
+        tmp, {"actual": 1, "predicted": 1, "scores": [True, 0.2, 0.2, 0.1]})),
+    "eval-scores-huge-integer": (3, 1, lambda root, tmp: _eval(
+        tmp, {"actual": 1, "predicted": 1, "scores": [10**400, 0, 0, 0]})),
     "corpus-nested-too-deep": (3, 2, lambda root, tmp: _prep(tmp, TOO_DEEP)),
     "eval-row-nested-too-deep": (3, 1, lambda root, tmp: _eval(tmp, TOO_DEEP)),
     "config-nested-too-deep": (2, None, lambda root, tmp: [

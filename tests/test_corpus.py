@@ -208,7 +208,7 @@ class TestVocab:
         assert v.itos[:3] == ["<pad>", "<unk>", "<bos>"]
         assert (v.PAD, v.UNK, v.BOS) == (0, 1, 2)
         assert len(v) == 5
-        assert v.id("ADD") == 3 and v.id("AND") == 4
+        assert v.stoi["ADD"] == 3 and v.stoi["AND"] == 4
 
     def test_reserved_never_collide_with_mnemonics(self):
         assert not set(Vocab.RESERVED) & token_set()
@@ -222,7 +222,7 @@ class TestVocab:
     def test_min_freq_prunes(self):
         v = C.build_vocab([rec("0x1", ("ADD", "ADD", "POP"), 0)], min_freq=2)
         assert "POP" not in v.stoi
-        assert v.id("POP") == v.UNK
+        assert list(C.numericalize(["POP"], v)) == [v.BOS, v.UNK]
 
     def test_empty_train_rejected(self):
         with pytest.raises(CorpusError):

@@ -1,11 +1,22 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from opscan.disasm import DisasmError, Instruction, decode_hex, disassemble, scan
+from opscan.disasm import DisasmError, decode_hex, disassemble
 from opscan.opcodes import BYTE_OF, INVALID, OPCODES
 
 from canon_table import CANON, PUSH_FIXTURE_HEX, PUSH_FIXTURE_TOKENS, canon_token
-from helpers import lookup, token_set
+from helpers import lookup, reference_tokens, token_set
+
+# Random code, sometimes ending in a PUSH whose immediate is cut short.
+TRUNCATED_PUSH = st.builds(
+    lambda push, tail: bytes([push]) + tail[: push - 0x60],
+    st.integers(0x60, 0x7F), st.binary(max_size=31))
+CODE = st.builds(bytes.__add__, st.binary(max_size=96), st.just(b"") | TRUNCATED_PUSH)
+NON_HEX = st.characters().filter(lambda c: c not in string.hexdigits and not c.isspace())
 
 
 class TestTable:
@@ -84,12 +95,6 @@ class TestDisassemble:
         tokens = disassemble(PUSH_FIXTURE_HEX, collapse_push=True)
         assert tokens == ["PUSH" if t.startswith("PUSH") else t for t in PUSH_FIXTURE_TOKENS]
 
-    def test_scan_offsets_and_immediates(self):
-        ins = list(scan(bytes.fromhex("60aa0163bbccddee")))
-        assert ins[0] == Instruction(0, "PUSH1", b"\xaa")
-        assert ins[1] == Instruction(2, "ADD")
-        assert ins[2] == Instruction(3, "PUSH4", b"\xbb\xcc\xdd\xee")
-
     def test_deterministic_and_bounded(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -103,3 +108,19 @@ class TestDisassemble:
     def test_tokens_never_contain_immediates(self):
         # 0x33 = CALLER would appear if PUSH immediates were tokenized
         assert disassemble("6133335b") == ["PUSH2", "JUMPDEST"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(code=CODE)
+    def test_matches_reference_walk(self, code):
+        assert disassemble(code.hex()) == reference_tokens(code)
+        assert disassemble(code.hex(), collapse_push=True) == reference_tokens(code, True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(prefix=st.sampled_from(["", "0x", "0X"]), head=st.text(string.hexdigits),
+           bad=NON_HEX, tail=st.text(max_size=8))
+    def test_non_hex_offset_is_first_bad_index_halved(self, prefix, head, bad, tail):
+        assume(prefix or (head + bad)[:2] not in ("0x", "0X"))
+        with pytest.raises(DisasmError) as exc:
+            decode_hex(prefix + head + bad + tail)
+        assert exc.value.byte_offset == len(head) // 2
+        assert f"non-hex character {bad!r}" in str(exc.value)

@@ -4,8 +4,11 @@ Runs the forward and backward sequence kernels on realistic training
 shapes and prints their medians. Both include the surrounding BLAS work
 (input projection, weight-gradient matmuls) as well as the time loop.
 
-Usage: python benchmarks/bench_kernels.py [--bptt 70] [--batch 16]
+Usage: python benchmarks/bench_kernels.py [--bptt 70] [--batch 16 ...]
        [--hidden 64] [--emb 64] [--repeats 20] [--dtype f32]
+
+--batch takes one or more sizes and prints one row per size, e.g.
+--batch 1 16 for the single-contract predict shape beside training's.
 """
 
 import argparse
@@ -56,7 +59,7 @@ def time_backend(backend, inp, repeats):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--bptt", type=int, default=70)
-    ap.add_argument("--batch", type=int, default=16)
+    ap.add_argument("--batch", type=int, nargs="+", default=[16])
     ap.add_argument("--hidden", type=int, default=64)
     ap.add_argument("--emb", type=int, default=64)
     ap.add_argument("--repeats", type=int, default=20)
@@ -64,14 +67,18 @@ def main():
     args = ap.parse_args()
 
     dtype = np.float32 if args.dtype == "f32" else np.float64
-    inp = make_inputs(args.bptt, args.batch, args.emb, args.hidden, dtype)
-    print(f"shape: bptt={args.bptt} batch={args.batch} emb={args.emb} "
-          f"hidden={args.hidden} dtype={args.dtype} repeats={args.repeats}")
-    fw_s, bw_s = time_backend(active_backend(), inp, args.repeats)
-    header = f"{'forward ms':>11} {'backward ms':>12} {'total ms':>9}"
+    print(f"shape: bptt={args.bptt} emb={args.emb} hidden={args.hidden} "
+          f"dtype={args.dtype} repeats={args.repeats}")
+    header = (f"{'batch':>5} {'forward ms':>11} {'backward ms':>12} "
+              f"{'fw us/step':>11} {'bw us/step':>11}")
     print(header)
     print("-" * len(header))
-    print(f"{fw_s * 1e3:>11.3f} {bw_s * 1e3:>12.3f} {(fw_s + bw_s) * 1e3:>9.3f}")
+    for batch in args.batch:
+        inp = make_inputs(args.bptt, batch, args.emb, args.hidden, dtype)
+        fw_s, bw_s = time_backend(active_backend(), inp, args.repeats)
+        us = 1e6 / args.bptt
+        print(f"{batch:>5} {fw_s * 1e3:>11.3f} {bw_s * 1e3:>12.3f} "
+              f"{fw_s * us:>11.2f} {bw_s * us:>11.2f}")
 
 
 if __name__ == "__main__":

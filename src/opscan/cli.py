@@ -233,6 +233,7 @@ def cmd_train_clf(args) -> int:
         clf = transfer_encoder(lm, vocab_hash=vocab.content_hash(),
                                head_hidden=cfg.head_hidden, dropouts=cfg.dropouts(),
                                seed=cfg.seed + 2)
+        cfg = cfg.with_shapes_of(lm.encoder)
     else:
         clf = Classifier(_encoder_from_config(cfg, len(vocab)), n_classes=4,
                          head_hidden=cfg.head_hidden, vocab_hash=vocab.content_hash(),

@@ -131,6 +131,14 @@ class RunConfig:
         changes = {k: v for k, v in overrides.items() if v is not None}
         return dataclasses.replace(self, **changes) if changes else self
 
+    def with_shapes_of(self, encoder) -> "RunConfig":
+        """This config with the shapes and dtype ``encoder`` was built with,
+        e.g. the ones a classifier takes from a pretrained LM."""
+        dtype = next(k for k, v in _DTYPES.items() if np.dtype(v) == encoder.dtype)
+        return dataclasses.replace(
+            self, emb_size=encoder.emb_size, hidden_size=encoder.hidden_size,
+            n_layers=encoder.n_layers, tie_last=encoder.tie_last, dtype=dtype)
+
     def dropouts(self) -> Dropouts:
         return Dropouts(self.p_emb, self.p_input, self.p_hidden,
                         self.p_weight, self.p_head)

@@ -27,10 +27,6 @@ from . import kernels as K
 from .autodiff import Parameter, Tensor
 
 
-class TransferError(RuntimeError):
-    pass
-
-
 def lstm_cell_step(x, h, c, wx, wh, b):
     """One LSTM time step on plain arrays; returns (h_new, c_new).
 
@@ -384,15 +380,11 @@ def transfer_encoder(
     Shapes come from the LM; dropouts, when given, replace the LM's rates.
 
     The encoder arrives frozen (training stage 0); unfreeze gradually via
-    trainer.gradual_unfreeze. vocab_hash, when both sides carry one, must
-    match the LM's: transferring across vocabularies is an error.
+    trainer.gradual_unfreeze. The classifier carries vocab_hash, or the
+    LM's when none is given; the caller checks that they agree
+    (load_checkpoint does, given the corpus vocabulary).
     """
     src = lm.encoder
-    if vocab_hash is not None and lm.vocab_hash is not None and vocab_hash != lm.vocab_hash:
-        raise TransferError(
-            f"vocabulary mismatch: LM was built on {lm.vocab_hash[:12]}, "
-            f"classifier corpus hashes to {vocab_hash[:12]}"
-        )
     enc = Encoder(
         vocab_size=src.vocab_size,
         emb_size=src.emb_size,

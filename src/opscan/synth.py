@@ -76,7 +76,9 @@ def synth_records(per_class: int = 50, seed: int = 7, mean_len: int = 120,
         raise ValueError("per_class must be >= 1")
     if not 0 <= dup_normals <= per_class:
         raise ValueError("dup_normals must be between 0 and per_class")
-    if jitter < 0 or mean_len - jitter < 1:
+    if jitter < 0:
+        raise ValueError("jitter must be >= 0")
+    if mean_len - jitter < 1:
         raise ValueError("need mean_len - jitter >= 1")
     if plants < 1:
         raise ValueError("plants must be >= 1")

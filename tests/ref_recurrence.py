@@ -6,8 +6,9 @@ Python-float constants. The package loops write into preallocated buffers
 instead and must produce bit-identical outputs, so these keep the exact
 order of every product and sum, and the same fused gate formula:
 sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5, with xp and wh arriving with their
-i, f and o columns already halved. Gates are stored gate-major,
-(T or 1, 4, B, H) in [i, f, g, o] order.
+columns in [i, f, o, g] order and the i, f and o ones already halved. Gates
+are stored gate-major, (T + 1 or 1, 5, B, H) rows of [i, f, o, g, c_prev]:
+step t writes c into the c_prev slot of row t + 1, or of the one row.
 """
 
 import numpy as np
@@ -17,29 +18,27 @@ def sigmoid(a):
     return 0.5 * np.tanh(0.5 * a) + 0.5
 
 
-def fw_recurrence(xp, wh, h0, c0, h_seq, c_seq, gates):
+def fw_recurrence(xp, wh, h0, h_seq, gates):
     T, B = xp.shape[:2]
     H = wh.shape[0]
-    rows = len(c_seq)
+    rows = len(gates)
     for t in range(T):
         k = t % rows
         h_prev = h_seq[t - 1] if t > 0 else h0
-        c_prev = c_seq[(t - 1) % rows] if t > 0 else c0
-        gates[k] = np.tanh(xp[t] + np.dot(h_prev, wh)).reshape(B, 4, H).transpose(1, 0, 2)
-        for q in (0, 1, 3):
-            gates[k, q] = 0.5 * gates[k, q] + 0.5
-        i, f, g, o = gates[k]
-        c_seq[k] = f * c_prev + i * g
-        h_seq[t] = o * np.tanh(c_seq[k])
+        gates[k, :4] = np.tanh(xp[t] + np.dot(h_prev, wh)).reshape(B, 4, H).transpose(1, 0, 2)
+        gates[k, :3] = 0.5 * gates[k, :3] + 0.5
+        i, f, o, g, c_prev = gates[k]
+        c = f * c_prev + i * g
+        gates[(t + 1) % rows, 4] = c
+        h_seq[t] = o * np.tanh(c)
 
 
-def bw_recurrence(dh_seq, wh_t, gates, c_seq, c0, da_all, dh0, dc0):
+def bw_recurrence(dh_seq, wh_t, gates, c_seq, da_all, dh0, dc0):
     T, B, H = dh_seq.shape
     dh0[:] = 0.0
     dc0[:] = 0.0
     for t in range(T - 1, -1, -1):
-        i, f, g, o = gates[t]
-        c_prev = c_seq[t - 1] if t > 0 else c0
+        i, f, o, g, c_prev = gates[t]
         tc = np.tanh(c_seq[t])
         dh = dh_seq[t] + dh0
         do = dh * tc

@@ -201,6 +201,21 @@ class TestTraining:
         drops = ckpt_mod.read_header(tmp_path / "clf" / "clf_best.ckpt")["hyperparams"]["dropouts"]
         assert drops == dataclasses.asdict(RunConfig(**rates).dropouts()) != lm_drops
 
+    def test_clf_from_lm_writes_the_shapes_it_used(self, ws, tmp_path):
+        """The encoder takes the LM's shapes whatever the config says, and
+        config.json records the ones the checkpoint was built with."""
+        root, _ = ws
+        shapes = {"emb_size": 32, "hidden_size": 48, "n_layers": 3, "tie_last": False,
+                  "dtype": "f64"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CFG, **shapes}))
+        assert main(["train-clf", "--data", str(root / "prep"),
+                     "--lm", str(root / "lm" / "lm_best.ckpt"), "--out", str(tmp_path / "clf"),
+                     "--epochs", "1", "--batch-size", "8", "--config", str(cfg)]) == 0
+        written = json.loads((tmp_path / "clf" / "config.json").read_text())
+        hp = ckpt_mod.read_header(tmp_path / "clf" / "clf_best.ckpt")["hyperparams"]
+        assert {k: written[k] for k in shapes} == {k: hp[k] for k in shapes} != shapes
+
     @pytest.mark.parametrize("command", ["train-lm", "train-clf"])
     def test_nonfinite_gradient_abort_is_explained(self, ws, tmp_path, monkeypatch,
                                                    capsys, command):
@@ -747,6 +762,18 @@ def _train_clf_grown_vocab(root, tmp_path):
             "--out", str(tmp_path / "out"), "--epochs", "1"]
 
 
+def _train_clf_other_vocab(root, tmp_path):
+    """train-clf --lm where the prep vocabulary is another one of the same
+    size (its last two tokens trade ids), not the one the LM was built on."""
+    data = shutil.copytree(root / "prep", tmp_path / "prep")
+    tokens = C.Vocab.load(data / "vocab.tsv").itos
+    tokens[-2], tokens[-1] = tokens[-1], tokens[-2]
+    (data / "vocab.tsv").write_text("".join(f"{tok}\t{i}\n" for i, tok in enumerate(tokens)),
+                                    encoding="utf-8")
+    return ["train-clf", "--data", str(data), "--lm", str(root / "lm" / "lm_best.ckpt"),
+            "--out", str(tmp_path / "out"), "--epochs", "1"]
+
+
 # case -> (exit code, the line the message names or None, argv from (ws root, tmp_path))
 MALFORMED_INPUTS = {
     "disasm-input-is-a-directory": (3, None, lambda root, tmp: ["disasm", "--input", str(tmp)]),
@@ -802,6 +829,7 @@ MALFORMED_INPUTS = {
         "eval", "--checkpoint", str(_grown_checkpoint(root, tmp, "clf")), "--data",
         str(root / "prep"), "--out", str(tmp / "out")]),
     "train-clf-lm-vocab-longer-than-model": (4, None, _train_clf_grown_vocab),
+    "train-clf-lm-other-vocab": (4, None, _train_clf_other_vocab),
     "lr-find-one-step": (2, None, lambda root, tmp: [
         "lr-find", "--data", str(root / "prep"), "--steps", "1", "--out", str(tmp)]),
     "lr-find-start-above-end": (2, None, lambda root, tmp: [

@@ -56,17 +56,19 @@ class TestForward:
         case = random_case(np.random.default_rng(11), T=5, B=3, D=4, H=6)
         h_seq, c_seq, gates = K.lstm_seq_forward(*case)
         h_only, c_last, g_last = K.lstm_seq_forward(*case, for_backward=False)
-        assert c_last.shape == (1, 3, 6) and g_last.shape == (1, 4, 3, 6)
+        assert c_last.shape == (1, 3, 6) and g_last.shape == (1, 5, 3, 6)
         assert np.array_equal(h_only, h_seq)
-        assert np.array_equal(c_last[0], c_seq[-1]) and np.array_equal(g_last[0], gates[-1])
+        # the one row's c_prev slot ends holding the last cell
+        assert np.array_equal(c_last[0], c_seq[-1]) and np.array_equal(g_last[0, 4], c_seq[-1])
+        assert np.array_equal(g_last[0, :4], gates[-1, :4])
 
     def test_gate_ranges(self):
         rng = np.random.default_rng(4)
         case = random_case(rng, T=5, B=3, D=4, H=4)
         h_seq, c_seq, gates = K.lstm_seq_forward(*case)
-        sig_part = gates[:, [0, 1, 3]]
+        sig_part = gates[:, :3]
         assert np.all(sig_part > 0) and np.all(sig_part < 1)
-        assert np.all(np.abs(gates[:, 2]) < 1)
+        assert np.all(np.abs(gates[:, 3]) < 1)
         assert np.all(np.abs(h_seq) < 1)  # |h| = |o * tanh(c)| < 1
 
     def test_shape_errors(self):
@@ -106,27 +108,36 @@ class TestFusedGates:
         g_cols = slice(2 * H, 3 * H)
         for t in range(T):
             a = xp[t] + np.dot(h_seq[t - 1] if t else h0, wh)
-            assert np.array_equal(gates[t, 2], np.tanh(a[:, g_cols]))
+            assert np.array_equal(gates[t, 3], np.tanh(a[:, g_cols]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("B", [1, 4])
     def test_gates_are_gate_major(self, dtype, B):
-        """gates is C-contiguous (T, 4, B, H); row q of step t is gate q of
-        a plain (B, 4H) step."""
+        """gates is C-contiguous (T, 5, B, H); slot q < 4 of step t is gate q
+        of a plain (B, 4H) step on the reordered weights, and slot 4 the cell
+        before the step, which c_seq holds after it."""
         T, D, H = 7, 5, 6
         case = random_case(np.random.default_rng(14), T, B, D, H, dtype)
-        h_seq, _, gates = K.lstm_seq_forward(*case)
-        assert gates.shape == (T, 4, B, H) and gates.flags.c_contiguous
-        x, wx, wh, b, h0, _ = case
-        wx, wh, b = (K._halve_ifo(w) for w in (wx, wh, b))
+        h_seq, c_seq, gates = K.lstm_seq_forward(*case)
+        assert gates.shape == (T, 5, B, H) and gates.flags.c_contiguous
+        x, wx, wh, b, h0, c0 = case
+        wx, wh, b = (K._fused_gate_copy(w) for w in (wx, wh, b))
         xp = (x.reshape(T * B, D) @ wx).reshape(T, B, 4 * H)
         xp += b
         for t in range(T):
             a = np.tanh(xp[t] + np.dot(h_seq[t - 1] if t else h0, wh))
-            a[:, : 2 * H] = a[:, : 2 * H] * dtype(0.5) + dtype(0.5)
-            a[:, 3 * H :] = a[:, 3 * H :] * dtype(0.5) + dtype(0.5)
+            a[:, : 3 * H] = a[:, : 3 * H] * dtype(0.5) + dtype(0.5)
             for q in range(4):
                 assert np.array_equal(gates[t, q], a[:, q * H : (q + 1) * H])
+            assert np.array_equal(gates[t, 4], c_seq[t - 1] if t else c0)
+
+    def test_fused_gate_copy_reorders_and_halves(self):
+        H = 3
+        w = np.random.default_rng(15).normal(size=(2, 4 * H))
+        i, f, g, o = np.split(w, 4, axis=-1)
+        got = K._fused_gate_copy(w)
+        assert got.flags.c_contiguous and not np.shares_memory(got, w)
+        assert np.array_equal(got, np.concatenate((i * 0.5, f * 0.5, o * 0.5, g), axis=-1))
 
 
 class TestBackward:

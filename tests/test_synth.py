@@ -80,8 +80,10 @@ class TestRecords:
             S.synth_records(per_class=3, dup_normals=-1)
 
     def test_jitter_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need mean_len - jitter >= 1"):
             S.synth_records(per_class=2, mean_len=30, jitter=30)
+        with pytest.raises(ValueError, match="jitter must be >= 0"):
+            S.synth_records(per_class=2, mean_len=30, jitter=-1)
 
     def test_too_short_for_plants(self):
         with pytest.raises(ValueError, match="too short"):

@@ -332,14 +332,14 @@ def apply_mask(x: Tensor, mask: np.ndarray, scale: float = 1.0) -> Tensor:
 
 
 def masked_mean_over_time(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean of x (T, B, H) over valid timesteps per mask (T, B)."""
+    """Mean of x (T, B, H) over the valid timesteps of a 0/1 mask (T, B)."""
     x = _as_tensor(x)
     mask = np.asarray(mask, dtype=x.data.dtype)
     counts = mask.sum(axis=0)  # (B,)
     if np.any(counts == 0):
         raise GradError("a sequence has no valid timesteps")
     m3 = mask[:, :, None]
-    out = Tensor((x.data * m3).sum(axis=0) / counts[:, None], (x,))
+    out = Tensor(np.sum(x.data, axis=0, where=m3 != 0) / counts[:, None], (x,))
 
     def bw():
         x.accumulate(out.grad[None, :, :] * m3 / counts[None, :, None])
@@ -353,12 +353,11 @@ def masked_max_over_time(x: Tensor, mask: np.ndarray) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
     if np.any(mask.sum(axis=0) == 0):
         raise GradError("a sequence has no valid timesteps")
-    neg = np.where(mask[:, :, None], x.data, -np.inf)
-    idx = neg.argmax(axis=0)  # (B, H)
-    b_ix, h_ix = np.indices(idx.shape)
-    out = Tensor(x.data[idx, b_ix, h_ix], (x,))
+    out = Tensor(np.max(x.data, axis=0, where=mask[:, :, None], initial=-np.inf), (x,))
 
     def bw():
+        idx = np.where(mask[:, :, None], x.data, -np.inf).argmax(axis=0)  # (B, H)
+        b_ix, h_ix = np.indices(idx.shape)
         g = np.zeros_like(x.data)
         np.add.at(g, (idx, b_ix, h_ix), out.grad)
         x.accumulate(g)

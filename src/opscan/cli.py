@@ -318,7 +318,7 @@ def cmd_eval(args) -> int:
         raise UsageError("exactly one of --predictions or --checkpoint is required")
     if args.checkpoint and not args.data:
         raise UsageError("--checkpoint needs --data")
-    cfg = _load_config(args, batch_size=args.batch_size)
+    cfg = _load_config(args)
     out = _resolve_out(args, "eval")
     if args.predictions:
         actual, predicted, scores = _eval_predictions_file(args.predictions)
@@ -326,7 +326,7 @@ def cmd_eval(args) -> int:
         clf, vocab = _load_for_inference(args.checkpoint)
         ids, actual = _read_split(args.data, args.split, vocab)
         scores = trainer_mod.classify(clf, trainer_mod.checked_split(args.split, ids),
-                                      cfg.batch_size, cfg.max_len)
+                                      cfg.max_len)
         predicted = np.argmax(scores, axis=1)
     cm = metrics_mod.confusion_matrix(predicted, actual)
     rep = metrics_mod.report(cm, scores=scores, labels=actual)
@@ -350,7 +350,7 @@ def cmd_predict(args) -> int:
     tokens = disassemble(hexstr)
     if not tokens:
         raise CorpusError("bytecode disassembles to zero opcodes")
-    probs = trainer_mod.classify(clf, [corpus_mod.numericalize(tokens, vocab)], 1, cfg.max_len)[0]
+    probs = trainer_mod.classify(clf, [corpus_mod.numericalize(tokens, vocab)], cfg.max_len)[0]
     label = int(np.argmax(probs))
     result = {
         "label": label + 1,
@@ -443,7 +443,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None, help="classifier checkpoint")
     p.add_argument("--data", default=None, help="prep output directory")
     p.add_argument("--split", choices=("train", "valid", "test"), default="test")
-    p.add_argument("--batch-size", type=int, default=None)
     _common(p)
     p.set_defaults(func=cmd_eval)
 

@@ -293,6 +293,39 @@ def lm_batches(
         yield lanes[:, lo : lo + bptt], lanes[:, lo + 1 : lo + bptt + 1]
 
 
+def clipped(id_seqs: Sequence[np.ndarray], max_len: int | None = None) -> list[np.ndarray]:
+    """The sequences as int64 arrays, each cut to its first max_len ids."""
+    seqs = [np.asarray(s, dtype=np.int64) for s in id_seqs]
+    return seqs if max_len is None else [s[:max_len] for s in seqs]
+
+
+def _longest_first(seqs: Sequence[np.ndarray]) -> list[int]:
+    return sorted(range(len(seqs)), key=lambda i: seqs[i].size, reverse=True)
+
+
+def padded(seqs: Sequence[np.ndarray], rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, lengths) of the sequences seqs[rows]: ids (len(rows), width),
+    width the longest one's length, with PAD after each row's ids."""
+    lengths = np.array([seqs[i].size for i in rows], dtype=np.int64)
+    ids = np.full((len(rows), lengths.max()), Vocab.PAD, dtype=np.int64)
+    for row, i in enumerate(rows):
+        ids[row, : lengths[row]] = seqs[i]
+    return ids, lengths
+
+
+def token_batches(seqs: Sequence[np.ndarray], max_tokens: int) -> list[list[int]]:
+    """Indices of seqs, longest first, cut into batches of at most max_tokens
+    padded positions: rows times the length of the batch's first, longest,
+    sequence. A sequence longer than max_tokens forms a batch of its own."""
+    batches: list[list[int]] = []
+    for i in _longest_first(seqs):
+        if batches and (len(batches[-1]) + 1) * seqs[batches[-1][0]].size <= max_tokens:
+            batches[-1].append(i)
+        else:
+            batches.append([i])
+    return batches
+
+
 def clf_batches(
     id_seqs: Sequence[np.ndarray],
     labels: Sequence[int],
@@ -309,21 +342,8 @@ def clf_batches(
         raise CorpusError("id_seqs and labels differ in length")
     if batch_size < 1:
         raise CorpusError("batch_size must be positive")
-
-    def clip(seq: np.ndarray) -> np.ndarray:
-        if max_len is not None and seq.size > max_len:
-            return seq[:max_len]
-        return seq
-
-    clipped = [clip(np.asarray(s, dtype=np.int64)) for s in id_seqs]
-    order = sorted(range(len(clipped)), key=lambda i: clipped[i].size, reverse=True)
+    seqs = clipped(id_seqs, max_len)
+    order = _longest_first(seqs)
     for start in range(0, len(order), batch_size):
-        chunk = order[start : start + batch_size]
-        width = max(clipped[i].size for i in chunk)
-        ids = np.full((len(chunk), width), Vocab.PAD, dtype=np.int64)
-        lengths = np.empty(len(chunk), dtype=np.int64)
-        for row, i in enumerate(chunk):
-            seq = clipped[i]
-            ids[row, : seq.size] = seq
-            lengths[row] = seq.size
-        yield ids, lengths, np.asarray([labels[i] for i in chunk], dtype=np.int64)
+        rows = order[start : start + batch_size]
+        yield *padded(seqs, rows), np.asarray([labels[i] for i in rows], dtype=np.int64)

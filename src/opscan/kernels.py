@@ -40,8 +40,10 @@ Contract of the two time loops:
   - no timestep allocates: every ufunc and the recurrent dot write into
     buffers made once per call, and constants are 0-d arrays of the data's
     dtype;
-  - the backward computes its per-step factors a block of steps at a time,
-    in scratch bounded by _BW_SCRATCH_BYTES, never in full (T, B, 4H) copies.
+  - both loops work a block of steps at a time, in scratch bounded by
+    _BW_SCRATCH_BYTES, never in full (T, B, 4H) copies: the forward streams
+    its input projection x @ wx + b block by block into one reused buffer,
+    and the backward computes its per-step factors the same way.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ def active_backend() -> str:
     return "numpy"
 
 
-# Bytes of per-block scratch in the backward loop, 7 (B, H) rows per step:
+# Bytes of per-block scratch in both time loops: the forward's input
+# projection, 4 (B, H) rows per step, and the backward's factors, 7 rows:
 # enough steps per block to amortise the block's own calls, few enough that
 # the block and the recurrent matrix stay in cache. A full-length copy ran
 # slower at H=256.
@@ -80,9 +83,9 @@ def sigmoid(a: np.ndarray) -> np.ndarray:
 
 
 def _fw_recurrence(xp, wh, h0, h_seq, gates):
-    """Forward time loop. xp already holds x @ wx + b, shape (T, B, 4H), and
-    xp and wh come with their columns in [i, f, o, g] order and the i, f and
-    o ones halved.
+    """Forward time loop over T steps, a whole sequence or a block of one.
+    xp already holds x @ wx + b, shape (T, B, 4H), and xp and wh come with
+    their columns in [i, f, o, g] order and the i, f and o ones halved.
 
     Fills h_seq (T, B, H). gates (T + 1 or 1, 5, B, H) holds c0 in
     gates[0, 4] on entry; step t writes [i, f, o, g] into row t and c into
@@ -209,13 +212,26 @@ def lstm_seq_forward(x, wx, wh, b, h0, c0, for_backward=True):
     if h0.shape != (B, H) or c0.shape != (B, H):
         raise ValueError("state shapes do not match batch")
     wx, wh, b = (_fused_gate_copy(w) for w in (wx, wh, b))
-    xp = np.ascontiguousarray(x).reshape(T * B, D) @ wx
-    xp += b
-    xp = np.ascontiguousarray(xp.reshape(T, B, 4 * H))
+    x, h0 = np.ascontiguousarray(x), np.ascontiguousarray(h0)
     h_seq = np.empty((T, B, H), dtype=x.dtype)
     gates = np.empty((T + 1 if for_backward else 1, 5, B, H), dtype=x.dtype)
     gates[0, 4] = c0
-    _fw_recurrence(xp, wh, np.ascontiguousarray(h0), h_seq, gates)
+    # The input projection x @ wx + b is made a block of steps at a time,
+    # in blocks of equal length within one step. At B = 1 each block is at
+    # least two steps long: numpy sends a one-row product to gemv, which
+    # rounds unlike the GEMM of a longer block.
+    n_blocks = -(-T // max(1, _BW_SCRATCH_BYTES // (4 * B * H * x.dtype.itemsize)))
+    if B == 1:
+        n_blocks = min(n_blocks, T // 2)
+    n_blocks = max(1, n_blocks)
+    bounds = [T * k // n_blocks for k in range(n_blocks + 1)]
+    xp_blk = np.empty((-(-T // n_blocks), B, 4 * H), dtype=x.dtype)
+    for start, end in zip(bounds, bounds[1:]):
+        xp = xp_blk[: end - start]
+        np.matmul(x[start:end].reshape(-1, D), wx, out=xp.reshape(-1, 4 * H))
+        xp += b
+        _fw_recurrence(xp, wh, h_seq[start - 1] if start else h0, h_seq[start:end],
+                       gates[start : end + 1] if for_backward else gates)
     if for_backward:
         return h_seq, gates[1:, 4], gates[:T]
     return h_seq, gates[:, 4], gates

@@ -7,6 +7,7 @@ train_lm, train_clf and lr_find. ``_fit`` is the epoch loop of both
 trainers: history.jsonl, best-epoch selection, the best checkpoint and
 the abort bookkeeping. ``lm_losses`` and ``clf_losses`` are each model's
 one-epoch loss stream, which lr_find consumes through ``cycle``.
+``_score`` is the one scoring pass of validation, eval and predict.
 
 A split with no batch raises corpus.CorpusError naming it before the
 first epoch. A non-finite loss or gradient ends a run early, and
@@ -15,11 +16,16 @@ TrainResult.abort_reason names the step.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import ctypes
+import functools
 import itertools
 import json
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -391,42 +397,124 @@ def train_lm(
                 "valid_loss", out_dir, vocab, "lm_best.ckpt")
 
 
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded,
+    found through ctypes, or None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            dll = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(dll, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(dll, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+def _for_each(work: Callable, items: Sequence) -> None:
+    """work(item) for every item, on one thread per usable core up to one
+    per item, the calling thread among them, with OpenBLAS on one thread for
+    the pass and its count restored after it. Unpinned, the BLAS threads
+    and the workers contend for the same cores. With one core or one item,
+    or no OpenBLAS found, the items run in order on the calling thread. An
+    exception in any work() skips the items not yet started and propagates
+    once every thread has stopped."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cores, len(items))
+    blas = _blas_thread_calls() if workers > 1 else None
+    if blas is None:
+        for item in items:
+            work(item)
+        return
+    queue, lock, errors = iter(items), threading.Lock(), []
+
+    def drain():
+        try:
+            while True:
+                with lock:
+                    item = next(queue, None)
+                if item is None:
+                    return
+                work(item)
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
+                collections.deque(queue, maxlen=0)  # skip the rest
+
+    get, put = blas
+    count, helpers = get(), []
+    put(1)
+    try:
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=drain)
+            helper.start()
+            helpers.append(helper)
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+        put(count)
+    if errors:
+        raise errors[0]
+
+
+# Padded positions (rows × width) per scoring batch: about 32 contracts of
+# 128 opcodes. Each worker's peak memory grows with it.
+_BATCH_TOKENS = 4096
+
+
+def _score(clf: Classifier, id_seqs: Sequence[np.ndarray], max_len: int | None,
+           fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """The one scoring pass: (N, n_classes) rows fn(ids (T, B), lengths) of
+    id_seqs, in input order. Contracts go in batches of corpus.token_batches
+    under _BATCH_TOKENS, through _for_each; each batch writes only its own
+    rows, so the result does not depend on which thread scored it. Every
+    parameter is frozen for the pass."""
+    seqs = corpus_mod.clipped(id_seqs, max_len)
+    out = np.empty((len(seqs), clf.n_classes))
+
+    def score(rows):
+        ids, lengths = corpus_mod.padded(seqs, rows)
+        out[rows] = fn(ids.T, lengths)
+
+    with _frozen(clf.parameters()):
+        _for_each(score, corpus_mod.token_batches(seqs, _BATCH_TOKENS))
+    return out
+
+
 def evaluate_classifier(
     clf: Classifier,
     id_seqs: Sequence[np.ndarray],
     labels: Sequence[int],
-    batch_size: int = 64,
     max_len: int | None = None,
 ) -> tuple[float, MetricsReport]:
-    """Mean loss plus a full metrics report over one labeled split."""
-    total = 0.0
-    predicted: list[np.ndarray] = []
-    actual: list[np.ndarray] = []
-    n = 0
-    with _frozen(clf.parameters()):
-        for ids, lengths, labs in corpus_mod.clf_batches(id_seqs, labels, batch_size, max_len):
-            logits = clf.forward(ids.T, lengths)
-            loss = ad.cross_entropy(logits, np.asarray(labs))
-            total += loss.item() * len(labs)
-            predicted.append(np.argmax(logits.data, axis=1))
-            actual.append(labs)
-            n += len(labs)
-    if n == 0:
+    """Mean loss plus a full metrics report over one labeled split, from the
+    logits of the scoring pass. The loss is taken from the logits as
+    cross_entropy takes it, never as -log of a probability."""
+    if len(id_seqs) == 0:
         raise TrainerError("evaluation split is empty")
-    cm = confusion_matrix(np.concatenate(predicted), np.concatenate(actual), clf.n_classes)
-    return total / n, report(cm)
+    logits = _score(clf, id_seqs, max_len, lambda ids, lengths: clf.forward(ids, lengths).data)
+    labels = np.asarray(labels, dtype=np.int64)
+    loss = ad.cross_entropy(logits, labels).item()
+    return loss, report(confusion_matrix(np.argmax(logits, axis=1), labels, clf.n_classes))
 
 
-def classify(clf: Classifier, id_seqs: Sequence[np.ndarray], batch_size: int,
-             max_len: int | None) -> np.ndarray:
-    """(N, n_classes) class probabilities of id_seqs, in input order: the one
-    scoring pass of eval and predict. Every parameter is frozen for the pass."""
-    probs = np.empty((len(id_seqs), clf.n_classes))
-    with _frozen(clf.parameters()):
-        for ids, lengths, rows in corpus_mod.clf_batches(id_seqs, range(len(id_seqs)),
-                                                         batch_size, max_len):
-            probs[rows] = clf.predict_proba(ids.T, lengths)
-    return probs
+def classify(clf: Classifier, id_seqs: Sequence[np.ndarray], max_len: int | None) -> np.ndarray:
+    """(N, n_classes) class probabilities of id_seqs, in input order, from
+    Classifier.predict_proba on the scoring pass: what eval and predict
+    report."""
+    return _score(clf, id_seqs, max_len, clf.predict_proba)
 
 
 def train_clf(
@@ -474,7 +562,7 @@ def train_clf(
                    lambda i: f"stage {stage} step {first + i}, head lr {sched.lr(first + i):.6g}")
 
     def validate():
-        valid_loss, rep = evaluate_classifier(clf, valid_ids, valid_labels, batch_size, max_len)
+        valid_loss, rep = evaluate_classifier(clf, valid_ids, valid_labels, max_len)
         return valid_loss, rep.weighted["fbeta"]
 
     result = _fit(clf, Adam(clf.parameters(), lr=lr_hi, weight_decay=weight_decay), epochs,

@@ -63,6 +63,31 @@ class TestForwardValues:
         np.testing.assert_allclose(mx.data[0], [4.0, 5.0])
         np.testing.assert_allclose(mx.data[1], [2.0, 3.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masked_pools_match_the_gathering_formulas(self, dtype):
+        rng = np.random.default_rng(4)
+        T_, B, H = 9, 6, 5
+        lengths = np.array([9, 1, 4, 7, 2, 9])
+        mask = (np.arange(T_)[:, None] < lengths[None, :]).astype(dtype)
+        data = rng.normal(size=(T_, B, H)).astype(dtype)
+        data[0, 2] = data[2, 2] = 50.0  # a tie for the max inside a sequence
+        data[5:, 1] = 100.0  # large values past a sequence's end
+        m3 = mask[:, :, None]
+        idx = np.where(m3 != 0, data, -np.inf).argmax(axis=0)
+        b_ix, h_ix = np.indices(idx.shape)
+        x = Parameter(data.copy(), "x")
+        mx = ad.masked_max_over_time(x, mask)
+        assert mx.data.dtype == dtype
+        np.testing.assert_array_equal(mx.data, data[idx, b_ix, h_ix])
+        backward(ad.sum_all(mx))
+        routed = np.zeros_like(data)
+        routed[idx, b_ix, h_ix] = 1.0  # a tie goes to the earliest step only
+        assert routed[0, 2].all() and not routed[2, 2].any()
+        np.testing.assert_array_equal(x.grad, routed)
+        mean = ad.masked_mean_over_time(Tensor(data), mask)
+        assert mean.data.dtype == dtype
+        np.testing.assert_array_equal(mean.data, (data * m3).sum(axis=0) / mask.sum(axis=0)[:, None])
+
     def test_last_over_time(self):
         x = Tensor(np.arange(12.0).reshape(3, 2, 2))
         out = ad.last_over_time(x, np.array([2, 1]))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opscan import corpus as C
 from opscan.corpus import ContractRecord, CorpusError, Vocab
@@ -351,3 +353,28 @@ class TestClfBatches:
     def test_mismatched_labels_rejected(self):
         with pytest.raises(CorpusError):
             list(C.clf_batches(self.seqs([3]), [0, 1], batch_size=1))
+
+
+class TestTokenBatches:
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 120), max_size=40), budget=st.integers(1, 400))
+    @example(lengths=[4, 3, 4, 4, 4, 9], budget=8)  # batches that fill the budget exactly
+    def test_within_budget_and_longest_first(self, lengths, budget):
+        seqs = [np.zeros(n, dtype=np.int64) for n in lengths]
+        batches = C.token_batches(seqs, budget)
+        order = [i for rows in batches for i in rows]
+        assert sorted(order) == list(range(len(seqs)))
+        sizes = [seqs[i].size for i in order]
+        assert sizes == sorted(sizes, reverse=True)
+        for rows in batches:
+            ids, lens = C.padded(seqs, rows)
+            assert ids.size <= budget or (len(rows) == 1 and lens[0] > budget)
+        # each batch is as full as the budget lets it be
+        for rows in batches[:-1]:
+            assert (len(rows) + 1) * seqs[rows[0]].size > budget
+
+    def test_padded_rows_follow_the_indices(self):
+        seqs = [np.arange(3, dtype=np.int64) + 5, np.arange(6, dtype=np.int64) + 9]
+        ids, lengths = C.padded(seqs, [1, 0])
+        assert lengths.tolist() == [6, 3]
+        np.testing.assert_array_equal(ids, [[9, 10, 11, 12, 13, 14], [5, 6, 7, 0, 0, 0]])

@@ -220,7 +220,7 @@ def run_kernels(case, dh, for_backward, needs):
 class TestMatchesReferenceLoops:
     """The buffered time loops give bit-identical outputs to the plain
     per-step loops in ref_recurrence, whatever the shape, dtype, pruning or
-    backward block length (set through the scratch budget)."""
+    block length of either loop (set through the scratch budget)."""
 
     @settings(max_examples=80, deadline=None)
     @given(T=st.integers(1, 40), B=st.integers(1, 5), D=st.integers(1, 6), H=st.integers(1, 9),
@@ -233,6 +233,11 @@ class TestMatchesReferenceLoops:
              needs=(True, False, True, False), budget=10**9, scale=1.0, seed=1)
     @example(T=37, B=3, D=2, H=5, dtype=np.float32, for_backward=True,
              needs=(False, False, False, True), budget=5_000, scale=10.0, seed=2)
+    # several forward blocks: 20 of 2 steps at B = 1, 17 of 1-2 steps at B = 3
+    @example(T=40, B=1, D=6, H=9, dtype=np.float64, for_backward=True,
+             needs=(True, True, True, True), budget=1, scale=1.0, seed=3)
+    @example(T=33, B=3, D=6, H=5, dtype=np.float32, for_backward=False,
+             needs=(True, True, True, True), budget=700, scale=1.0, seed=4)
     def test_bit_identical(self, T, B, D, H, dtype, for_backward, needs, budget, scale, seed):
         rng = np.random.default_rng(seed)
         case = [a * dtype(scale) for a in random_case(rng, T, B, D, H, dtype)]

@@ -1,9 +1,14 @@
 import itertools
 import json
 import math
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opscan import autodiff as ad
 from opscan import corpus as C
@@ -461,15 +466,15 @@ class TestValidationRecordsNoTape:
 
     def test_classifier(self, monkeypatch):
         clf, _, _, (valid_ids, valid_labels) = clf_setup()
-        total, n = 0.0, 0  # the same pass with every parameter trainable
-        for ids, lengths, labs in C.clf_batches(valid_ids, valid_labels, 8, None):
-            total += ad.cross_entropy(clf.forward(ids.T, lengths), labs).item() * len(labs)
-            n += len(labs)
+        # the same logits with every parameter trainable, in input order
+        logits = np.empty((len(valid_ids), clf.n_classes))
+        for ids, lengths, rows in C.clf_batches(valid_ids, range(len(valid_ids)), 8, None):
+            logits[rows] = clf.forward(ids.T, lengths).data
         T.gradual_unfreeze(clf, 2)
         flags = [p.frozen for p in clf.parameters()]
         recorded = record_closures(monkeypatch)
-        loss, _ = T.evaluate_classifier(clf, valid_ids, valid_labels, batch_size=8)
-        assert loss == total / n
+        loss, _ = T.evaluate_classifier(clf, valid_ids, valid_labels)
+        assert loss == ad.cross_entropy(logits, np.asarray(valid_labels)).item()
         assert recorded and not any(recorded)
         assert [p.frozen for p in clf.parameters()] == flags
 
@@ -511,7 +516,7 @@ class TestClassify:
         T.gradual_unfreeze(clf, 1)
         flags = [p.frozen for p in clf.parameters()]
         recorded = record_closures(monkeypatch)
-        probs = T.classify(clf, seqs, 3, None)
+        probs = T.classify(clf, seqs, None)
         assert probs.shape == (len(seqs), 4)
         np.testing.assert_allclose(probs, alone, rtol=0, atol=1e-6)
         assert recorded and not any(recorded)
@@ -519,8 +524,106 @@ class TestClassify:
 
     def test_max_len_scores_the_first_ids(self):
         clf, _, _, (valid_ids, _) = clf_setup()
-        np.testing.assert_array_equal(T.classify(clf, valid_ids, 4, max_len=5),
-                                      T.classify(clf, [s[:5] for s in valid_ids], 4, None))
+        np.testing.assert_array_equal(T.classify(clf, valid_ids, max_len=5),
+                                      T.classify(clf, [s[:5] for s in valid_ids], None))
+
+
+class FakeBlas:
+    """Stands in for the OpenBLAS thread-count calls and records each set."""
+
+    def __init__(self, threads=3):
+        self.threads, self.sets = threads, []
+
+    def calls(self):
+        return (lambda: self.threads), self.put
+
+    def put(self, n):
+        self.sets.append(n)
+        self.threads = n
+
+
+def cores(n):
+    return mock.patch.object(T.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestScoringPool:
+    """trainer._for_each runs the scoring pass's token batches on a thread
+    per usable core, with OpenBLAS on one thread for the pass."""
+
+    CLF = clf_setup()[0]
+
+    @settings(max_examples=20, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 90), min_size=1, max_size=24),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pool_matches_inline(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        seqs = [rng.integers(3, len(self.CLF.encoder.emb.data), size=n) for n in lengths]
+        blas = FakeBlas()
+        with mock.patch.object(T, "_BATCH_TOKENS", 64):  # lengths above it form lone batches
+            with cores(1):
+                inline = T.classify(self.CLF, seqs, None)
+            with cores(2), mock.patch.object(T, "_blas_thread_calls", blas.calls):
+                pooled = T.classify(self.CLF, seqs, None)
+            n_batches = len(C.token_batches(seqs, 64))
+        np.testing.assert_array_equal(pooled, inline)
+        assert blas.sets == ([1, 3] if n_batches > 1 else [])
+
+    def test_one_core_or_one_batch_runs_inline(self):
+        clf, _, _, (valid_ids, _) = clf_setup()
+        blas = FakeBlas()
+        with mock.patch.object(T, "_blas_thread_calls", blas.calls):
+            with cores(1):
+                T.classify(clf, valid_ids, None)
+            with cores(2):
+                T.classify(clf, valid_ids[:1], None)
+        assert blas.sets == []
+
+    def test_worker_exception_propagates_and_blas_is_restored(self):
+        clf, _, _, (valid_ids, _) = clf_setup()
+        helper_ran = threading.Event()
+
+        def fn(ids, lengths):
+            if threading.current_thread() is threading.main_thread():
+                helper_ran.wait(timeout=10)  # leave a batch to a helper thread
+                return np.zeros((ids.shape[1], clf.n_classes))
+            helper_ran.set()
+            raise ValueError("batch failed")
+
+        blas = FakeBlas()
+        flags = [p.frozen for p in clf.parameters()]
+        with mock.patch.object(T, "_BATCH_TOKENS", 40), cores(2), \
+                mock.patch.object(T, "_blas_thread_calls", blas.calls):
+            with pytest.raises(ValueError, match="batch failed"):
+                T._score(clf, valid_ids, None, fn)
+        assert helper_ran.is_set()
+        assert blas.sets == [1, 3]
+        assert [p.frozen for p in clf.parameters()] == flags
+
+    def test_every_item_runs_once_on_more_workers_than_cores(self):
+        done, blas, threads = [], FakeBlas(), threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with cores(8), mock.patch.object(T, "_blas_thread_calls", blas.calls):
+                T._for_each(lambda item: done.append((item, threading.get_ident())), range(2000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(item for item, _ in done) == list(range(2000))
+        assert blas.sets == [1, 3]
+        assert threading.active_count() == threads  # every helper joined
+
+    def test_real_blas_count_is_restored(self):
+        clf, _, _, (valid_ids, _) = clf_setup()
+        calls = T._blas_thread_calls()
+        before = calls[0]() if calls else None
+
+        def fn(ids, lengths):
+            raise KeyError("batch failed")
+
+        with mock.patch.object(T, "_BATCH_TOKENS", 40), cores(2):
+            with pytest.raises(KeyError):
+                T._score(clf, valid_ids, None, fn)
+        assert (calls[0]() if calls else None) == before
 
 
 class TestTrainClf:
@@ -578,7 +681,7 @@ class TestTrainClf:
         clf, vocab, train_data, valid_data = clf_setup(per_class=6)
         result = T.train_clf(clf, train_data, valid_data, epochs=4, batch_size=8, seed=3)
         assert result.best_metric == max(h["valid_fbeta"] for h in result.history)
-        _, rep = T.evaluate_classifier(clf, valid_data[0], valid_data[1], 8)
+        _, rep = T.evaluate_classifier(clf, valid_data[0], valid_data[1])
         assert rep.weighted["fbeta"] == pytest.approx(result.best_metric, abs=1e-12)
 
     def test_zero_epochs(self):

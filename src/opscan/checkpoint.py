@@ -120,10 +120,10 @@ def save_checkpoint(model, path, vocab: Vocab | None = None, metadata: dict | No
 
 def read_header(path) -> dict:
     with open(path, "rb") as fh:
-        return _read_header(fh)[0]
+        return _read_header(fh)
 
 
-def _read_header(fh) -> tuple[dict, int]:
+def _read_header(fh) -> dict:
     magic = fh.read(4)
     if magic != MAGIC:
         raise CheckpointError(f"bad magic {magic!r}; not a checkpoint file")
@@ -145,7 +145,7 @@ def _read_header(fh) -> tuple[dict, int]:
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise CheckpointError(f"corrupt header: no {', '.join(missing)}")
-    return header, 12 + length
+    return header
 
 
 def vocab_from_header(header: dict) -> Vocab | None:
@@ -187,9 +187,9 @@ def _rebuild(header: dict):
                 vocab_hash=header["vocab_hash"],
                 seed=None,
             )
-    except (KeyError, TypeError, ValueError) as exc:
+        return LanguageModel(enc, vocab_hash=header["vocab_hash"], seed=None)
+    except (KeyError, TypeError, ValueError, MemoryError) as exc:
         raise CheckpointError(f"corrupt header: bad hyperparameters ({exc!r})") from exc
-    return LanguageModel(enc, vocab_hash=header["vocab_hash"], seed=None)
 
 
 def _manifest(header: dict) -> list[tuple[str, list, np.dtype]]:
@@ -213,7 +213,7 @@ def load_checkpoint(path, kind: str | None = None, vocab: Vocab | None = None):
     parameter value must be finite.
     """
     with open(path, "rb") as fh:
-        header, _ = _read_header(fh)
+        header = _read_header(fh)
         if header["kind"] not in ("lm", "clf"):
             raise CheckpointError(f"unknown model kind {header['kind']!r}")
         if kind is not None and header["kind"] != kind:

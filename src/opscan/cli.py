@@ -90,6 +90,17 @@ def _encoder_from_config(cfg: RunConfig, vocab_size: int) -> Encoder:
     )
 
 
+def _new_model(kind: str, cfg: RunConfig, vocab: Vocab) -> LanguageModel | Classifier:
+    """A freshly drawn LM ("lm", seed + 1) or classifier ("clf", seed + 2)
+    of cfg's shapes over vocab: the model lr-find, train-lm and train-clf
+    start from."""
+    enc = _encoder_from_config(cfg, len(vocab))
+    if kind == "lm":
+        return LanguageModel(enc, vocab_hash=vocab.content_hash(), seed=cfg.seed + 1)
+    return Classifier(enc, head_hidden=cfg.head_hidden, vocab_hash=vocab.content_hash(),
+                      seed=cfg.seed + 2)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -165,16 +176,12 @@ def cmd_lr_find(args) -> int:
     out = _resolve_out(args, "lr-find")
     vocab = Vocab.load(Path(args.data) / "vocab.tsv")
     ids, labels = _read_split(args.data, "train", vocab)
+    model = _new_model(args.model, cfg, vocab)
     # the models' training loss streams, batches in their stored order
     if args.model == "lm":
-        model = LanguageModel(_encoder_from_config(cfg, len(vocab)),
-                              vocab_hash=vocab.content_hash(), seed=cfg.seed + 1)
         batches = corpus_mod.lm_batches(ids, cfg.batch_size, cfg.bptt)
         epoch_losses = trainer_mod.lm_losses
     else:
-        model = Classifier(_encoder_from_config(cfg, len(vocab)), n_classes=4,
-                           head_hidden=cfg.head_hidden, vocab_hash=vocab.content_hash(),
-                           seed=cfg.seed + 2)
         batches = corpus_mod.clf_batches(ids, labels, cfg.batch_size, cfg.max_len)
         epoch_losses = functools.partial(trainer_mod.clf_losses, shuffle=False)
     batches = trainer_mod.checked_split("train", batches)
@@ -204,16 +211,9 @@ def cmd_train_lm(args) -> int:
     vocab = Vocab.load(Path(args.data) / "vocab.tsv")
     train_ids, _ = _read_split(args.data, "train", vocab)
     valid_ids, _ = _read_split(args.data, "valid", vocab)
-    lm = LanguageModel(_encoder_from_config(cfg, len(vocab)),
-                       vocab_hash=vocab.content_hash(), seed=cfg.seed + 1)
+    lm = _new_model("lm", cfg, vocab)
     cfg.write(out)
-    result = trainer_mod.train_lm(
-        lm, train_ids, valid_ids,
-        epochs=cfg.epochs, batch_size=cfg.batch_size, bptt=cfg.bptt,
-        max_lr=cfg.max_lr, weight_decay=cfg.weight_decay, seed=cfg.seed,
-        out_dir=out, vocab=vocab,
-        warmup_frac=cfg.warmup_frac,
-    )
+    result = trainer_mod.train_lm(lm, train_ids, valid_ids, cfg, out_dir=out, vocab=vocab)
     if result.aborted:
         return _report_abort(result)
     print(json.dumps({"best_valid_loss": result.best_metric,
@@ -235,18 +235,9 @@ def cmd_train_clf(args) -> int:
                                seed=cfg.seed + 2)
         cfg = cfg.with_shapes_of(lm.encoder)
     else:
-        clf = Classifier(_encoder_from_config(cfg, len(vocab)), n_classes=4,
-                         head_hidden=cfg.head_hidden, vocab_hash=vocab.content_hash(),
-                         seed=cfg.seed + 2)
+        clf = _new_model("clf", cfg, vocab)
     cfg.write(out)
-    result = trainer_mod.train_clf(
-        clf, train_data, valid_data,
-        epochs=cfg.epochs, batch_size=cfg.batch_size, max_len=cfg.max_len,
-        lr_lo=cfg.lr_lo, lr_hi=cfg.lr_hi, weight_decay=cfg.weight_decay,
-        epochs_per_stage=cfg.epochs_per_stage, seed=cfg.seed,
-        out_dir=out, vocab=vocab,
-        warmup_frac=cfg.warmup_frac,
-    )
+    result = trainer_mod.train_clf(clf, train_data, valid_data, cfg, out_dir=out, vocab=vocab)
     if result.aborted:
         return _report_abort(result)
     print(json.dumps({"best_valid_fbeta": result.best_metric,
@@ -306,10 +297,14 @@ def _eval_predictions_file(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _load_for_inference(path) -> tuple[Classifier, Vocab]:
-    """A classifier checkpoint and its embedded vocabulary."""
+    """A classifier checkpoint of the metrics' class count and its embedded
+    vocabulary."""
     clf = load_checkpoint(path, kind="clf")
     if clf.checkpoint_vocab is None:
         raise CheckpointError(f"{path}: no vocabulary embedded")
+    if clf.n_classes != metrics_mod.N_CLASSES:
+        raise CheckpointError(f"{path}: a classifier of {clf.n_classes} classes, "
+                              f"not {metrics_mod.N_CLASSES}")
     return clf, clf.checkpoint_vocab
 
 

@@ -69,19 +69,6 @@ def _constants(dtype) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((), dtype), np.ones((), dtype)
 
 
-def sigmoid(a: np.ndarray) -> np.ndarray:
-    """Logistic function as 0.5 * tanh(0.5 * a) + 0.5: one tanh, no large
-    exponents, and the same formula the forward time loop uses."""
-    a = np.asarray(a)
-    if a.dtype.kind != "f":
-        a = a.astype(np.float64)
-    half = np.asarray(0.5, a.dtype)
-    out = np.multiply(a, half, out=np.empty_like(a))
-    np.tanh(out, out)
-    np.multiply(out, half, out)
-    return np.add(out, half, out)
-
-
 def _fw_recurrence(xp, wh, h0, h_seq, gates):
     """Forward time loop over T steps, a whole sequence or a block of one.
     xp already holds x @ wx + b, shape (T, B, 4H), and xp and wh come with

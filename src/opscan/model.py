@@ -27,23 +27,6 @@ from . import kernels as K
 from .autodiff import Parameter, Tensor
 
 
-def lstm_cell_step(x, h, c, wx, wh, b):
-    """One LSTM time step on plain arrays; returns (h_new, c_new).
-
-    Gate order along the packed 4H axis: input, forget, cell, output.
-    i = sig(a_i), f = sig(a_f), g = tanh(a_g), o = sig(a_o);
-    c' = f*c + i*g; h' = o*tanh(c').
-    """
-    a = x @ wx + h @ wh + b
-    H = wh.shape[0]
-    i = K.sigmoid(a[:, :H])
-    f = K.sigmoid(a[:, H : 2 * H])
-    g = np.tanh(a[:, 2 * H : 3 * H])
-    o = K.sigmoid(a[:, 3 * H :])
-    c_new = f * c + i * g
-    return o * np.tanh(c_new), c_new
-
-
 def keep_mask(rng: np.random.Generator, shape, p: float, dtype=np.float64) -> np.ndarray:
     """0/1 keep mask with drop probability p."""
     if not 0.0 <= p < 1.0:
@@ -370,7 +353,6 @@ class Classifier:
 def transfer_encoder(
     lm: LanguageModel,
     vocab_hash: str | None = None,
-    n_classes: int = 4,
     head_hidden: int = 50,
     dropouts: Dropouts | None = None,
     seed: int = 2,
@@ -400,7 +382,6 @@ def transfer_encoder(
         mine.frozen = True
     return Classifier(
         enc,
-        n_classes=n_classes,
         head_hidden=head_hidden,
         vocab_hash=vocab_hash if vocab_hash is not None else lm.vocab_hash,
         seed=seed,

@@ -36,6 +36,7 @@ from . import autodiff as ad
 from . import corpus as corpus_mod
 from .autodiff import Parameter, Tensor, backward
 from .checkpoint import save_checkpoint
+from .config import RunConfig
 from .corpus import CorpusError
 from .metrics import MetricsReport, confusion_matrix, report
 from .model import Classifier, LanguageModel
@@ -101,11 +102,7 @@ class OneCycleSchedule:
         return self._cosine(self.mom_lo, self.mom_hi, t)
 
 
-def one_cycle_lr(step: int, schedule: OneCycleSchedule) -> float:
-    return schedule.lr(step)
-
-
-def discriminative_lrs(n_groups: int, lr_lo: float = 0.0044, lr_hi: float = 0.04) -> list[float]:
+def discriminative_lrs(n_groups: int, lr_lo: float, lr_hi: float) -> list[float]:
     """Geometric ramp of per-group max learning rates, embedding -> head."""
     if n_groups < 1:
         raise TrainerError("need at least one parameter group")
@@ -208,15 +205,12 @@ class LrFinderResult:
                 fh.write(f"{lr!r},{loss!r}\n")
 
 
-def lr_find(
-    params: Sequence[Parameter],
-    losses: Iterable[Tensor],
-    lr_start: float = 1e-7,
-    lr_end: float = 10.0,
-    max_steps: int = 100,
-    beta: float = 0.98,
-    divergence: float = 4.0,
-) -> LrFinderResult:
+_LR_FIND_BETA = 0.98  # lr_find's EMA weight of the previous smoothed loss
+_LR_FIND_DIVERGENCE = 4.0  # lr_find stops at a smoothed loss this many times its best
+
+
+def lr_find(params: Sequence[Parameter], losses: Iterable[Tensor], lr_start: float,
+            lr_end: float, max_steps: int) -> LrFinderResult:
     """Ramp the learning rate geometrically, one mini-batch per step, and
     suggest the lr at the steepest descent of the smoothed loss.
 
@@ -232,7 +226,7 @@ def lr_find(
     opt.zero_grad()
     ratio = (lr_end / lr_start) ** (1.0 / (max_steps - 1))
     lrs, smoothed, raw_losses = [], [], []
-    avg, best, stopped = 0.0, math.inf, False
+    beta, avg, best, stopped = _LR_FIND_BETA, 0.0, math.inf, False
     try:
         for i, loss in enumerate(itertools.islice(losses, max_steps)):
             lr = lr_start * ratio**i
@@ -243,7 +237,7 @@ def lr_find(
                 lrs.append(lr)
                 smoothed.append(sm)
                 raw_losses.append(raw)
-                stopped = sm > divergence * best
+                stopped = sm > _LR_FIND_DIVERGENCE * best
                 best = min(best, sm)
             if stopped or _step(opt, loss, raw, lr) is not None:
                 stopped = True
@@ -360,39 +354,29 @@ def _lm_valid_loss(lm: LanguageModel, valid_seqs, batch_size: int, bptt: int) ->
     return total / n
 
 
-def train_lm(
-    lm: LanguageModel,
-    train_seqs: Sequence[np.ndarray],
-    valid_seqs: Sequence[np.ndarray],
-    epochs: int,
-    batch_size: int = 16,
-    bptt: int = 70,
-    max_lr: float = 0.03,
-    weight_decay: float = 0.0,
-    seed: int = 0,
-    out_dir=None,
-    vocab=None,
-    warmup_frac: float = 0.3,
-) -> TrainResult:
+def train_lm(lm: LanguageModel, train_seqs: Sequence[np.ndarray],
+             valid_seqs: Sequence[np.ndarray], cfg: RunConfig, out_dir=None,
+             vocab=None) -> TrainResult:
     """Next-opcode pretraining with one one-cycle over all steps (at least 3).
 
-    Both splits must hold one (batch_size, bptt + 1) window. valid_fbeta
-    stays None in the history; the best epoch is the one of lowest
-    validation loss. An abort names the epoch, the step and its lr. See
-    _fit for the rest.
+    Hyperparameters come from cfg. Both splits must hold one (batch_size,
+    bptt + 1) window. valid_fbeta stays None in the history; the best epoch
+    is the one of lowest validation loss. An abort names the epoch, the
+    step and its lr. See _fit for the rest.
     """
+    epochs, batch_size, bptt = cfg.epochs, cfg.batch_size, cfg.bptt
 
     def plans():
         batches = checked_split("train", corpus_mod.lm_batches(train_seqs, batch_size, bptt))
         checked_split("valid", corpus_mod.lm_batches(valid_seqs, batch_size, bptt))
-        sched = OneCycleSchedule(max_lr, max(3, epochs * len(batches)), warmup_frac)
+        sched = OneCycleSchedule(cfg.max_lr, max(3, epochs * len(batches)), cfg.warmup_frac)
         for epoch in range(1, epochs + 1):
             first = (epoch - 1) * len(batches)  # the schedule step of the epoch's first batch
-            yield (lm_losses(lm, batches, np.random.default_rng([seed, epoch])),
+            yield (lm_losses(lm, batches, np.random.default_rng([cfg.seed, epoch])),
                    lambda i: (sched.lr(first + i), sched.momentum(first + i)),
                    lambda i: f"step {first + i}, lr {sched.lr(first + i):.6g}")
 
-    return _fit(lm, Adam(lm.parameters(), lr=max_lr, weight_decay=weight_decay), epochs,
+    return _fit(lm, Adam(lm.parameters(), lr=cfg.max_lr, weight_decay=cfg.weight_decay), epochs,
                 plans(), lambda: (_lm_valid_loss(lm, valid_seqs, batch_size, bptt), None),
                 "valid_loss", out_dir, vocab, "lm_best.ckpt")
 
@@ -517,47 +501,37 @@ def classify(clf: Classifier, id_seqs: Sequence[np.ndarray], max_len: int | None
     return _score(clf, id_seqs, max_len, clf.predict_proba)
 
 
-def train_clf(
-    clf: Classifier,
-    train_data: tuple[Sequence[np.ndarray], Sequence[int]],
-    valid_data: tuple[Sequence[np.ndarray], Sequence[int]],
-    epochs: int,
-    batch_size: int = 16,
-    max_len: int | None = None,
-    lr_lo: float = 0.0044,
-    lr_hi: float = 0.04,
-    weight_decay: float = 0.0,
-    epochs_per_stage: int = 1,
-    seed: int = 0,
-    out_dir=None,
-    vocab=None,
-    warmup_frac: float = 0.3,
-) -> TrainResult:
+def train_clf(clf: Classifier, train_data: tuple[Sequence[np.ndarray], Sequence[int]],
+              valid_data: tuple[Sequence[np.ndarray], Sequence[int]], cfg: RunConfig,
+              out_dir=None, vocab=None) -> TrainResult:
     """Fine-tune with gradual unfreezing and discriminative learning rates.
 
-    Epochs walk the unfreeze stages (``epochs_per_stage`` each, head-only
-    first); remaining epochs train fully unfrozen. Every stage runs its own
-    one-cycle (at least 3 steps), and every epoch draws a fresh batch
-    order. The best epoch is the one of highest validation weighted F_beta,
-    and fbeta.csv lists each completed epoch's. An abort names the epoch,
-    the stage, the step within it and the head's lr. See _fit for the rest.
+    Hyperparameters come from cfg. Epochs walk the unfreeze stages
+    (``epochs_per_stage`` each, head-only first); remaining epochs train
+    fully unfrozen. Every stage runs its own one-cycle (at least 3 steps),
+    and every epoch draws a fresh batch order. The best epoch is the one of
+    highest validation weighted F_beta, and fbeta.csv lists each completed
+    epoch's. An abort names the epoch, the stage, the step within it and
+    the head's lr. See _fit for the rest.
     """
     valid_ids, valid_labels = valid_data
+    epochs, epochs_per_stage, max_len = cfg.epochs, cfg.epochs_per_stage, cfg.max_len
 
     def plans():
-        batches = checked_split("train", corpus_mod.clf_batches(*train_data, batch_size, max_len))
+        batches = checked_split("train",
+                                corpus_mod.clf_batches(*train_data, cfg.batch_size, max_len))
         checked_split("valid", valid_ids)
         max_stage = clf.encoder.n_layers + 1
-        group_lrs = discriminative_lrs(clf.n_groups, lr_lo, lr_hi)
+        group_lrs = discriminative_lrs(clf.n_groups, cfg.lr_lo, cfg.lr_hi)
         for epoch0 in range(epochs):
             stage = min(epoch0 // epochs_per_stage, max_stage)
             gradual_unfreeze(clf, stage)
             start = stage * epochs_per_stage  # the stage's first epoch
             span = epochs - start if stage == max_stage else min(epochs_per_stage, epochs - start)
-            sched = OneCycleSchedule(lr_hi, max(3, span * len(batches)), warmup_frac)
+            sched = OneCycleSchedule(cfg.lr_hi, max(3, span * len(batches)), cfg.warmup_frac)
             first = (epoch0 - start) * len(batches)
-            yield (clf_losses(clf, batches, np.random.default_rng([seed, epoch0])),
-                   lambda i: ([g * (sched.lr(first + i) / lr_hi) for g in group_lrs],
+            yield (clf_losses(clf, batches, np.random.default_rng([cfg.seed, epoch0])),
+                   lambda i: ([g * (sched.lr(first + i) / cfg.lr_hi) for g in group_lrs],
                               sched.momentum(first + i)),
                    lambda i: f"stage {stage} step {first + i}, head lr {sched.lr(first + i):.6g}")
 
@@ -565,7 +539,7 @@ def train_clf(
         valid_loss, rep = evaluate_classifier(clf, valid_ids, valid_labels, max_len)
         return valid_loss, rep.weighted["fbeta"]
 
-    result = _fit(clf, Adam(clf.parameters(), lr=lr_hi, weight_decay=weight_decay), epochs,
+    result = _fit(clf, Adam(clf.parameters(), lr=cfg.lr_hi, weight_decay=cfg.weight_decay), epochs,
                   plans(), validate, "valid_fbeta", out_dir, vocab, "clf_best.ckpt", "fbeta.csv")
     if out_dir is not None and result.history:
         with open(Path(out_dir) / "fbeta.csv", "w", encoding="utf-8") as fh:

@@ -1,5 +1,6 @@
 """Accessors over opscan objects that only the tests use."""
 
+from opscan import kernels as K
 from opscan.opcodes import INVALID, OPCODES
 
 
@@ -35,6 +36,13 @@ def reference_tokens(code: bytes, collapse_push: bool = False) -> list[str]:
         tokens.append(name)
         i += 1 + width
     return tokens
+
+
+def kernel_step(x, h, c, wx, wh, b, for_backward: bool):
+    """One LSTM step of x (B, D) from state (h, c), run through
+    kernels.lstm_seq_forward at T = 1; returns (h_new, c_new)."""
+    h_seq, c_seq, _ = K.lstm_seq_forward(x[None], wx, wh, b, h, c, for_backward=for_backward)
+    return h_seq[0], c_seq[0]
 
 
 def head_parameters(clf) -> list:

@@ -22,11 +22,13 @@ from opscan import metrics
 from opscan import model as M
 from opscan import trainer as T
 from opscan.autodiff import Parameter, grad_check
+from opscan.config import RunConfig
 from opscan.disasm import disassemble
 from opscan.opcodes import OPCODES
 from opscan.synth import synth_records
 
 from canon_table import CANON, PUSH_FIXTURE_HEX, PUSH_FIXTURE_TOKENS, canon_token
+from helpers import kernel_step
 from oracle_lstm import cell_scalar
 from ref_eval import HEADLINE, HEADLINE_TOL_PP, REF_CM, auc_by_pair_counting
 
@@ -218,10 +220,12 @@ def test_criterion_03_gradient_correctness():
     )
 
 
-# -- criterion 4: LSTM cell against the scalar-loop oracle --------------------
+# -- criterion 4: the LSTM kernel's step against the scalar-loop oracle -------
 
 
 def test_criterion_04_lstm_cell_oracle():
+    """kernels.lstm_seq_forward for one step (T = 1), with and without
+    for_backward, against oracle_lstm.cell_scalar."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(40)
     worst = 0.0
@@ -233,12 +237,16 @@ def test_criterion_04_lstm_cell_oracle():
         wx = rng.normal(size=(D, 4 * H))
         wh = rng.normal(size=(H, 4 * H))
         bias = rng.normal(size=4 * H)
-        h_new, c_new = M.lstm_cell_step(x, h, c, wx, wh, bias)
         h_ref, c_ref = cell_scalar(x, h, c, wx, wh, bias)
-        worst = max(worst, np.abs(h_new - h_ref).max(), np.abs(c_new - c_ref).max())
+        for for_backward in (True, False):
+            h_new, c_new = kernel_step(x, h, c, wx, wh, bias, for_backward)
+            worst = max(worst, np.abs(h_new - h_ref).max(), np.abs(c_new - c_ref).max())
     z = np.zeros
-    h0, c0 = M.lstm_cell_step(z((2, 3)), z((2, 4)), z((2, 4)), z((3, 16)), z((4, 16)), z(16))
-    zero_ok = bool(np.all(h0 == 0.0) and np.all(c0 == 0.0))
+    zero_ok = True
+    for for_backward in (True, False):
+        h0, c0 = kernel_step(z((2, 3)), z((2, 4)), z((2, 4)), z((3, 16)), z((4, 16)), z(16),
+                             for_backward)
+        zero_ok = zero_ok and bool(np.all(h0 == 0.0) and np.all(c0 == 0.0))
     elapsed = time.perf_counter() - t0
     _verdict(
         4,
@@ -278,8 +286,8 @@ def synth_env():
 def _pretrained_clf(env, s):
     enc = M.Encoder(len(env.vocab), dropouts=DESK_DROPS, seed=7 + s, **DESK_DIMS)
     lm = M.LanguageModel(enc, vocab_hash=env.vocab.content_hash(), seed=2 + s)
-    T.train_lm(lm, env.train[0], env.valid[0], epochs=25, batch_size=16,
-               bptt=70, max_lr=0.08, seed=2 + s)
+    T.train_lm(lm, env.train[0], env.valid[0],
+               RunConfig(epochs=25, batch_size=16, bptt=70, max_lr=0.08, seed=2 + s))
     return M.transfer_encoder(lm, vocab_hash=env.vocab.content_hash(),
                               head_hidden=50, seed=30 + s)
 
@@ -291,8 +299,8 @@ def _random_clf(env, s):
 
 
 def _fine_tune(clf, env, epochs, seed):
-    return T.train_clf(clf, env.train, env.valid, epochs=epochs,
-                       batch_size=16, lr_hi=0.04, seed=seed)
+    return T.train_clf(clf, env.train, env.valid,
+                       RunConfig(epochs=epochs, batch_size=16, lr_hi=0.04, seed=seed))
 
 
 def _epochs_to_target(history, budget):
@@ -348,12 +356,12 @@ def test_criterion_07_schedule_identities():
     gaps = []
     for total, max_lr in ((100, 0.04), (7, 0.5)):
         sched = T.OneCycleSchedule(max_lr=max_lr, total_steps=total)
-        gaps.append(abs(T.one_cycle_lr(0, sched) - max_lr / 25.0))
-        gaps.append(abs(T.one_cycle_lr(sched.warm_end, sched) - max_lr))
-        gaps.append(abs(T.one_cycle_lr(total - 1, sched) - max_lr / 1e4))
+        gaps.append(abs(sched.lr(0) - max_lr / 25.0))
+        gaps.append(abs(sched.lr(sched.warm_end) - max_lr))
+        gaps.append(abs(sched.lr(total - 1) - max_lr / 1e4))
     worst = max(gaps)
 
-    lrs = T.discriminative_lrs(3)
+    lrs = T.discriminative_lrs(3, RunConfig().lr_lo, RunConfig().lr_hi)
     expect = [0.0044, 0.013266, 0.04]
     rel = max(abs(got / want - 1.0) for got, want in zip(lrs, expect))
     elapsed = time.perf_counter() - t0

@@ -202,10 +202,17 @@ class TestRefusals:
         with pytest.raises(CheckpointError, match="head_hidden"):
             load_checkpoint(path)
 
-    def test_out_of_range_hyperparameter(self, tmp_path):
-        path = tmp_path / "clf.ckpt"
-        save_checkpoint(make_clf(small_vocab()), path)
-        rewrite_header(path, lambda h: h["hyperparams"].update(n_layers=0))
+    @pytest.mark.parametrize("make, changes", [
+        (make_clf, dict(n_layers=0)),
+        # sizes no allocation can hold: the encoder's embedding, and with
+        # an empty one the LM's decoder
+        (make_clf, dict(vocab_size=10**15)),
+        (make_lm, dict(vocab_size=10**15, emb_size=0, tie_last=False)),
+    ], ids=["no-layers", "clf-vocab-unallocatable", "lm-decoder-unallocatable"])
+    def test_out_of_range_hyperparameter(self, tmp_path, make, changes):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(make(small_vocab()), path)
+        rewrite_header(path, lambda h: h["hyperparams"].update(changes))
         with pytest.raises(CheckpointError, match="hyperparameters"):
             load_checkpoint(path)
 

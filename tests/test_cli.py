@@ -743,13 +743,32 @@ def _predict_too_deep_header(root, tmp_path):
     return ["predict", "--checkpoint", _write(tmp_path, "clf.ckpt", ckpt), "--bytecode", "6001"]
 
 
-def _grown_checkpoint(root, tmp_path, kind):
-    """A copy of the ws checkpoint of ``kind`` whose embedded vocabulary has
-    one more token than its vocab_size, its hash recomputed to match."""
+def _edited_checkpoint(root, tmp_path, kind, edit=grow_vocab):
+    """A copy of the ws checkpoint of ``kind`` with ``edit`` applied to its
+    header; by default its embedded vocabulary gets one more token than its
+    vocab_size, its hash recomputed to match."""
     path = tmp_path / f"{kind}.ckpt"
     path.write_bytes((root / kind / f"{kind}_best.ckpt").read_bytes())
-    rewrite_header(path, grow_vocab)
+    rewrite_header(path, edit)
     return path
+
+
+def _other_class_count(command, n_classes):
+    """argv from (ws root, tmp_path): ``command`` (eval or predict) on a
+    classifier checkpoint of n_classes classes over the ws vocabulary."""
+
+    def argv(root, tmp_path):
+        vocab = C.Vocab.load(root / "prep" / "vocab.tsv")
+        enc = M.Encoder(len(vocab), emb_size=8, hidden_size=8, n_layers=1, seed=0)
+        path = tmp_path / "clf.ckpt"
+        ckpt_mod.save_checkpoint(Classifier(enc, n_classes=n_classes, head_hidden=5), path,
+                                 vocab=vocab)
+        if command == "eval":
+            return ["eval", "--checkpoint", str(path), "--data", str(root / "prep"),
+                    "--out", str(tmp_path / "out")]
+        return ["predict", "--checkpoint", str(path), "--bytecode", "6001600201331450"]
+
+    return argv
 
 
 def _train_clf_grown_vocab(root, tmp_path):
@@ -758,7 +777,7 @@ def _train_clf_grown_vocab(root, tmp_path):
     data = shutil.copytree(root / "prep", tmp_path / "prep")
     with open(data / "vocab.tsv", "a", encoding="utf-8") as fh:
         fh.write(f"PUSH33\t{len(C.Vocab.load(root / 'prep' / 'vocab.tsv'))}\n")
-    return ["train-clf", "--data", str(data), "--lm", str(_grown_checkpoint(root, tmp_path, "lm")),
+    return ["train-clf", "--data", str(data), "--lm", str(_edited_checkpoint(root, tmp_path, "lm")),
             "--out", str(tmp_path / "out"), "--epochs", "1"]
 
 
@@ -823,11 +842,17 @@ MALFORMED_INPUTS = {
         "synth", "--config", _write(tmp, "cfg.json", TOO_DEEP), "--out", str(tmp)]),
     "checkpoint-header-nested-too-deep": (4, None, _predict_too_deep_header),
     "predict-vocab-longer-than-model": (4, None, lambda root, tmp: [
-        "predict", "--checkpoint", str(_grown_checkpoint(root, tmp, "clf")), "--bytecode",
+        "predict", "--checkpoint", str(_edited_checkpoint(root, tmp, "clf")), "--bytecode",
         "6001600201331450"]),
     "eval-vocab-longer-than-model": (4, None, lambda root, tmp: [
-        "eval", "--checkpoint", str(_grown_checkpoint(root, tmp, "clf")), "--data",
+        "eval", "--checkpoint", str(_edited_checkpoint(root, tmp, "clf")), "--data",
         str(root / "prep"), "--out", str(tmp / "out")]),
+    "predict-vocab-size-unallocatable": (4, None, lambda root, tmp: [
+        "predict", "--checkpoint", str(_edited_checkpoint(
+            root, tmp, "clf", lambda h: h["hyperparams"].update(vocab_size=10**15))),
+        "--bytecode", "6001"]),
+    **{f"{command}-clf-of-{k}-classes": (4, None, _other_class_count(command, k))
+       for command in ("eval", "predict") for k in (0, 1, 3, 5)},
     "train-clf-lm-vocab-longer-than-model": (4, None, _train_clf_grown_vocab),
     "train-clf-lm-other-vocab": (4, None, _train_clf_other_vocab),
     "lr-find-one-step": (2, None, lambda root, tmp: [

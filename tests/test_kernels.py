@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from opscan import autodiff as ad
 from opscan import kernels as K
 
 import ref_recurrence
@@ -86,7 +87,7 @@ class TestFusedGates:
     def test_sigmoid_close_to_float64_logistic(self):
         a = np.linspace(-40, 40, 200_001, dtype=np.float32)
         want = 1.0 / (1.0 + np.exp(-a.astype(np.float64)))
-        got = K.sigmoid(a)
+        got = ad.sigmoid(a).data
         assert got.dtype == np.float32
         assert np.abs(got - want).max() <= 1.2e-7
 
@@ -94,7 +95,7 @@ class TestFusedGates:
         for dtype in (np.float32, np.float64):
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
-                got = K.sigmoid(np.array([-1e4, 1e4], dtype=dtype))
+                got = ad.sigmoid(np.array([-1e4, 1e4], dtype=dtype)).data
             assert got.dtype == dtype and got.tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -255,5 +256,5 @@ class TestMatchesReferenceLoops:
         rng = np.random.default_rng(12)
         for dtype in (np.float32, np.float64):
             a = (rng.normal(size=(5, 37)) * 40).astype(dtype)
-            got = K.sigmoid(a)
+            got = ad.sigmoid(a).data
             assert got.dtype == dtype and np.array_equal(got, ref_recurrence.sigmoid(a))

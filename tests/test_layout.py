@@ -1,0 +1,56 @@
+"""Source layout guards over src/opscan, read with ast and never imported."""
+
+import ast
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "opscan"
+
+# Public module-level names that no src module uses, each with the reason
+# it stays.
+ALLOWED_UNUSED = {
+    ("checkpoint", "read_header"): "perfbench reads it (cli binds it for the traced run)",
+    ("kernels", "active_backend"): "perfbench reads it",
+    **{("autodiff", op): "criterion 3 grad-checks it"
+       for op in ("sigmoid", "tanh", "mul", "log_softmax", "sum_all", "grad_check")},
+}
+
+
+def _definitions_and_uses():
+    """({(module, name): lineno} of public module-level functions and
+    classes, {identifier: {(module, top-level definition or None)}} of every
+    Name and attribute read in src)."""
+    defs, uses = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                if not stmt.name.startswith("_"):
+                    defs[(module, stmt.name)] = stmt.lineno
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    uses.setdefault(node.id, set()).add((module, owner))
+                elif isinstance(node, ast.Attribute):
+                    uses.setdefault(node.attr, set()).add((module, owner))
+    return defs, uses
+
+
+def test_every_public_function_and_class_has_a_src_caller():
+    """A public name counts as used when some src module names it, as a name
+    or an attribute, outside its own definition. Identifiers are matched
+    without resolving them, so a dead name that shares its identifier with a
+    used one goes unseen; an import alone is no use."""
+    t0 = time.perf_counter()
+    defs, uses = _definitions_and_uses()
+    unused = sorted(
+        f"{module}.{name} (line {lineno})"
+        for (module, name), lineno in defs.items()
+        if (module, name) not in ALLOWED_UNUSED
+        and not uses.get(name, set()) - {(module, name)}
+    )
+    assert not unused, f"public names only tests reach: {', '.join(unused)}"
+    stale = sorted(f"{m}.{n}" for m, n in ALLOWED_UNUSED if (m, n) not in defs)
+    assert not stale, f"allowlisted names no src module defines: {', '.join(stale)}"
+    assert time.perf_counter() - t0 < 1.0

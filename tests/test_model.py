@@ -6,7 +6,7 @@ from opscan import model as M
 from opscan.autodiff import backward, grad_check, zero_grads
 from opscan.optim import Adam
 
-from helpers import head_parameters
+from helpers import head_parameters, kernel_step
 from oracle_lstm import cell_scalar
 
 NO_DROP = M.Dropouts(emb=0.0, input=0.0, hidden=0.0, weight=0.0, head=0.0)
@@ -35,6 +35,9 @@ def record_masks(monkeypatch) -> list:
 
 
 class TestCellStep:
+    """One step of the LSTM kernel (kernels.lstm_seq_forward at T = 1), with
+    and without for_backward."""
+
     def test_matches_scalar_oracle_100_instances(self):
         rng = np.random.default_rng(40)
         for _ in range(100):
@@ -46,23 +49,28 @@ class TestCellStep:
             wx = rng.normal(size=(D, 4 * H))
             wh = rng.normal(size=(H, 4 * H))
             b = rng.normal(size=4 * H)
-            h_new, c_new = M.lstm_cell_step(x, h, c, wx, wh, b)
             h_ref, c_ref = cell_scalar(x, h, c, wx, wh, b)
-            np.testing.assert_allclose(h_new, h_ref, atol=1e-12)
-            np.testing.assert_allclose(c_new, c_ref, atol=1e-12)
+            for for_backward in (True, False):
+                h_new, c_new = kernel_step(x, h, c, wx, wh, b, for_backward)
+                np.testing.assert_allclose(h_new, h_ref, atol=1e-12)
+                np.testing.assert_allclose(c_new, c_ref, atol=1e-12)
 
     def test_zero_everything_gives_zero_h(self):
         z = np.zeros
-        h, c = M.lstm_cell_step(z((2, 3)), z((2, 4)), z((2, 4)), z((3, 16)), z((4, 16)), z(16))
-        assert np.all(h == 0.0) and np.all(c == 0.0)
+        for for_backward in (True, False):
+            h, c = kernel_step(z((2, 3)), z((2, 4)), z((2, 4)), z((3, 16)), z((4, 16)), z(16),
+                               for_backward)
+            assert np.all(h == 0.0) and np.all(c == 0.0)
 
     def test_zero_weights_nonzero_cell(self):
         # gates all 0.5, g = 0: c' = 0.5 * 2 = 1, h' = 0.5 * tanh(1)
         z = np.zeros
         c = np.full((1, 1), 2.0)
-        h_new, c_new = M.lstm_cell_step(z((1, 1)), z((1, 1)), c, z((1, 4)), z((1, 4)), z(4))
-        assert c_new[0, 0] == pytest.approx(1.0, abs=1e-15)
-        assert h_new[0, 0] == pytest.approx(0.5 * np.tanh(1.0), abs=1e-15)
+        for for_backward in (True, False):
+            h_new, c_new = kernel_step(z((1, 1)), z((1, 1)), c, z((1, 4)), z((1, 4)), z(4),
+                                       for_backward)
+            assert c_new[0, 0] == pytest.approx(1.0, abs=1e-15)
+            assert h_new[0, 0] == pytest.approx(0.5 * np.tanh(1.0), abs=1e-15)
 
 
 class TestMasks:

@@ -15,6 +15,7 @@ from opscan import corpus as C
 from opscan import model as M
 from opscan import trainer as T
 from opscan.autodiff import Parameter, Tensor, backward
+from opscan.config import RunConfig
 from opscan.corpus import ContractRecord
 from opscan.optim import Adam
 from opscan.trainer import OneCycleSchedule, TrainerError
@@ -125,34 +126,30 @@ class TestOneCycle:
         with pytest.raises(TrainerError):
             OneCycleSchedule(0.03, 2)
 
-    def test_module_level_helpers(self):
-        s = self.sched()
-        assert T.one_cycle_lr(5, s) == s.lr(5)
-
 
 class TestDiscriminativeLrs:
     def test_two_groups_hits_range_ends(self):
-        assert T.discriminative_lrs(2) == [0.0044, 0.04]
+        assert T.discriminative_lrs(2, 0.0044, 0.04) == [0.0044, 0.04]
 
     def test_single_group(self):
-        assert T.discriminative_lrs(1) == [0.04]
+        assert T.discriminative_lrs(1, 0.0044, 0.04) == [0.04]
 
     def test_three_groups_geometric_midpoint(self):
-        lrs = T.discriminative_lrs(3)
+        lrs = T.discriminative_lrs(3, 0.0044, 0.04)
         assert abs(lrs[1] - math.sqrt(0.0044 * 0.04)) <= 1e-15
         assert abs(lrs[1] - 0.013266) < 1e-6
 
     def test_monotone_nondecreasing(self):
         for n in (1, 2, 3, 5, 9):
-            lrs = T.discriminative_lrs(n)
+            lrs = T.discriminative_lrs(n, 0.0044, 0.04)
             assert len(lrs) == n
             assert all(a <= b for a, b in zip(lrs, lrs[1:]))
 
     def test_bad_inputs(self):
         with pytest.raises(TrainerError):
-            T.discriminative_lrs(0)
+            T.discriminative_lrs(0, 0.0044, 0.04)
         with pytest.raises(TrainerError):
-            T.discriminative_lrs(3, lr_lo=0.0)
+            T.discriminative_lrs(3, lr_lo=0.0, lr_hi=0.04)
         with pytest.raises(TrainerError):
             T.discriminative_lrs(3, lr_lo=0.5, lr_hi=0.1)
 
@@ -354,8 +351,8 @@ def lm_setup(seed=0, n_train=60, n_valid=20):
 class TestTrainLm:
     def test_beats_unigram_entropy_after_five_epochs(self):
         lm, vocab, train_ids, valid_ids = lm_setup()
-        result = T.train_lm(lm, train_ids, valid_ids, epochs=5,
-                            batch_size=4, bptt=15, max_lr=0.05, seed=3)
+        result = T.train_lm(lm, train_ids, valid_ids,
+                            RunConfig(epochs=5, batch_size=4, bptt=15, max_lr=0.05, seed=3))
         stream = np.concatenate(train_ids)
         _, counts = np.unique(stream, return_counts=True)
         p = counts / counts.sum()
@@ -364,8 +361,9 @@ class TestTrainLm:
 
     def test_history_shape_and_jsonl(self, tmp_path):
         lm, vocab, train_ids, valid_ids = lm_setup(n_train=20, n_valid=8)
-        result = T.train_lm(lm, train_ids, valid_ids, epochs=2, batch_size=4,
-                            bptt=10, max_lr=0.005, seed=0, out_dir=tmp_path, vocab=vocab)
+        result = T.train_lm(lm, train_ids, valid_ids,
+                            RunConfig(epochs=2, batch_size=4, bptt=10, max_lr=0.005, seed=0),
+                            out_dir=tmp_path, vocab=vocab)
         assert [h["epoch"] for h in result.history] == [1, 2]
         assert all(set(h) == {"epoch", "train_loss", "valid_loss", "valid_fbeta"}
                    for h in result.history)
@@ -377,16 +375,16 @@ class TestTrainLm:
     def test_rerun_replaces_history(self, tmp_path):
         for epochs in (2, 1):
             lm, vocab, train_ids, valid_ids = lm_setup(n_train=20, n_valid=8)
-            T.train_lm(lm, train_ids, valid_ids, epochs=epochs, batch_size=4,
-                       bptt=10, max_lr=0.005, seed=0, out_dir=tmp_path, vocab=vocab)
+            T.train_lm(lm, train_ids, valid_ids,
+                       RunConfig(epochs=epochs, batch_size=4, bptt=10, max_lr=0.005, seed=0),
+                       out_dir=tmp_path, vocab=vocab)
         lines = (tmp_path / "history.jsonl").read_text().strip().splitlines()
         assert [json.loads(l)["epoch"] for l in lines] == [1]
 
     def test_same_seed_identical_history(self):
-        a = T.train_lm(*self._fresh(), epochs=2, batch_size=4, bptt=10,
-                       max_lr=0.005, seed=11)
-        b = T.train_lm(*self._fresh(), epochs=2, batch_size=4, bptt=10,
-                       max_lr=0.005, seed=11)
+        cfg = RunConfig(epochs=2, batch_size=4, bptt=10, max_lr=0.005, seed=11)
+        a = T.train_lm(*self._fresh(), cfg)
+        b = T.train_lm(*self._fresh(), cfg)
         assert a.history == b.history
 
     @staticmethod
@@ -397,15 +395,15 @@ class TestTrainLm:
     def test_zero_epochs(self):
         lm, vocab, train_ids, valid_ids = lm_setup(n_train=12, n_valid=8)
         before = [p.data.copy() for p in lm.parameters()]
-        result = T.train_lm(lm, train_ids, valid_ids, epochs=0, batch_size=4, bptt=10)
+        result = T.train_lm(lm, train_ids, valid_ids, RunConfig(epochs=0, batch_size=4, bptt=10))
         assert result.history == [] and result.best_epoch is None
         for p, snap in zip(lm.parameters(), before):
             assert np.array_equal(p.data, snap)
 
     def test_model_left_at_best_epoch(self):
         lm, vocab, train_ids, valid_ids = lm_setup(n_train=20, n_valid=8)
-        result = T.train_lm(lm, train_ids, valid_ids, epochs=4, batch_size=4,
-                            bptt=10, max_lr=0.01, seed=5)
+        result = T.train_lm(lm, train_ids, valid_ids,
+                            RunConfig(epochs=4, batch_size=4, bptt=10, max_lr=0.01, seed=5))
         assert result.best_metric == min(h["valid_loss"] for h in result.history)
         # re-evaluating the returned weights reproduces the best metric
         again = T._lm_valid_loss(lm, valid_ids, 4, 10)
@@ -416,16 +414,16 @@ class TestTrainLm:
         lm, vocab, train_ids, _ = lm_setup(n_train=20)
         bptt = sum(map(len, train_ids)) // 4 - 1  # the longest bptt of one (4, bptt) window
         assert len(list(C.lm_batches(train_ids, 4, bptt))) == 1  # one step per epoch
-        result = T.train_lm(lm, train_ids, train_ids, epochs=epochs, batch_size=4, bptt=bptt,
-                            max_lr=0.005, seed=0)
+        result = T.train_lm(lm, train_ids, train_ids, RunConfig(epochs=epochs, batch_size=4,
+                            bptt=bptt, max_lr=0.005, seed=0))
         assert not result.aborted
         assert [h["epoch"] for h in result.history] == list(range(1, epochs + 1))
         assert all(math.isfinite(h["train_loss"]) for h in result.history)
 
     def test_nonfinite_loss_aborts(self):
         lm, vocab, train_ids, valid_ids = lm_setup(n_train=12, n_valid=8)
-        result = T.train_lm(lm, train_ids, valid_ids, epochs=3, batch_size=4,
-                            bptt=10, max_lr=0.01, weight_decay=1e30, seed=0)
+        result = T.train_lm(lm, train_ids, valid_ids, RunConfig(
+            epochs=3, batch_size=4, bptt=10, max_lr=0.01, weight_decay=1e30, seed=0))
         assert result.aborted
         assert len(result.history) < 3
 
@@ -638,11 +636,11 @@ class TestTrainClf:
         enc = M.Encoder(len(vocab), emb_size=12, hidden_size=16, n_layers=2,
                         dropouts=M.Dropouts(0.02, 0.05, 0.05, 0.1, 0.0), seed=7)
         lm = M.LanguageModel(enc, vocab_hash=vocab.content_hash())
-        T.train_lm(lm, train_ids, valid_ids, epochs=5, batch_size=4, bptt=20,
-                   max_lr=0.05, seed=2)
+        T.train_lm(lm, train_ids, valid_ids,
+                   RunConfig(epochs=5, batch_size=4, bptt=20, max_lr=0.05, seed=2))
         clf = M.transfer_encoder(lm, vocab_hash=vocab.content_hash(), head_hidden=12)
         result = T.train_clf(clf, prepared(train, vocab), prepared(valid, vocab),
-                             epochs=8, batch_size=4, seed=1)
+                             RunConfig(epochs=8, batch_size=4, seed=1))
         assert result.best_metric >= 0.9
         assert result.history[-1]["valid_fbeta"] is not None
 
@@ -650,15 +648,16 @@ class TestTrainClf:
         clf, vocab, train_data, valid_data = clf_setup()
         enc_before = {p.name: p.data.copy() for p in clf.encoder.parameters()}
         head_before = {p.name: p.data.copy() for p in head_parameters(clf)}
-        T.train_clf(clf, train_data, valid_data, epochs=1, batch_size=8, seed=1)
+        T.train_clf(clf, train_data, valid_data, RunConfig(epochs=1, batch_size=8, seed=1))
         for p in clf.encoder.parameters():
             assert np.array_equal(p.data, enc_before[p.name]), p.name
         assert any(not np.array_equal(p.data, head_before[p.name])
                    for p in head_parameters(clf))
 
     def test_same_seed_identical_history(self):
-        a = T.train_clf(*self._fresh(), epochs=3, batch_size=8, seed=9)
-        b = T.train_clf(*self._fresh(), epochs=3, batch_size=8, seed=9)
+        cfg = RunConfig(epochs=3, batch_size=8, seed=9)
+        a = T.train_clf(*self._fresh(), cfg)
+        b = T.train_clf(*self._fresh(), cfg)
         assert a.history == b.history
 
     @staticmethod
@@ -668,8 +667,8 @@ class TestTrainClf:
 
     def test_outputs_written(self, tmp_path):
         clf, vocab, train_data, valid_data = clf_setup(per_class=6)
-        result = T.train_clf(clf, train_data, valid_data, epochs=2, batch_size=8,
-                             seed=2, out_dir=tmp_path, vocab=vocab)
+        result = T.train_clf(clf, train_data, valid_data, RunConfig(epochs=2, batch_size=8,
+                             seed=2), out_dir=tmp_path, vocab=vocab)
         history = (tmp_path / "history.jsonl").read_text().strip().splitlines()
         assert len(history) == 2
         fbeta = (tmp_path / "fbeta.csv").read_text().strip().splitlines()
@@ -679,12 +678,12 @@ class TestTrainClf:
 
     def test_model_left_at_best_epoch(self):
         clf, vocab, train_data, valid_data = clf_setup(per_class=6)
-        result = T.train_clf(clf, train_data, valid_data, epochs=4, batch_size=8, seed=3)
+        result = T.train_clf(clf, train_data, valid_data, RunConfig(epochs=4, batch_size=8, seed=3))
         assert result.best_metric == max(h["valid_fbeta"] for h in result.history)
         _, rep = T.evaluate_classifier(clf, valid_data[0], valid_data[1])
         assert rep.weighted["fbeta"] == pytest.approx(result.best_metric, abs=1e-12)
 
     def test_zero_epochs(self):
         clf, vocab, train_data, valid_data = clf_setup(per_class=6)
-        result = T.train_clf(clf, train_data, valid_data, epochs=0)
+        result = T.train_clf(clf, train_data, valid_data, RunConfig(epochs=0))
         assert result.history == []

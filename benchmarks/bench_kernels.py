@@ -42,7 +42,7 @@ def time_backend(backend, inp, repeats):
     h_seq, c_seq, gates = fw()  # warmup
     dh = np.ones_like(h_seq)
     bw = lambda: lstm_seq_backward(
-        dh, inp["x"], inp["wx"], inp["wh"], inp["h0"], inp["c0"], h_seq, c_seq, gates
+        dh, inp["x"], inp["wx"], inp["wh"], inp["h0"], h_seq, c_seq, gates
     )
     bw()
     fw_times, bw_times = [], []

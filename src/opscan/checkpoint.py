@@ -23,15 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import _DTYPE_CODE, _DTYPES
 from .corpus import CorpusError, Vocab
 from .model import Classifier, Dropouts, Encoder, LanguageModel
 
 MAGIC = b"OPSC"
 VERSION = 1
 
-_NP_DTYPE = {"f32": np.float32, "f64": np.float64}
 _WIRE_DTYPE = {"f32": "<f4", "f64": "<f8"}  # little-endian on any host
-_DTYPE_CODE = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 _HEADER_KEYS = ("kind", "vocab_hash", "vocab", "hyperparams", "metadata", "params")
 
 
@@ -164,11 +163,16 @@ def vocab_from_header(header: dict) -> Vocab | None:
     return vocab
 
 
-def _rebuild(header: dict):
+def _rebuild(header: dict, n_records: int):
     """The model the header describes, its parameters allocated but not
-    drawn (seed=None): the body read fills every one of them."""
+    drawn (seed=None): the body read fills every one of them. An n_layers
+    whose three records per layer the manifest's n_records cannot hold is
+    refused before any layer is built."""
     hp = header["hyperparams"]
     try:
+        if 3 * hp["n_layers"] > n_records:
+            raise ValueError(f"n_layers {hp['n_layers']} needs more than the manifest's "
+                             f"{n_records} parameter records")
         enc = Encoder(
             hp["vocab_size"],
             emb_size=hp["emb_size"],
@@ -176,7 +180,7 @@ def _rebuild(header: dict):
             n_layers=hp["n_layers"],
             dropouts=Dropouts(**hp["dropouts"]),
             tie_last=hp["tie_last"],
-            dtype=_NP_DTYPE[hp["dtype"]],
+            dtype=_DTYPES[hp["dtype"]],
             seed=None,
         )
         if header["kind"] == "clf":
@@ -222,13 +226,13 @@ def load_checkpoint(path, kind: str | None = None, vocab: Vocab | None = None):
             raise CheckpointError("checkpoint was built against a different vocabulary")
         embedded = vocab_from_header(header)
 
-        model = _rebuild(header)
+        manifest = _manifest(header)
+        model = _rebuild(header, len(manifest))
         for tokens in (vocab, embedded):
             if tokens is not None and len(tokens) > model.encoder.vocab_size:
                 raise CheckpointError(f"a vocabulary of {len(tokens)} tokens does not fit "
                                       f"the model's vocab_size {model.encoder.vocab_size}")
         by_name = {p.name: p for p in model.parameters()}
-        manifest = _manifest(header)
         if set(by_name) != {name for name, _, _ in manifest}:
             raise CheckpointError("parameter manifest does not match the model architecture")
         for name, shape, dt in manifest:

@@ -97,8 +97,8 @@ def _new_model(kind: str, cfg: RunConfig, vocab: Vocab) -> LanguageModel | Class
     enc = _encoder_from_config(cfg, len(vocab))
     if kind == "lm":
         return LanguageModel(enc, vocab_hash=vocab.content_hash(), seed=cfg.seed + 1)
-    return Classifier(enc, head_hidden=cfg.head_hidden, vocab_hash=vocab.content_hash(),
-                      seed=cfg.seed + 2)
+    return Classifier(enc, n_classes=metrics_mod.N_CLASSES, head_hidden=cfg.head_hidden,
+                      vocab_hash=vocab.content_hash(), seed=cfg.seed + 2)
 
 
 # ---------------------------------------------------------------------------

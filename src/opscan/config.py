@@ -36,6 +36,7 @@ class ConfigError(ValueError):
 
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
+_DTYPE_CODE = {np.dtype(v): k for k, v in _DTYPES.items()}  # np.dtype -> its code
 # Python types a JSON value may take for each annotated field type; a bool
 # is an int to Python, so it is refused wherever a number is expected.
 _ACCEPTED = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
@@ -107,15 +108,14 @@ class RunConfig:
                               "and sum to 1")
 
     @classmethod
-    def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
-        """Defaults, updated by the JSON file, updated by overrides."""
+    def from_file(cls, path: str | Path) -> "RunConfig":
+        """Defaults, updated by the JSON file."""
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
-        raw.update(overrides)
         return cls.from_dict(raw)
 
     @classmethod
@@ -134,10 +134,10 @@ class RunConfig:
     def with_shapes_of(self, encoder) -> "RunConfig":
         """This config with the shapes and dtype ``encoder`` was built with,
         e.g. the ones a classifier takes from a pretrained LM."""
-        dtype = next(k for k, v in _DTYPES.items() if np.dtype(v) == encoder.dtype)
         return dataclasses.replace(
             self, emb_size=encoder.emb_size, hidden_size=encoder.hidden_size,
-            n_layers=encoder.n_layers, tie_last=encoder.tie_last, dtype=dtype)
+            n_layers=encoder.n_layers, tie_last=encoder.tie_last,
+            dtype=_DTYPE_CODE[encoder.dtype])
 
     def dropouts(self) -> Dropouts:
         return Dropouts(self.p_emb, self.p_input, self.p_hidden,

@@ -164,11 +164,8 @@ def _split_counts(n: int, ratios: tuple[float, float, float]) -> tuple[int, int,
     return tuple(counts)
 
 
-def stratified_split(
-    records: Sequence[ContractRecord],
-    ratios: tuple[float, float, float] = (0.70, 0.15, 0.15),
-    seed: int = 0,
-) -> Split:
+def stratified_split(records: Sequence[ContractRecord], ratios: tuple[float, float, float],
+                     seed: int) -> Split:
     """Shuffle and split each class independently at the given ratios.
 
     Each class uses its own generator keyed on (seed, class), so a class's
@@ -249,7 +246,7 @@ class Vocab:
         return cls(itos[len(cls.RESERVED) :])
 
 
-def build_vocab(train_records: Sequence[ContractRecord], min_freq: int = 1) -> Vocab:
+def build_vocab(train_records: Sequence[ContractRecord], min_freq: int) -> Vocab:
     """Count tokens over the training split; ids go to tokens with frequency
     >= min_freq, ordered by descending frequency then lexicographically."""
     if not train_records:
@@ -293,7 +290,7 @@ def lm_batches(
         yield lanes[:, lo : lo + bptt], lanes[:, lo + 1 : lo + bptt + 1]
 
 
-def clipped(id_seqs: Sequence[np.ndarray], max_len: int | None = None) -> list[np.ndarray]:
+def clipped(id_seqs: Sequence[np.ndarray], max_len: int | None) -> list[np.ndarray]:
     """The sequences as int64 arrays, each cut to its first max_len ids."""
     seqs = [np.asarray(s, dtype=np.int64) for s in id_seqs]
     return seqs if max_len is None else [s[:max_len] for s in seqs]
@@ -330,7 +327,7 @@ def clf_batches(
     id_seqs: Sequence[np.ndarray],
     labels: Sequence[int],
     batch_size: int,
-    max_len: int | None = None,
+    max_len: int | None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Bucket sequences by length and pad each batch to its own maximum.
 

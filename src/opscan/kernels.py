@@ -224,7 +224,7 @@ def lstm_seq_forward(x, wx, wh, b, h0, c0, for_backward=True):
     return h_seq, gates[:, 4], gates
 
 
-def lstm_seq_backward(dh_seq, x, wx, wh, h0, c0, h_seq, c_seq, gates,
+def lstm_seq_backward(dh_seq, x, wx, wh, h0, h_seq, c_seq, gates,
                       needs=(True, True, True, True)):
     """Gradients of the sequence run.
 
@@ -232,7 +232,8 @@ def lstm_seq_backward(dh_seq, x, wx, wh, h0, c0, h_seq, c_seq, gates,
     Returns (dx, dwx, dwh, db, dh0, dc0). ``needs`` says which of dx, dwx,
     dwh and db to compute; each one not needed is returned as None. Carried
     state is treated as a constant input: its gradient is reported, never
-    propagated further. c0 is not read: the forward keeps it in gates[0, 4].
+    propagated further. The initial cell comes from the forward's
+    gates[0, 4].
     """
     T, B, H = dh_seq.shape
     D = x.shape[2]

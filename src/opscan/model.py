@@ -25,9 +25,11 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels as K
 from .autodiff import Parameter, Tensor
+from .corpus import Vocab
+from .metrics import N_CLASSES
 
 
-def keep_mask(rng: np.random.Generator, shape, p: float, dtype=np.float64) -> np.ndarray:
+def keep_mask(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarray:
     """0/1 keep mask with drop probability p."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"drop probability out of range: {p}")
@@ -71,7 +73,7 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, h0, c0):
 
         def bw():
             grads = K.lstm_seq_backward(
-                out.grad, x.data, wx.data, wh.data, h0, c0, h_seq, c_seq, gates, needs=needs
+                out.grad, x.data, wx.data, wh.data, h0, h_seq, c_seq, gates, needs=needs
             )
             for t, g in zip(inputs, grads[:4]):
                 if g is not None:
@@ -97,11 +99,11 @@ def _uniform(rng: np.random.Generator | None, bound: float, shape, dtype) -> np.
 
 @dataclass
 class Dropouts:
-    emb: float = 0.05
-    input: float = 0.3
-    hidden: float = 0.3
-    weight: float = 0.5
-    head: float = 0.1
+    emb: float
+    input: float
+    hidden: float
+    weight: float
+    head: float
 
 
 class LstmLayer:
@@ -124,31 +126,22 @@ class LstmLayer:
 class Encoder:
     """Stacked weight-dropped LSTM over embedded token ids.
 
-    With tie_last (the default) the last layer's width equals the embedding
-    size so a decoder can share the embedding matrix. seed=None allocates
-    the weights without drawing them, for a caller that fills every value.
+    With tie_last the last layer's width equals the embedding size so a
+    decoder can share the embedding matrix. seed=None allocates the weights
+    without drawing them, for a caller that fills every value.
     """
 
-    def __init__(
-        self,
-        vocab_size: int,
-        emb_size: int = 64,
-        hidden_size: int = 64,
-        n_layers: int = 3,
-        dropouts: Dropouts | None = None,
-        tie_last: bool = True,
-        dtype=np.float32,
-        seed: int | None = 0,
-    ):
-        if n_layers < 1:
-            raise ValueError("need at least one layer")
+    def __init__(self, vocab_size: int, emb_size: int, hidden_size: int, n_layers: int,
+                 dropouts: Dropouts, tie_last: bool, dtype, seed: int | None):
+        if min(emb_size, hidden_size, n_layers) < 1:
+            raise ValueError("emb_size, hidden_size and n_layers must be >= 1")
         rng = _rng(seed)
         self.vocab_size = vocab_size
         self.emb_size = emb_size
         self.hidden_size = hidden_size
         self.n_layers = n_layers
         self.tie_last = tie_last
-        self.dropouts = dropouts or Dropouts()
+        self.dropouts = dropouts
         self.dtype = np.dtype(dtype)
         self.emb = Parameter(_uniform(rng, 0.1, (vocab_size, emb_size), self.dtype), "emb", 0)
         self.layers: list[LstmLayer] = []
@@ -219,7 +212,7 @@ class LanguageModel:
     embedding matrix itself when tied (mutating one mutates the other).
     seed=None allocates the decoder without drawing it."""
 
-    def __init__(self, encoder: Encoder, vocab_hash: str | None = None, seed: int | None = 1):
+    def __init__(self, encoder: Encoder, vocab_hash: str | None, seed: int | None):
         self.encoder = encoder
         self.vocab_hash = vocab_hash
         rng = _rng(seed)
@@ -267,10 +260,10 @@ class LanguageModel:
         state: list | None = None,
         train: bool = False,
         rng: np.random.Generator | None = None,
-        ignore_id: int | None = 0,
     ) -> tuple[Tensor, list]:
+        """Mean next-token loss over the targets that are not PAD."""
         logits, new_state = self.forward(ids, state, train, rng)
-        loss = ad.cross_entropy(logits, np.asarray(targets).reshape(-1), ignore_id)
+        loss = ad.cross_entropy(logits, np.asarray(targets).reshape(-1), Vocab.PAD)
         return loss, new_state
 
 
@@ -278,14 +271,8 @@ class Classifier:
     """Encoder plus pooled head: concat(last, max, mean) -> hidden -> logits.
     seed=None allocates the head without drawing it."""
 
-    def __init__(
-        self,
-        encoder: Encoder,
-        n_classes: int = 4,
-        head_hidden: int = 50,
-        vocab_hash: str | None = None,
-        seed: int | None = 2,
-    ):
+    def __init__(self, encoder: Encoder, n_classes: int, head_hidden: int,
+                 vocab_hash: str | None, seed: int | None):
         self.encoder = encoder
         self.n_classes = n_classes
         self.head_hidden = head_hidden
@@ -350,21 +337,15 @@ class Classifier:
         return e / e.sum(axis=1, keepdims=True)
 
 
-def transfer_encoder(
-    lm: LanguageModel,
-    vocab_hash: str | None = None,
-    head_hidden: int = 50,
-    dropouts: Dropouts | None = None,
-    seed: int = 2,
-) -> Classifier:
-    """Classifier whose encoder starts from the LM's encoder values.
-
-    Shapes come from the LM; dropouts, when given, replace the LM's rates.
+def transfer_encoder(lm: LanguageModel, vocab_hash: str | None, head_hidden: int,
+                     dropouts: Dropouts, seed: int) -> Classifier:
+    """Classifier of N_CLASSES classes whose encoder starts from the LM's
+    encoder values: the LM's shapes, with ``dropouts`` for its rates.
 
     The encoder arrives frozen (training stage 0); unfreeze gradually via
-    trainer.gradual_unfreeze. The classifier carries vocab_hash, or the
-    LM's when none is given; the caller checks that they agree
-    (load_checkpoint does, given the corpus vocabulary).
+    trainer.gradual_unfreeze. The classifier carries vocab_hash; the caller
+    checks that it agrees with the LM's (load_checkpoint does, given the
+    corpus vocabulary).
     """
     src = lm.encoder
     enc = Encoder(
@@ -372,7 +353,7 @@ def transfer_encoder(
         emb_size=src.emb_size,
         hidden_size=src.hidden_size,
         n_layers=src.n_layers,
-        dropouts=dropouts or src.dropouts,
+        dropouts=dropouts,
         tie_last=src.tie_last,
         dtype=src.dtype,
         seed=None,
@@ -380,9 +361,5 @@ def transfer_encoder(
     for mine, theirs in zip(enc.parameters(), src.parameters()):
         mine.data[:] = theirs.data
         mine.frozen = True
-    return Classifier(
-        enc,
-        head_hidden=head_hidden,
-        vocab_hash=vocab_hash if vocab_hash is not None else lm.vocab_hash,
-        seed=seed,
-    )
+    return Classifier(enc, n_classes=N_CLASSES, head_hidden=head_hidden,
+                      vocab_hash=vocab_hash, seed=seed)

@@ -6,6 +6,9 @@ parameters are skipped entirely, values and state both.
 
 Per-parameter learning rates come from Parameter.layer_group: step() takes
 either one lr or a sequence indexed by group.
+
+The moment decays and the denominator's epsilon are fixed: BETAS and EPS.
+step() may replace beta1 for one step (a one-cycle momentum schedule).
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Parameter
+
+
+BETAS = (0.9, 0.99)
+EPS = 1e-7
 
 
 class NumericalError(RuntimeError):
@@ -39,28 +46,17 @@ def _resolve_lr(lr, group: int) -> float:
 class Adam:
     """Adam with bias correction and decoupled weight decay."""
 
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.99),
-        eps: float = 1e-7,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: Sequence[Parameter], weight_decay: float):
         names = [p.name for p in params]
         if len(names) != len(set(names)):
             raise ValueError("parameter names must be unique")
         self.params = list(params)
-        self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.state: dict[str, dict] = {}
 
-    def step(self, lr=None, beta1: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
-        b1 = self.betas[0] if beta1 is None else beta1
-        b2 = self.betas[1]
+    def step(self, lr, beta1: float | None = None) -> None:
+        b1 = BETAS[0] if beta1 is None else beta1
+        b2 = BETAS[1]
         for p in self.params:
             if p.frozen:
                 continue
@@ -77,7 +73,7 @@ class Adam:
             m_hat = st["m"] / (1.0 - b1**t)
             v_hat = st["v"] / (1.0 - b2**t)
             step_lr = _resolve_lr(lr, p.layer_group)
-            p.data -= step_lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= step_lr * m_hat / (np.sqrt(v_hat) + EPS)
             if self.weight_decay:
                 p.data -= step_lr * self.weight_decay * p.data
 

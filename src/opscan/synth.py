@@ -66,9 +66,8 @@ def _planted_sequence(rng: np.random.Generator, motif: tuple[str, ...],
     return tuple(toks)
 
 
-def synth_records(per_class: int = 50, seed: int = 7, mean_len: int = 120,
-                  jitter: int = 40, plants: int = 4,
-                  dup_normals: int = 0) -> list[ContractRecord]:
+def synth_records(per_class: int, seed: int, mean_len: int, jitter: int, plants: int,
+                  dup_normals: int) -> list[ContractRecord]:
     """Generate per_class records for each of the 4 classes, plus optional
     exact duplicates of normal records (fresh addresses, same tokens) for
     exercising dedup downstream."""
@@ -109,7 +108,7 @@ def to_bytecode(tokens: tuple[str, ...], rng: np.random.Generator) -> str:
     return parts.hex()
 
 
-def write_corpus(records: list[ContractRecord], path: str | Path, seed: int = 7) -> None:
+def write_corpus(records: list[ContractRecord], path: str | Path, seed: int) -> None:
     """Write records as corpus JSONL with bytecode payloads and 1-based labels."""
     rng = np.random.default_rng(seed)
     with open(path, "w", encoding="utf-8") as fh:

@@ -50,19 +50,20 @@ class TrainerError(RuntimeError):
 # ---------------------------------------------------------------------------
 # schedules
 
+START_DIV = 25.0  # a one-cycle starts at max_lr / START_DIV
+FINAL_DIV = 1e4  # and ends at max_lr / FINAL_DIV
+MOM_HI, MOM_LO = 0.95, 0.85  # the bounds of its momentum (Adam beta1)
+
+
 @dataclass(frozen=True)
 class OneCycleSchedule:
-    """Cosine warmup from max_lr/start_div to max_lr over the warmup
-    fraction of steps, then cosine decay to max_lr/final_div. Momentum
-    (Adam beta1) cycles inversely between mom_hi and mom_lo."""
+    """Cosine warmup from max_lr/START_DIV to max_lr over the warmup
+    fraction of steps, then cosine decay to max_lr/FINAL_DIV. Momentum
+    (Adam beta1) cycles inversely between MOM_HI and MOM_LO."""
 
     max_lr: float
     total_steps: int
-    warmup_frac: float = 0.3
-    start_div: float = 25.0
-    final_div: float = 1e4
-    mom_hi: float = 0.95
-    mom_lo: float = 0.85
+    warmup_frac: float
 
     def __post_init__(self):
         if self.total_steps < 3:
@@ -89,17 +90,17 @@ class OneCycleSchedule:
         self._check(step)
         warm = self.warm_end
         if step <= warm:
-            return self._cosine(self.max_lr / self.start_div, self.max_lr, step / warm)
+            return self._cosine(self.max_lr / START_DIV, self.max_lr, step / warm)
         t = (step - warm) / (self.total_steps - 1 - warm)
-        return self._cosine(self.max_lr, self.max_lr / self.final_div, t)
+        return self._cosine(self.max_lr, self.max_lr / FINAL_DIV, t)
 
     def momentum(self, step: int) -> float:
         self._check(step)
         warm = self.warm_end
         if step <= warm:
-            return self._cosine(self.mom_hi, self.mom_lo, step / warm)
+            return self._cosine(MOM_HI, MOM_LO, step / warm)
         t = (step - warm) / (self.total_steps - 1 - warm)
-        return self._cosine(self.mom_lo, self.mom_hi, t)
+        return self._cosine(MOM_LO, MOM_HI, t)
 
 
 def discriminative_lrs(n_groups: int, lr_lo: float, lr_hi: float) -> list[float]:
@@ -179,7 +180,7 @@ def clf_losses(clf: Classifier, batches: Sequence, rng: np.random.Generator,
 
 
 def cycle(epoch_losses: Callable[[np.random.Generator], Iterable[tuple[Tensor, int]]],
-          seed: int = 0) -> Iterator[Tensor]:
+          seed: int) -> Iterator[Tensor]:
     """Endless loss stream for lr_find: epoch after epoch of ``epoch_losses``,
     epoch e (from 0) drawing from rng [seed, e]. Each epoch must yield."""
     for epoch in itertools.count():
@@ -222,7 +223,7 @@ def lr_find(params: Sequence[Parameter], losses: Iterable[Tensor], lr_start: flo
     if not (max_steps >= 2 and 0 < lr_start < lr_end < math.inf):
         raise TrainerError("need max_steps >= 2 and 0 < lr_start < lr_end")
     snapshot = [p.data.copy() for p in params]
-    opt = Adam(params, lr=lr_start)
+    opt = Adam(params, weight_decay=0.0)
     opt.zero_grad()
     ratio = (lr_end / lr_start) ** (1.0 / (max_steps - 1))
     lrs, smoothed, raw_losses = [], [], []
@@ -376,7 +377,7 @@ def train_lm(lm: LanguageModel, train_seqs: Sequence[np.ndarray],
                    lambda i: (sched.lr(first + i), sched.momentum(first + i)),
                    lambda i: f"step {first + i}, lr {sched.lr(first + i):.6g}")
 
-    return _fit(lm, Adam(lm.parameters(), lr=cfg.max_lr, weight_decay=cfg.weight_decay), epochs,
+    return _fit(lm, Adam(lm.parameters(), weight_decay=cfg.weight_decay), epochs,
                 plans(), lambda: (_lm_valid_loss(lm, valid_seqs, batch_size, bptt), None),
                 "valid_loss", out_dir, vocab, "lm_best.ckpt")
 
@@ -481,7 +482,7 @@ def evaluate_classifier(
     clf: Classifier,
     id_seqs: Sequence[np.ndarray],
     labels: Sequence[int],
-    max_len: int | None = None,
+    max_len: int | None,
 ) -> tuple[float, MetricsReport]:
     """Mean loss plus a full metrics report over one labeled split, from the
     logits of the scoring pass. The loss is taken from the logits as
@@ -539,7 +540,7 @@ def train_clf(clf: Classifier, train_data: tuple[Sequence[np.ndarray], Sequence[
         valid_loss, rep = evaluate_classifier(clf, valid_ids, valid_labels, max_len)
         return valid_loss, rep.weighted["fbeta"]
 
-    result = _fit(clf, Adam(clf.parameters(), lr=cfg.lr_hi, weight_decay=cfg.weight_decay), epochs,
+    result = _fit(clf, Adam(clf.parameters(), weight_decay=cfg.weight_decay), epochs,
                   plans(), validate, "valid_fbeta", out_dir, vocab, "clf_best.ckpt", "fbeta.csv")
     if out_dir is not None and result.history:
         with open(Path(out_dir) / "fbeta.csv", "w", encoding="utf-8") as fh:

@@ -1,7 +1,11 @@
 """Accessors over opscan objects that only the tests use."""
 
 from opscan import kernels as K
+from opscan import model as M
+from opscan.config import RunConfig
 from opscan.opcodes import INVALID, OPCODES
+
+SHIPPED = RunConfig()  # the values every command uses unless a config or flag sets them
 
 
 def lookup(byte: int) -> tuple[str, int]:
@@ -48,3 +52,12 @@ def kernel_step(x, h, c, wx, wh, b, for_backward: bool):
 def head_parameters(clf) -> list:
     """The classifier head's parameters, in parameters() order."""
     return [clf.w1, clf.b1, clf.w2, clf.b2]
+
+
+def encoder(vocab_size: int, **kwargs) -> M.Encoder:
+    """model.Encoder over vocab_size ids, with SHIPPED's shapes, rates, dtype
+    and seed for every argument that kwargs leaves out."""
+    args = dict(emb_size=SHIPPED.emb_size, hidden_size=SHIPPED.hidden_size,
+                n_layers=SHIPPED.n_layers, dropouts=SHIPPED.dropouts(),
+                tie_last=SHIPPED.tie_last, dtype=SHIPPED.np_dtype(), seed=SHIPPED.seed)
+    return M.Encoder(vocab_size, **{**args, **kwargs})

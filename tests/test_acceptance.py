@@ -28,7 +28,7 @@ from opscan.opcodes import OPCODES
 from opscan.synth import synth_records
 
 from canon_table import CANON, PUSH_FIXTURE_HEX, PUSH_FIXTURE_TOKENS, canon_token
-from helpers import kernel_step
+from helpers import encoder, kernel_step
 from oracle_lstm import cell_scalar
 from ref_eval import HEADLINE, HEADLINE_TOL_PP, REF_CM, auc_by_pair_counting
 
@@ -178,10 +178,10 @@ def test_criterion_03_gradient_correctness():
     def tiny_encoder(seed):
         return M.Encoder(
             7, emb_size=5, hidden_size=6, n_layers=2,
-            dropouts=ALL_DROP, dtype=np.float64, seed=seed,
+            dropouts=ALL_DROP, tie_last=True, dtype=np.float64, seed=seed,
         )
 
-    lm = M.LanguageModel(tiny_encoder(0))
+    lm = M.LanguageModel(tiny_encoder(0), vocab_hash=None, seed=1)
     _redraw(lm.parameters(), np.random.default_rng(42))
     lm_ids = np.random.default_rng(8).integers(0, 7, (2, 3))
     lm_targets = np.random.default_rng(9).integers(1, 7, (2, 3))
@@ -193,7 +193,7 @@ def test_criterion_03_gradient_correctness():
 
     lstm_err = grad_check(lm_loss, lm.parameters(), eps=1e-5, max_coords=6)
 
-    clf = M.Classifier(tiny_encoder(1), n_classes=4, head_hidden=8)
+    clf = M.Classifier(tiny_encoder(1), n_classes=4, head_hidden=8, vocab_hash=None, seed=2)
     _redraw(clf.parameters(), np.random.default_rng(43))
     rng = np.random.default_rng(10)
     clf_ids = rng.integers(1, 7, (6, 3))
@@ -268,7 +268,8 @@ CLF_BUDGET = 16  # epochs per arm in the transfer comparison
 def synth_env():
     """Synthetic corpus (4 planted motifs, 50 records/class, length 120±40),
     stratified 70/15/15, numericalized once for both learning criteria."""
-    records = synth_records(per_class=50, seed=1)
+    records = synth_records(per_class=50, seed=1, mean_len=120, jitter=40, plants=4,
+                            dup_normals=0)
     split = corpus_mod.stratified_split(records, (0.70, 0.15, 0.15), seed=0)
     vocab = corpus_mod.build_vocab(split.train, min_freq=1)
 
@@ -284,16 +285,16 @@ def synth_env():
 
 
 def _pretrained_clf(env, s):
-    enc = M.Encoder(len(env.vocab), dropouts=DESK_DROPS, seed=7 + s, **DESK_DIMS)
+    enc = encoder(len(env.vocab), dropouts=DESK_DROPS, seed=7 + s, **DESK_DIMS)
     lm = M.LanguageModel(enc, vocab_hash=env.vocab.content_hash(), seed=2 + s)
     T.train_lm(lm, env.train[0], env.valid[0],
                RunConfig(epochs=25, batch_size=16, bptt=70, max_lr=0.08, seed=2 + s))
     return M.transfer_encoder(lm, vocab_hash=env.vocab.content_hash(),
-                              head_hidden=50, seed=30 + s)
+                              head_hidden=50, dropouts=DESK_DROPS, seed=30 + s)
 
 
 def _random_clf(env, s):
-    enc = M.Encoder(len(env.vocab), dropouts=DESK_DROPS, seed=7 + s, **DESK_DIMS)
+    enc = encoder(len(env.vocab), dropouts=DESK_DROPS, seed=7 + s, **DESK_DIMS)
     return M.Classifier(enc, n_classes=4, head_hidden=50,
                         vocab_hash=env.vocab.content_hash(), seed=30 + s)
 
@@ -315,8 +316,8 @@ def test_criterion_05_overfit_sanity(synth_env):
     t0 = time.perf_counter()
     clf = _pretrained_clf(synth_env, 0)
     _fine_tune(clf, synth_env, epochs=50, seed=3)
-    _, train_rep = T.evaluate_classifier(clf, *synth_env.train)
-    _, test_rep = T.evaluate_classifier(clf, *synth_env.test)
+    _, train_rep = T.evaluate_classifier(clf, *synth_env.train, None)
+    _, test_rep = T.evaluate_classifier(clf, *synth_env.test, None)
     elapsed = time.perf_counter() - t0
     _verdict(
         5,
@@ -355,7 +356,8 @@ def test_criterion_07_schedule_identities():
     t0 = time.perf_counter()
     gaps = []
     for total, max_lr in ((100, 0.04), (7, 0.5)):
-        sched = T.OneCycleSchedule(max_lr=max_lr, total_steps=total)
+        sched = T.OneCycleSchedule(max_lr=max_lr, total_steps=total,
+                                   warmup_frac=RunConfig().warmup_frac)
         gaps.append(abs(sched.lr(0) - max_lr / 25.0))
         gaps.append(abs(sched.lr(sched.warm_end) - max_lr))
         gaps.append(abs(sched.lr(total - 1) - max_lr / 1e4))
@@ -441,7 +443,8 @@ def test_criterion_09_disassembler_conformance():
 
 def test_criterion_10_dedup_and_split():
     t0 = time.perf_counter()
-    with_dups = synth_records(per_class=30, seed=4, dup_normals=6)
+    with_dups = synth_records(per_class=30, seed=4, mean_len=120, jitter=40, plants=4,
+                              dup_normals=6)
     deduped = corpus_mod.dedup_normals(with_dups)
     dedup_ok = (
         deduped == list(with_dups[:120])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from opscan import autodiff as ad
+from opscan import optim
 from opscan.autodiff import Parameter, Tensor, backward, grad_check, zero_grads
 from opscan.optim import Adam, NumericalError
 
@@ -308,25 +309,26 @@ class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         w = Parameter(np.array([1.0, -1.0]), "w")
         w.grad = np.array([0.5, -0.25])
-        Adam([w], lr=0.1).step()
+        Adam([w], weight_decay=0.0).step(0.1)
         np.testing.assert_allclose(w.data, [0.9, -0.9], atol=1e-6)
 
     def test_hand_computed_step(self):
         w = Parameter(np.array([1.0]), "w")
         w.grad = np.array([0.5])
-        opt = Adam([w], lr=0.1, betas=(0.9, 0.99), eps=1e-7)
-        opt.step()
+        assert (optim.BETAS, optim.EPS) == ((0.9, 0.99), 1e-7)
+        opt = Adam([w], weight_decay=0.0)
+        opt.step(0.1)
         m_hat, v_hat = 0.5, 0.25
         expect = 1.0 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-7)
         np.testing.assert_allclose(w.data, [expect], rtol=1e-12)
 
     def test_state_persists_two_steps(self):
         w = Parameter(np.array([0.0]), "w")
-        opt = Adam([w], lr=0.1, betas=(0.9, 0.99), eps=1e-7)
+        opt = Adam([w], weight_decay=0.0)
         w.grad = np.array([1.0])
-        opt.step()
+        opt.step(0.1)
         w.grad = np.array([-1.0])
-        opt.step()
+        opt.step(0.1)
         # by hand: m2 = .9*.1 - .1 = -.01, mhat = -.01/(1-.81)
         # v2 = .99*.01 + .01 = .0199, vhat = .0199/(1-.9801) = 1.0
         w1 = -0.1 * 1.0 / (1.0 + 1e-7)
@@ -338,7 +340,7 @@ class TestAdam:
     def test_zero_lr_is_identity(self):
         w = Parameter(np.array([1.0]), "w")
         w.grad = np.array([123.0])
-        Adam([w], lr=0.0).step()
+        Adam([w], weight_decay=0.0).step(0.0)
         assert w.data[0] == 1.0
 
     def test_frozen_param_bitwise_unchanged(self):
@@ -346,10 +348,10 @@ class TestAdam:
         w = Parameter(rng.normal(size=16), "w")
         w.frozen = True
         before = w.data.tobytes()
-        opt = Adam([w], lr=0.5)
+        opt = Adam([w], weight_decay=0.0)
         for _ in range(25):
             w.grad = rng.normal(size=16)
-            opt.step()
+            opt.step(0.5)
         assert w.data.tobytes() == before
         assert "w" not in opt.state
 
@@ -357,26 +359,26 @@ class TestAdam:
         w = Parameter(np.array([1.0]), "badguy")
         w.grad = np.array([np.nan])
         with pytest.raises(NumericalError, match="badguy"):
-            Adam([w]).step()
+            Adam([w], weight_decay=0.0).step(1e-3)
 
     def test_per_group_lrs(self):
         a = Parameter(np.array([1.0]), "a", layer_group=0)
         b = Parameter(np.array([1.0]), "b", layer_group=1)
         a.grad = np.array([1.0])
         b.grad = np.array([1.0])
-        Adam([a, b]).step(lr=[0.0, 0.1])
+        Adam([a, b], weight_decay=0.0).step(lr=[0.0, 0.1])
         assert a.data[0] == 1.0
         assert b.data[0] == pytest.approx(0.9, abs=1e-6)
 
     def test_weight_decay_decoupled(self):
         w = Parameter(np.array([2.0]), "w")
         w.grad = np.array([0.0])
-        opt = Adam([w], lr=0.5, weight_decay=0.1)
-        opt.step()
+        opt = Adam([w], weight_decay=0.1)
+        opt.step(0.5)
         # zero gradient: only the shrinkage term acts
         np.testing.assert_allclose(w.data, [2.0 - 0.5 * 0.1 * 2.0])
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
-            Adam([Parameter(np.zeros(1), "w"), Parameter(np.zeros(1), "w")])
+            Adam([Parameter(np.zeros(1), "w"), Parameter(np.zeros(1), "w")], weight_decay=0.0)
 

@@ -1,24 +1,28 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from opscan import checkpoint as ckpt
+from opscan import cli
 from opscan import corpus as C
 from opscan import model as M
 from opscan.checkpoint import CheckpointError, load_checkpoint, read_header, save_checkpoint
 from opscan.corpus import ContractRecord
 
+from helpers import SHIPPED, encoder
+
 
 def small_vocab():
     records = [ContractRecord("0x1", ("ADD", "MUL", "POP", "ADD"), 0)]
-    return C.build_vocab(records)
+    return C.build_vocab(records, SHIPPED.min_freq)
 
 
-def make_lm(vocab, dtype=np.float64, seed=3):
-    enc = M.Encoder(len(vocab), emb_size=6, hidden_size=8, n_layers=2, dtype=dtype, seed=seed)
-    return M.LanguageModel(enc, vocab_hash=vocab.content_hash())
+def make_lm(vocab, dtype=np.float64, seed=3, n_layers=2):
+    enc = encoder(len(vocab), emb_size=6, hidden_size=8, n_layers=n_layers, dtype=dtype, seed=seed)
+    return M.LanguageModel(enc, vocab_hash=vocab.content_hash(), seed=1)
 
 
 def rewrite_header(path, edit):
@@ -40,8 +44,8 @@ def grow_vocab(header, token="PUSH33"):
 
 
 def make_clf(vocab, dtype=np.float64, seed=4):
-    enc = M.Encoder(len(vocab), emb_size=6, hidden_size=8, n_layers=2, dtype=dtype, seed=seed)
-    return M.Classifier(enc, n_classes=4, head_hidden=5, vocab_hash=vocab.content_hash())
+    enc = encoder(len(vocab), emb_size=6, hidden_size=8, n_layers=2, dtype=dtype, seed=seed)
+    return M.Classifier(enc, n_classes=4, head_hidden=5, vocab_hash=vocab.content_hash(), seed=2)
 
 
 class TestRoundTrip:
@@ -88,9 +92,9 @@ class TestRoundTrip:
 
     def test_untied_decoder_round_trips(self, tmp_path):
         vocab = small_vocab()
-        enc = M.Encoder(len(vocab), emb_size=6, hidden_size=8, n_layers=1,
-                        tie_last=False, dtype=np.float64)
-        lm = M.LanguageModel(enc)
+        enc = encoder(len(vocab), emb_size=6, hidden_size=8, n_layers=1,
+                      tie_last=False, dtype=np.float64)
+        lm = M.LanguageModel(enc, vocab_hash=None, seed=1)
         path = tmp_path / "untied.ckpt"
         save_checkpoint(lm, path)
         back = load_checkpoint(path, kind="lm")
@@ -99,8 +103,8 @@ class TestRoundTrip:
 
     def test_load_draws_from_no_rng(self, tmp_path, monkeypatch):
         vocab = small_vocab()
-        untied = M.LanguageModel(M.Encoder(len(vocab), emb_size=6, hidden_size=8, n_layers=1,
-                                           tie_last=False))
+        untied = M.LanguageModel(encoder(len(vocab), emb_size=6, hidden_size=8, n_layers=1,
+                                         tie_last=False), vocab_hash=None, seed=1)
         saved = []
         for name, model in (("clf", make_clf(vocab)), ("lm", untied)):
             save_checkpoint(model, tmp_path / f"{name}.ckpt", vocab=vocab)
@@ -121,10 +125,10 @@ class TestRoundTrip:
     def test_dropout_config_round_trips(self, tmp_path):
         vocab = small_vocab()
         drops = M.Dropouts(emb=0.11, input=0.22, hidden=0.33, weight=0.44, head=0.05)
-        enc = M.Encoder(len(vocab), emb_size=4, hidden_size=4, n_layers=1,
-                        dropouts=drops, dtype=np.float32)
+        enc = encoder(len(vocab), emb_size=4, hidden_size=4, n_layers=1,
+                      dropouts=drops, dtype=np.float32)
         path = tmp_path / "d.ckpt"
-        save_checkpoint(M.LanguageModel(enc), path)
+        save_checkpoint(M.LanguageModel(enc, vocab_hash=None, seed=1), path)
         assert load_checkpoint(path).encoder.dropouts == drops
 
 
@@ -204,17 +208,42 @@ class TestRefusals:
 
     @pytest.mark.parametrize("make, changes", [
         (make_clf, dict(n_layers=0)),
-        # sizes no allocation can hold: the encoder's embedding, and with
-        # an empty one the LM's decoder
+        (make_clf, dict(emb_size=0)),
+        # a tied one-layer LM never reads hidden_size, and still refuses 0
+        (lambda vocab: make_lm(vocab, n_layers=1), dict(hidden_size=0)),
+        # a size no allocation can hold: the encoder's embedding
         (make_clf, dict(vocab_size=10**15)),
+        # an empty embedding is refused before the LM's decoder, which no
+        # allocation could hold, is built
         (make_lm, dict(vocab_size=10**15, emb_size=0, tie_last=False)),
-    ], ids=["no-layers", "clf-vocab-unallocatable", "lm-decoder-unallocatable"])
+    ], ids=["no-layers", "no-emb-width", "no-hidden-width", "clf-vocab-unallocatable",
+            "lm-empty-embedding-before-decoder"])
     def test_out_of_range_hyperparameter(self, tmp_path, make, changes):
         path = tmp_path / "model.ckpt"
         save_checkpoint(make(small_vocab()), path)
         rewrite_header(path, lambda h: h["hyperparams"].update(changes))
-        with pytest.raises(CheckpointError, match="hyperparameters"):
-            load_checkpoint(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CheckpointError, match="hyperparameters"):
+                load_checkpoint(path)
+        assert not caught, [str(w.message) for w in caught]
+
+    def test_layers_beyond_the_manifest_refused_before_any_is_built(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        path = tmp_path / "clf.ckpt"
+        save_checkpoint(make_clf(small_vocab(), dtype=np.float32), path, vocab=small_vocab())
+        rewrite_header(path, lambda h: h["hyperparams"].update(n_layers=10**4))
+        built = []
+
+        class CountedLayer(M.LstmLayer):
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(M, "LstmLayer", CountedLayer)
+        assert cli.main(["predict", "--checkpoint", str(path), "--bytecode", "6001"]) == 4
+        assert "n_layers" in capsys.readouterr().err
+        assert built == []
 
     @pytest.mark.parametrize("edit", [
         lambda h: h["vocab"].append(h["vocab"][-1]),
@@ -250,7 +279,7 @@ class TestRefusals:
         vocab = small_vocab()
         path = tmp_path / "lm.ckpt"
         save_checkpoint(make_lm(vocab), path, vocab=vocab)
-        other = C.build_vocab([ContractRecord("0x2", ("SSTORE", "SLOAD"), 0)])
+        other = C.build_vocab([ContractRecord("0x2", ("SSTORE", "SLOAD"), 0)], SHIPPED.min_freq)
         with pytest.raises(CheckpointError, match="different vocabulary"):
             load_checkpoint(path, vocab=other)
 
@@ -294,7 +323,7 @@ class TestRefusals:
     def test_save_rejects_foreign_vocab(self, tmp_path):
         vocab = small_vocab()
         lm = make_lm(vocab)
-        other = C.build_vocab([ContractRecord("0x2", ("SSTORE",), 0)])
+        other = C.build_vocab([ContractRecord("0x2", ("SSTORE",), 0)], SHIPPED.min_freq)
         with pytest.raises(CheckpointError, match="different vocabulary"):
             save_checkpoint(lm, tmp_path / "x.ckpt", vocab=other)
 

@@ -25,6 +25,7 @@ from opscan.config import RunConfig
 from opscan.disasm import disassemble
 from opscan.model import Classifier
 
+from helpers import encoder
 from ref_eval import HEADLINE, HEADLINE_TOL_PP, REF_CM
 from test_checkpoint import grow_vocab, rewrite_header
 
@@ -251,10 +252,12 @@ class TestTraining:
             # the LM runs one one-cycle over both epochs; the classifier's
             # second epoch is unfreeze stage 1, with a one-cycle of its own
             if command == "train-lm":
-                lr = trainer.OneCycleSchedule(RunConfig.max_lr, 2 * n).lr(n + 1)
+                lr = trainer.OneCycleSchedule(RunConfig.max_lr, 2 * n,
+                                              RunConfig.warmup_frac).lr(n + 1)
                 where = f"epoch 2, step {n + 1}, lr {lr:.6g}"
             else:
-                lr = trainer.OneCycleSchedule(RunConfig.lr_hi, max(3, n)).lr(1)
+                lr = trainer.OneCycleSchedule(RunConfig.lr_hi, max(3, n),
+                                              RunConfig.warmup_frac).lr(1)
                 where = f"epoch 2, stage 1 step 1, head lr {lr:.6g}"
             kept = "best checkpoint (epoch 1) kept"
         assert main([command, "--data", str(root / "prep"), "--out", str(tmp_path),
@@ -759,10 +762,10 @@ def _other_class_count(command, n_classes):
 
     def argv(root, tmp_path):
         vocab = C.Vocab.load(root / "prep" / "vocab.tsv")
-        enc = M.Encoder(len(vocab), emb_size=8, hidden_size=8, n_layers=1, seed=0)
+        enc = encoder(len(vocab), emb_size=8, hidden_size=8, n_layers=1, seed=0)
         path = tmp_path / "clf.ckpt"
-        ckpt_mod.save_checkpoint(Classifier(enc, n_classes=n_classes, head_hidden=5), path,
-                                 vocab=vocab)
+        clf = Classifier(enc, n_classes=n_classes, head_hidden=5, vocab_hash=None, seed=2)
+        ckpt_mod.save_checkpoint(clf, path, vocab=vocab)
         if command == "eval":
             return ["eval", "--checkpoint", str(path), "--data", str(root / "prep"),
                     "--out", str(tmp_path / "out")]

@@ -83,7 +83,7 @@ class TestFromFile:
     def test_kwarg_overrides_beat_file(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"seed": 5}')
-        assert RunConfig.from_file(path, seed=9).seed == 9
+        assert RunConfig.from_file(path).replaced(seed=9).seed == 9
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "c.json"

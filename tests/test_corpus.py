@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from opscan import corpus as C
 from opscan.corpus import ContractRecord, CorpusError, Vocab
 
-from helpers import token_set
+from helpers import SHIPPED, token_set
 
 
 def rec(address, tokens, label=3):
@@ -122,8 +122,8 @@ def synthetic_class(label, n, start=0):
 
 class TestStratifiedSplit:
     def test_class_of_twenty(self):
-        split = C.stratified_split(synthetic_class(0, 20) + synthetic_class(1, 20)
-                                   + synthetic_class(2, 20) + synthetic_class(3, 20))
+        records = sum((synthetic_class(lbl, 20) for lbl in range(4)), [])
+        split = C.stratified_split(records, SHIPPED.ratios(), seed=0)
         for label in range(4):
             sizes = tuple(sum(r.label == label for r in part)
                           for part in (split.train, split.valid, split.test))
@@ -132,14 +132,14 @@ class TestStratifiedSplit:
     def test_class_of_seven(self):
         # floor(0.7*7)=4 train, floor(0.15*7)=1 test, valid takes the remainder
         records = sum((synthetic_class(lbl, 7) for lbl in range(4)), [])
-        split = C.stratified_split(records)
+        split = C.stratified_split(records, SHIPPED.ratios(), seed=0)
         sizes = tuple(sum(r.label == 0 for r in part)
                       for part in (split.train, split.valid, split.test))
         assert sizes == (4, 2, 1)
 
     def test_class_of_three_fills_every_split(self):
         records = sum((synthetic_class(lbl, 3) for lbl in range(4)), [])
-        split = C.stratified_split(records)
+        split = C.stratified_split(records, SHIPPED.ratios(), seed=0)
         for part in (split.train, split.valid, split.test):
             for label in range(4):
                 assert sum(r.label == label for r in part) == 1
@@ -148,37 +148,39 @@ class TestStratifiedSplit:
                                         (0.05, 0.05, 0.9)])
     def test_extreme_ratios_fill_every_split(self, ratios):
         for n in (3, 4, 12):
-            split = C.stratified_split(synthetic_class(2, n), ratios)
+            split = C.stratified_split(synthetic_class(2, n), ratios, seed=0)
             sizes = [len(part) for part in (split.train, split.valid, split.test)]
             assert min(sizes) >= 1 and sum(sizes) == n, (n, sizes)
 
     def test_too_small_class_rejected(self):
         records = synthetic_class(0, 2) + synthetic_class(3, 10)
         with pytest.raises(CorpusError, match="Suicidal"):
-            C.stratified_split(records)
+            C.stratified_split(records, SHIPPED.ratios(), seed=0)
 
     def test_partition(self):
         rng = np.random.default_rng(0)
         records = sum((synthetic_class(lbl, int(rng.integers(5, 40))) for lbl in range(4)), [])
-        split = C.stratified_split(records, seed=9)
+        split = C.stratified_split(records, SHIPPED.ratios(), seed=9)
         combined = split.train + split.valid + split.test
         assert len(combined) == len(records)
         assert {r.address for r in combined} == {r.address for r in records}
 
     def test_deterministic_and_seed_sensitive(self):
         records = sum((synthetic_class(lbl, 25) for lbl in range(4)), [])
-        a = C.stratified_split(records, seed=3)
-        b = C.stratified_split(records, seed=3)
-        c = C.stratified_split(records, seed=4)
+        a = C.stratified_split(records, SHIPPED.ratios(), seed=3)
+        b = C.stratified_split(records, SHIPPED.ratios(), seed=3)
+        c = C.stratified_split(records, SHIPPED.ratios(), seed=4)
         assert [r.address for r in a.train] == [r.address for r in b.train]
         assert [r.address for r in a.train] != [r.address for r in c.train]
         # sizes never depend on the seed
         assert len(a.train) == len(c.train) and len(a.test) == len(c.test)
 
     def test_class_membership_independent_of_other_classes(self):
-        alone = C.stratified_split(synthetic_class(2, 12) + synthetic_class(3, 12), seed=5)
+        alone = C.stratified_split(synthetic_class(2, 12) + synthetic_class(3, 12),
+                                   SHIPPED.ratios(), seed=5)
         mixed = C.stratified_split(
-            synthetic_class(0, 8) + synthetic_class(2, 12) + synthetic_class(3, 12), seed=5)
+            synthetic_class(0, 8) + synthetic_class(2, 12) + synthetic_class(3, 12),
+            SHIPPED.ratios(), seed=5)
         greedy = lambda part: [r.address for r in part if r.label == 2]
         assert greedy(alone.train) == greedy(mixed.train)
         assert greedy(alone.test) == greedy(mixed.test)
@@ -186,7 +188,7 @@ class TestStratifiedSplit:
     def test_reference_class_sizes_within_one(self):
         counts = {0: 5801, 1: 1461, 2: 1207, 3: 32408}
         records = sum((synthetic_class(lbl, n) for lbl, n in counts.items()), [])
-        split = C.stratified_split(records, seed=0)
+        split = C.stratified_split(records, SHIPPED.ratios(), seed=0)
         expected_test = {0: 870, 1: 220, 2: 181, 3: 4860}
         for label, want in expected_test.items():
             got = sum(r.label == label for r in split.test)
@@ -194,7 +196,7 @@ class TestStratifiedSplit:
 
     def test_manifest_roundtrip(self, tmp_path):
         records = sum((synthetic_class(lbl, 10) for lbl in range(4)), [])
-        split = C.stratified_split(records, seed=11)
+        split = C.stratified_split(records, SHIPPED.ratios(), seed=11)
         path = tmp_path / "split.json"
         split.save_manifest(path)
         data = json.loads(path.read_text())
@@ -206,7 +208,7 @@ class TestStratifiedSplit:
 
 class TestVocab:
     def test_reserved_layout(self):
-        v = C.build_vocab([rec("0x1", ("ADD", "ADD", "ADD", "AND"), 0)])
+        v = C.build_vocab([rec("0x1", ("ADD", "ADD", "ADD", "AND"), 0)], SHIPPED.min_freq)
         assert v.itos[:3] == ["<pad>", "<unk>", "<bos>"]
         assert (v.PAD, v.UNK, v.BOS) == (0, 1, 2)
         assert len(v) == 5
@@ -218,7 +220,7 @@ class TestVocab:
     def test_frequency_then_lexicographic(self):
         # freq: POP=3, ADD=2, MUL=2, DUP1=1, AND=1 → POP, ADD, MUL, AND, DUP1
         toks = ["POP", "ADD", "MUL", "POP", "ADD", "MUL", "POP", "DUP1", "AND"]
-        v = C.build_vocab([rec("0x1", tuple(toks), 0)])
+        v = C.build_vocab([rec("0x1", tuple(toks), 0)], SHIPPED.min_freq)
         assert v.itos[3:] == ["POP", "ADD", "MUL", "AND", "DUP1"]
 
     def test_min_freq_prunes(self):
@@ -228,10 +230,10 @@ class TestVocab:
 
     def test_empty_train_rejected(self):
         with pytest.raises(CorpusError):
-            C.build_vocab([])
+            C.build_vocab([], SHIPPED.min_freq)
 
     def test_save_load_roundtrip(self, tmp_path):
-        v = C.build_vocab([rec("0x1", ("ADD", "MUL", "ADD"), 0)])
+        v = C.build_vocab([rec("0x1", ("ADD", "MUL", "ADD"), 0)], SHIPPED.min_freq)
         path = tmp_path / "vocab.tsv"
         v.save(path)
         w = Vocab.load(path)
@@ -240,14 +242,14 @@ class TestVocab:
 
     def test_content_hash_is_file_hash(self, tmp_path):
         import hashlib
-        v = C.build_vocab([rec("0x1", ("ADD",), 0)])
+        v = C.build_vocab([rec("0x1", ("ADD",), 0)], SHIPPED.min_freq)
         path = tmp_path / "vocab.tsv"
         v.save(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == v.content_hash()
 
     def test_hash_changes_with_content(self):
-        a = C.build_vocab([rec("0x1", ("ADD",), 0)])
-        b = C.build_vocab([rec("0x1", ("MUL",), 0)])
+        a = C.build_vocab([rec("0x1", ("ADD",), 0)], SHIPPED.min_freq)
+        b = C.build_vocab([rec("0x1", ("MUL",), 0)], SHIPPED.min_freq)
         assert a.content_hash() != b.content_hash()
 
     def test_load_rejects_tampered_ids(self, tmp_path):
@@ -260,19 +262,19 @@ class TestVocab:
 
 class TestNumericalize:
     def test_empty_gives_bos(self):
-        v = C.build_vocab([rec("0x1", ("ADD",), 0)])
+        v = C.build_vocab([rec("0x1", ("ADD",), 0)], SHIPPED.min_freq)
         assert C.numericalize([], v).tolist() == [v.BOS]
 
     def test_known_token(self):
-        v = C.build_vocab([rec("0x1", ("ADD",), 0)])
+        v = C.build_vocab([rec("0x1", ("ADD",), 0)], SHIPPED.min_freq)
         assert C.numericalize(["ADD"], v).tolist() == [v.BOS, 3]
 
     def test_unknown_maps_to_unk(self):
-        v = C.build_vocab([rec("0x1", ("ADD",), 0)])
+        v = C.build_vocab([rec("0x1", ("ADD",), 0)], SHIPPED.min_freq)
         assert C.numericalize(["ZZZ"], v).tolist() == [v.BOS, v.UNK]
 
     def test_ids_always_in_range(self):
-        v = C.build_vocab([rec("0x1", ("ADD", "MUL", "POP"), 0)])
+        v = C.build_vocab([rec("0x1", ("ADD", "MUL", "POP"), 0)], SHIPPED.min_freq)
         ids = C.numericalize(["ADD", "WAT", "POP", "MUL", "NOPE"], v)
         assert ids.max() < len(v) and ids.min() >= 0
 
@@ -323,7 +325,7 @@ class TestClfBatches:
 
     def test_padding_to_batch_max(self):
         seqs = self.seqs([3, 5])
-        (ids, lengths, labels), = C.clf_batches(seqs, [0, 1], batch_size=2)
+        (ids, lengths, labels), = C.clf_batches(seqs, [0, 1], batch_size=2, max_len=None)
         assert ids.shape == (2, 5)
         assert lengths.tolist() == [5, 3]  # sorted long-first
         assert np.all(ids[1, 3:] == Vocab.PAD)
@@ -337,13 +339,13 @@ class TestClfBatches:
 
     def test_batch_count_ceiling(self):
         seqs = self.seqs([4] * 10)
-        got = list(C.clf_batches(seqs, list(range(10)) , batch_size=4))
+        got = list(C.clf_batches(seqs, list(range(10)) , batch_size=4, max_len=None))
         assert [b[0].shape[0] for b in got] == [4, 4, 2]
 
     def test_labels_follow_their_rows(self):
         lengths = [9, 2, 7, 4, 11]
         seqs = self.seqs(lengths)
-        batches = list(C.clf_batches(seqs, [10, 20, 30, 40, 50], batch_size=2))
+        batches = list(C.clf_batches(seqs, [10, 20, 30, 40, 50], batch_size=2, max_len=None))
         seen = {}
         for ids, lens, labels in batches:
             for row in range(ids.shape[0]):
@@ -352,7 +354,7 @@ class TestClfBatches:
 
     def test_mismatched_labels_rejected(self):
         with pytest.raises(CorpusError):
-            list(C.clf_batches(self.seqs([3]), [0, 1], batch_size=1))
+            list(C.clf_batches(self.seqs([3]), [0, 1], batch_size=1, max_len=None))
 
 
 class TestTokenBatches:

@@ -48,7 +48,7 @@ class TestForward:
         case32 = [a.astype(np.float32) for a in case64]
         out32 = K.lstm_seq_forward(*case32)
         dh = np.ones_like(out32[0])
-        grads = K.lstm_seq_backward(dh, *case32[:3], *case32[4:], *out32)
+        grads = K.lstm_seq_backward(dh, *case32[:3], case32[4], *out32)
         assert all(a.dtype == np.float32 for a in (*out32, *grads))
         for a, b in zip(out32, K.lstm_seq_forward(*case64)):
             np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
@@ -153,8 +153,7 @@ class TestBackward:
 
         h_seq, c_seq, gates = K.lstm_seq_forward(*case)
         grads = K.lstm_seq_backward(
-            weight.copy(), case[0], case[1], case[2], case[4], case[5],
-            h_seq, c_seq, gates,
+            weight.copy(), case[0], case[1], case[2], case[4], h_seq, c_seq, gates,
         )
         eps = 1e-6
         for arg_idx, g_ad in zip([0, 1, 2, 4, 5], [grads[i] for i in [0, 1, 2, 4, 5]]):
@@ -190,10 +189,10 @@ class TestBackward:
         x, wx, wh, b, h0, c0 = case
         fw = K.lstm_seq_forward(*case)
         dh = rng.normal(size=fw[0].shape)
-        full = K.lstm_seq_backward(dh, x, wx, wh, h0, c0, *fw)
+        full = K.lstm_seq_backward(dh, x, wx, wh, h0, *fw)
         for needs in [(False, True, True, True), (True, False, True, False),
                       (False, False, False, True)]:
-            part = K.lstm_seq_backward(dh, x, wx, wh, h0, c0, *fw, needs=needs)
+            part = K.lstm_seq_backward(dh, x, wx, wh, h0, *fw, needs=needs)
             for need, a, b in zip(needs + (True, True), part, full):
                 assert (a is None) if not need else np.array_equal(a, b)
 
@@ -203,7 +202,7 @@ class TestBackward:
         h_seq, c_seq, gates = K.lstm_seq_forward(*case)
         dh = np.ones_like(h_seq)
         *_, dh0, dc0 = K.lstm_seq_backward(
-            dh, case[0], case[1], case[2], case[4], case[5], h_seq, c_seq, gates
+            dh, case[0], case[1], case[2], case[4], h_seq, c_seq, gates
         )
         assert np.any(dh0 != 0) and np.any(dc0 != 0)
 
@@ -215,7 +214,7 @@ def run_kernels(case, dh, for_backward, needs):
     fw = K.lstm_seq_forward(*case, for_backward=for_backward)
     if not for_backward:
         return fw
-    return fw + K.lstm_seq_backward(dh, x, wx, wh, h0, c0, *fw, needs=needs)
+    return fw + K.lstm_seq_backward(dh, x, wx, wh, h0, *fw, needs=needs)
 
 
 class TestMatchesReferenceLoops:

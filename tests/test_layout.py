@@ -54,3 +54,43 @@ def test_every_public_function_and_class_has_a_src_caller():
     stale = sorted(f"{m}.{n}" for m, n in ALLOWED_UNUSED if (m, n) not in defs)
     assert not stale, f"allowlisted names no src module defines: {', '.join(stale)}"
     assert time.perf_counter() - t0 < 1.0
+
+
+def _fields(tree: ast.Module, cls: str) -> set[str]:
+    """The annotated field names of class ``cls`` in a parsed module."""
+    node = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+    return {s.target.id for s in node.body if isinstance(s, ast.AnnAssign)}
+
+
+def _defaulted(node) -> list[ast.arg]:
+    """The parameters of a function node that carry a default."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    return (positional[len(positional) - len(a.defaults):]
+            + [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None])
+
+
+def test_no_default_outside_config_copies_a_config_value():
+    """RunConfig is the one home of every model, corpus and training default
+    (argparse is, of a synth flag's): outside config.py no function
+    parameter and no dataclass field named after a RunConfig key, named
+    ``dropouts`` or named after a Dropouts rate has a default."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    names = (_fields(trees["config"], "RunConfig") | _fields(trees["model"], "Dropouts")
+             | {"dropouts"})
+    assert {"seed", "emb_size", "warmup_frac", "emb", "head"} <= names
+    copies = []
+    for module, tree in trees.items():
+        if module == "config":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                where = f"{module}.{getattr(node, 'name', 'lambda')} (line {node.lineno})"
+                copies += [f"{where} parameter {arg.arg}"
+                           for arg in _defaulted(node) if arg.arg in names]
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                copies += [f"{module}.{node.name} field {s.target.id}" for s in node.body
+                           if isinstance(s, ast.AnnAssign) and s.value is not None
+                           and s.target.id in names]
+    assert not copies, f"defaults outside config.py: {', '.join(copies)}"

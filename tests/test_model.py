@@ -6,7 +6,7 @@ from opscan import model as M
 from opscan.autodiff import backward, grad_check, zero_grads
 from opscan.optim import Adam
 
-from helpers import head_parameters, kernel_step
+from helpers import encoder, head_parameters, kernel_step
 from oracle_lstm import cell_scalar
 
 NO_DROP = M.Dropouts(emb=0.0, input=0.0, hidden=0.0, weight=0.0, head=0.0)
@@ -14,10 +14,8 @@ ALL_DROP = M.Dropouts(emb=0.2, input=0.25, hidden=0.25, weight=0.5, head=0.1)
 
 
 def tiny_encoder(vocab=9, emb=6, hidden=8, layers=2, dropouts=NO_DROP, dtype=np.float64, seed=0):
-    return M.Encoder(
-        vocab, emb_size=emb, hidden_size=hidden, n_layers=layers,
-        dropouts=dropouts, dtype=dtype, seed=seed,
-    )
+    return encoder(vocab, emb_size=emb, hidden_size=hidden, n_layers=layers,
+                   dropouts=dropouts, dtype=dtype, seed=seed)
 
 
 def record_masks(monkeypatch) -> list:
@@ -25,7 +23,7 @@ def record_masks(monkeypatch) -> list:
     drawn = []
     draw = M.keep_mask
 
-    def recording(rng, shape, p, dtype=np.float64):
+    def recording(rng, shape, p, dtype):
         mask = draw(rng, shape, p, dtype)
         drawn.append((tuple(shape), p, mask))
         return mask
@@ -76,17 +74,17 @@ class TestCellStep:
 class TestMasks:
     def test_keep_mask_rate(self):
         rng = np.random.default_rng(0)
-        m = M.keep_mask(rng, 10_000, 0.5)
+        m = M.keep_mask(rng, 10_000, 0.5, np.float64)
         assert abs(m.mean() - 0.5) < 0.05
         assert set(np.unique(m)) <= {0.0, 1.0}
 
     def test_keep_mask_p0_identity(self):
         rng = np.random.default_rng(0)
-        assert np.all(M.keep_mask(rng, 100, 0.0) == 1.0)
+        assert np.all(M.keep_mask(rng, 100, 0.0, np.float64) == 1.0)
 
     def test_keep_mask_bad_p(self):
         with pytest.raises(ValueError):
-            M.keep_mask(np.random.default_rng(0), 3, 1.0)
+            M.keep_mask(np.random.default_rng(0), 3, 1.0, np.float64)
 
     def test_dropout_expectation(self):
         rng = np.random.default_rng(1)
@@ -94,7 +92,7 @@ class TestMasks:
         acc = np.zeros(64)
         n = 10_000
         for _ in range(n):
-            acc += ad.apply_mask(x, M.keep_mask(rng, 64, 0.3), 1.0 / 0.7).data
+            acc += ad.apply_mask(x, M.keep_mask(rng, 64, 0.3, np.float64), 1.0 / 0.7).data
         np.testing.assert_allclose(acc / n, x.data, rtol=0.02)
 
     def test_masks_drawn_in_order_of_application(self, monkeypatch):
@@ -112,17 +110,18 @@ class TestMasks:
             ((1, B, 8), d.hidden),  # between layers 0 and 1
             (enc.layers[1].wh.shape, d.weight),
         ]
-        M.LanguageModel(enc).forward(ids, train=True, rng=np.random.default_rng(3))
+        M.LanguageModel(enc, vocab_hash=None, seed=1).forward(ids, train=True,
+                                                             rng=np.random.default_rng(3))
         lm_sites = encoder_sites + [((1, B, 6), d.hidden)]  # LM output
-        M.Classifier(enc, head_hidden=7).forward(ids, np.full(B, 5), train=True,
-                                                 rng=np.random.default_rng(3))
+        M.Classifier(enc, n_classes=4, head_hidden=7, vocab_hash=None, seed=2).forward(
+            ids, np.full(B, 5), train=True, rng=np.random.default_rng(3))
         clf_sites = encoder_sites + [((B, 7), d.head)]
         assert [(shape, p) for shape, p, _ in drawn] == lm_sites + clf_sites
         for sites, masks in ((lm_sites, drawn[: len(lm_sites)]),
                              (clf_sites, drawn[len(lm_sites) :])):
             replay = np.random.default_rng(3)
             for (shape, p), (_, _, mask) in zip(sites, masks):
-                np.testing.assert_array_equal(mask, keep_mask(replay, shape, p))
+                np.testing.assert_array_equal(mask, keep_mask(replay, shape, p, np.float64))
 
     def test_no_drop_draws_no_masks(self, monkeypatch):
         drawn = record_masks(monkeypatch)
@@ -130,8 +129,9 @@ class TestMasks:
         ids = np.zeros((3, 4), dtype=np.int64)
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
-        M.LanguageModel(enc).forward(ids, train=True, rng=rng)
-        M.Classifier(enc).forward(ids, np.full(4, 3), train=True, rng=rng)
+        M.LanguageModel(enc, vocab_hash=None, seed=1).forward(ids, train=True, rng=rng)
+        M.Classifier(enc, n_classes=4, head_hidden=50, vocab_hash=None, seed=2).forward(
+            ids, np.full(4, 3), train=True, rng=rng)
         assert drawn == [] and rng.bit_generator.state == before
 
     def test_weight_drop_rate(self, monkeypatch):
@@ -147,7 +147,7 @@ class TestMasks:
     def test_dropped_embedding_row_zero_everywhere(self):
         enc = tiny_encoder(dropouts=M.Dropouts(emb=0.5, input=0, hidden=0, weight=0, head=0))
         # the embedding-row mask is the first draw of a forward pass
-        rows = M.keep_mask(np.random.default_rng(11), (9, 1), 0.5)
+        rows = M.keep_mask(np.random.default_rng(11), (9, 1), 0.5, np.float64)
         dropped = np.where(rows[:, 0] == 0.0)[0]
         assert dropped.size  # p=0.5 over 9 rows: seed chosen so some drop
         token = int(dropped[0])
@@ -180,8 +180,8 @@ class TestEncoder:
         assert state[0][0].shape == (3, 8) and state[1][0].shape == (3, 6)
 
     def test_untied_last_width(self):
-        enc = M.Encoder(9, emb_size=6, hidden_size=8, n_layers=2, tie_last=False,
-                        dropouts=NO_DROP, dtype=np.float64)
+        enc = encoder(9, emb_size=6, hidden_size=8, n_layers=2, tie_last=False,
+                      dropouts=NO_DROP, dtype=np.float64)
         out, _ = enc.forward(np.zeros((2, 1), dtype=np.int64))
         assert out.shape == (2, 1, 8)
 
@@ -221,9 +221,9 @@ class TestEncoder:
 class TestLanguageModel:
     def test_initial_loss_near_log_vocab(self):
         vocab = 30
-        enc = M.Encoder(vocab, emb_size=16, hidden_size=16, n_layers=2,
-                        dropouts=NO_DROP, dtype=np.float64)
-        lm = M.LanguageModel(enc)
+        enc = encoder(vocab, emb_size=16, hidden_size=16, n_layers=2,
+                      dropouts=NO_DROP, dtype=np.float64)
+        lm = M.LanguageModel(enc, vocab_hash=None, seed=1)
         rng = np.random.default_rng(3)
         ids = rng.integers(0, vocab, (10, 4))
         targets = rng.integers(1, vocab, (10, 4))
@@ -232,7 +232,7 @@ class TestLanguageModel:
 
     def test_tied_decoder_is_embedding_storage(self):
         enc = tiny_encoder()
-        lm = M.LanguageModel(enc)
+        lm = M.LanguageModel(enc, vocab_hash=None, seed=1)
         assert lm.dec_w is None
         ids = np.zeros((3, 1), dtype=np.int64)
         before, _ = lm.forward(ids)
@@ -241,32 +241,32 @@ class TestLanguageModel:
         assert not np.allclose(before.data, after.data)
 
     def test_untied_has_own_projection(self):
-        enc = M.Encoder(9, emb_size=6, hidden_size=8, n_layers=1, tie_last=False,
-                        dropouts=NO_DROP, dtype=np.float64)
-        lm = M.LanguageModel(enc)
+        enc = encoder(9, emb_size=6, hidden_size=8, n_layers=1, tie_last=False,
+                      dropouts=NO_DROP, dtype=np.float64)
+        lm = M.LanguageModel(enc, vocab_hash=None, seed=1)
         assert lm.dec_w is not None and lm.dec_w.shape == (8, 9)
 
     def test_train_forward_needs_rng(self):
         enc = tiny_encoder(dropouts=ALL_DROP)
-        lm = M.LanguageModel(enc)
+        lm = M.LanguageModel(enc, vocab_hash=None, seed=1)
         with pytest.raises(ValueError):
             lm.forward(np.zeros((2, 1), dtype=np.int64), train=True)
 
     def test_overfits_tiny_repeating_stream(self):
         vocab = 4
-        enc = M.Encoder(vocab, emb_size=12, hidden_size=12, n_layers=1,
-                        dropouts=NO_DROP, dtype=np.float64, seed=1)
-        lm = M.LanguageModel(enc)
+        enc = encoder(vocab, emb_size=12, hidden_size=12, n_layers=1,
+                      dropouts=NO_DROP, dtype=np.float64, seed=1)
+        lm = M.LanguageModel(enc, vocab_hash=None, seed=1)
         stream = np.tile([2, 3], 25)  # strict alternation
         ids = stream[:-1].reshape(1, -1).T.reshape(-1, 1)[:10].reshape(10, 1)
         targets = stream[1:11].reshape(10, 1)
-        opt = Adam(lm.parameters(), lr=0.01)
+        opt = Adam(lm.parameters(), weight_decay=0.0)
         loss_val = None
         for _ in range(200):
             opt.zero_grad()
             loss, _ = lm.loss(ids, targets)
             backward(loss)
-            opt.step()
+            opt.step(0.01)
             loss_val = loss.item()
         assert loss_val < 0.1
 
@@ -274,7 +274,7 @@ class TestLanguageModel:
 class TestClassifier:
     def make(self, dtype=np.float64, dropouts=NO_DROP):
         enc = tiny_encoder(dropouts=dropouts, dtype=dtype)
-        return M.Classifier(enc, n_classes=4, head_hidden=10)
+        return M.Classifier(enc, n_classes=4, head_hidden=10, vocab_hash=None, seed=2)
 
     def test_logits_shape_and_proba(self):
         clf = self.make()
@@ -328,11 +328,15 @@ class TestClassifier:
 class TestTransfer:
     def make_lm(self, seed=0):
         enc = tiny_encoder(seed=seed)
-        return M.LanguageModel(enc, vocab_hash="aaa111")
+        return M.LanguageModel(enc, vocab_hash="aaa111", seed=1)
+
+    def transfer(self, lm):
+        return M.transfer_encoder(lm, vocab_hash=lm.vocab_hash, head_hidden=50,
+                                  dropouts=lm.encoder.dropouts, seed=2)
 
     def test_copies_values_head_fresh_encoder_frozen(self):
         lm = self.make_lm()
-        clf = M.transfer_encoder(lm, vocab_hash="aaa111")
+        clf = self.transfer(lm)
         for a, b in zip(clf.encoder.parameters(), lm.encoder.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
             assert a is not b
@@ -342,13 +346,13 @@ class TestTransfer:
 
     def test_copy_is_independent(self):
         lm = self.make_lm()
-        clf = M.transfer_encoder(lm)
+        clf = self.transfer(lm)
         lm.encoder.emb.data += 1.0
         assert not np.allclose(clf.encoder.emb.data, lm.encoder.emb.data)
 
     def test_forward_smoke(self):
         lm = self.make_lm()
-        clf = M.transfer_encoder(lm, vocab_hash="aaa111")
+        clf = self.transfer(lm)
         proba = clf.predict_proba(np.zeros((4, 2), dtype=np.int64), np.array([4, 2]))
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-12)
 
@@ -367,7 +371,7 @@ class TestGradChecks:
 
     def test_two_step_lstm_all_dropouts(self):
         enc = tiny_encoder(vocab=7, emb=5, hidden=6, layers=2, dropouts=ALL_DROP)
-        lm = M.LanguageModel(enc)
+        lm = M.LanguageModel(enc, vocab_hash=None, seed=1)
         redraw(lm.parameters(), np.random.default_rng(42))
         ids = np.random.default_rng(8).integers(0, 7, (2, 3))
         targets = np.random.default_rng(9).integers(1, 7, (2, 3))
@@ -382,7 +386,7 @@ class TestGradChecks:
 
     def test_full_classifier_head(self):
         enc = tiny_encoder(vocab=7, emb=5, hidden=6, layers=2, dropouts=ALL_DROP)
-        clf = M.Classifier(enc, n_classes=4, head_hidden=8)
+        clf = M.Classifier(enc, n_classes=4, head_hidden=8, vocab_hash=None, seed=2)
         redraw(clf.parameters(), np.random.default_rng(43))
         rng = np.random.default_rng(10)
         ids = rng.integers(1, 7, (6, 3))

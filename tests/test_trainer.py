@@ -20,7 +20,7 @@ from opscan.corpus import ContractRecord
 from opscan.optim import Adam
 from opscan.trainer import OneCycleSchedule, TrainerError
 
-from helpers import head_parameters
+from helpers import SHIPPED, encoder, head_parameters
 
 MOTIFS = [
     ("CALLVALUE", "ISZERO", "PUSH2", "JUMPI"),
@@ -83,6 +83,7 @@ class TestOneCycle:
     def sched(self, **kw):
         kw.setdefault("max_lr", 0.03)
         kw.setdefault("total_steps", 100)
+        kw.setdefault("warmup_frac", SHIPPED.warmup_frac)
         return OneCycleSchedule(**kw)
 
     def test_endpoint_identities(self):
@@ -124,7 +125,7 @@ class TestOneCycle:
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(TrainerError):
-            OneCycleSchedule(0.03, 2)
+            OneCycleSchedule(0.03, 2, SHIPPED.warmup_frac)
 
 
 class TestDiscriminativeLrs:
@@ -155,9 +156,9 @@ class TestDiscriminativeLrs:
 
 
 def small_clf(seed=0, n_layers=2):
-    enc = M.Encoder(12, emb_size=8, hidden_size=10, n_layers=n_layers,
-                    dropouts=M.Dropouts(0, 0, 0, 0, 0), dtype=np.float64, seed=seed)
-    return M.Classifier(enc, n_classes=4, head_hidden=6)
+    enc = encoder(12, emb_size=8, hidden_size=10, n_layers=n_layers,
+                  dropouts=M.Dropouts(0, 0, 0, 0, 0), dtype=np.float64, seed=seed)
+    return M.Classifier(enc, n_classes=4, head_hidden=6, vocab_hash=None, seed=2)
 
 
 class TestGradualUnfreeze:
@@ -201,12 +202,12 @@ class TestGradualUnfreeze:
         clf = small_clf(seed=5)
         T.gradual_unfreeze(clf, 1)
         before = {p.name: p.data.copy() for p in clf.parameters()}
-        opt = Adam(clf.parameters(), lr=0.01)
+        opt = Adam(clf.parameters(), weight_decay=0.0)
         rng = np.random.default_rng(0)
         ids = rng.integers(0, 12, (6, 4))
         loss = clf.loss(ids, np.full(4, 6), rng.integers(0, 4, 4), train=True, rng=rng)
         backward(loss)
-        opt.step()
+        opt.step(0.01)
         for p in clf.parameters():
             changed = not np.array_equal(p.data, before[p.name])
             expect = p.name.startswith(("lstm1.", "head."))
@@ -215,9 +216,9 @@ class TestGradualUnfreeze:
     @pytest.mark.parametrize("stage, kernel_calls", [(0, 0), (1, 1), (2, 2), (3, 3), (4, 3)])
     def test_backward_skips_what_only_frozen_parameters_need(self, monkeypatch, stage,
                                                              kernel_calls):
-        enc = M.Encoder(12, emb_size=5, hidden_size=7, n_layers=3, dtype=np.float64, seed=2,
-                        dropouts=M.Dropouts(0.1, 0.2, 0.2, 0.3, 0.1))
-        clf = M.Classifier(enc, n_classes=4, head_hidden=6)
+        enc = encoder(12, emb_size=5, hidden_size=7, n_layers=3, dtype=np.float64, seed=2,
+                      dropouts=M.Dropouts(0.1, 0.2, 0.2, 0.3, 0.1))
+        clf = M.Classifier(enc, n_classes=4, head_hidden=6, vocab_hash=None, seed=2)
         rng = np.random.default_rng(8)
         ids, lengths, labels = rng.integers(0, 12, (6, 3)), np.array([6, 4, 2]), np.array([0, 3, 1])
 
@@ -273,12 +274,12 @@ class TestLrFind:
 
         def final_loss(lr, steps=15):
             w.data[:] = 0.0
-            opt = Adam([w], lr=lr)
+            opt = Adam([w], weight_decay=0.0)
             for _ in range(steps):
                 opt.zero_grad()
                 loss = next(quadratic_losses(w))
                 backward(loss)
-                opt.step()
+                opt.step(lr)
             return float((w.data[0] - 3.0) ** 2)
 
         grid = np.geomspace(1e-5, 10.0, 40)
@@ -312,13 +313,13 @@ class TestLrFind:
 
     def test_lm_weights_restored_bitwise(self):
         records = grammar_records(12, seed=0)
-        vocab = C.build_vocab(records)
-        enc = M.Encoder(len(vocab), emb_size=8, hidden_size=8, n_layers=1, seed=1)
-        lm = M.LanguageModel(enc, vocab_hash=vocab.content_hash())
+        vocab = C.build_vocab(records, SHIPPED.min_freq)
+        enc = encoder(len(vocab), emb_size=8, hidden_size=8, n_layers=1, seed=1)
+        lm = M.LanguageModel(enc, vocab_hash=vocab.content_hash(), seed=1)
         before = {p.name: p.data.copy() for p in lm.parameters()}
         ids = [C.numericalize(r.tokens, vocab) for r in records]
         batches = list(C.lm_batches(ids, 4, 10))
-        T.lr_find(lm.parameters(), T.cycle(lambda rng: T.lm_losses(lm, batches, rng)),
+        T.lr_find(lm.parameters(), T.cycle(lambda rng: T.lm_losses(lm, batches, rng), 0),
                   lr_start=1e-5, lr_end=0.5, max_steps=25)
         for p in lm.parameters():
             assert np.array_equal(p.data, before[p.name]), p.name
@@ -337,14 +338,14 @@ class TestLrFind:
 def lm_setup(seed=0, n_train=60, n_valid=20):
     train = grammar_records(n_train, seed=seed)
     valid = grammar_records(n_valid, seed=seed + 1000)
-    vocab = C.build_vocab(train)
+    vocab = C.build_vocab(train, SHIPPED.min_freq)
     train_ids = [C.numericalize(r.tokens, vocab) for r in train]
     valid_ids = [C.numericalize(r.tokens, vocab) for r in valid]
-    # default dropout rates are sized for real corpora; at toy scale they
+    # the shipped dropout rates are sized for real corpora; at toy scale they
     # leave too little signal per step
-    enc = M.Encoder(len(vocab), emb_size=16, hidden_size=32, n_layers=2,
-                    dropouts=M.Dropouts(0.02, 0.05, 0.05, 0.1, 0.0), seed=7)
-    lm = M.LanguageModel(enc, vocab_hash=vocab.content_hash())
+    enc = encoder(len(vocab), emb_size=16, hidden_size=32, n_layers=2,
+                  dropouts=M.Dropouts(0.02, 0.05, 0.05, 0.1, 0.0), seed=7)
+    lm = M.LanguageModel(enc, vocab_hash=vocab.content_hash(), seed=1)
     return lm, vocab, train_ids, valid_ids
 
 
@@ -431,10 +432,10 @@ class TestTrainLm:
 def clf_setup(seed=0, per_class=10, n_layers=2, encoder_seed=7):
     train = labeled_motif_records(per_class, seed=seed)
     valid = labeled_motif_records(4, seed=seed + 500)
-    vocab = C.build_vocab(train)
-    enc = M.Encoder(len(vocab), emb_size=12, hidden_size=16, n_layers=n_layers,
-                    dropouts=M.Dropouts(0, 0.05, 0.05, 0.1, 0.05), seed=encoder_seed)
-    clf = M.Classifier(enc, n_classes=4, head_hidden=12, vocab_hash=vocab.content_hash())
+    vocab = C.build_vocab(train, SHIPPED.min_freq)
+    enc = encoder(len(vocab), emb_size=12, hidden_size=16, n_layers=n_layers,
+                  dropouts=M.Dropouts(0, 0.05, 0.05, 0.1, 0.05), seed=encoder_seed)
+    clf = M.Classifier(enc, n_classes=4, head_hidden=12, vocab_hash=vocab.content_hash(), seed=2)
     return clf, vocab, prepared(train, vocab), prepared(valid, vocab)
 
 
@@ -471,7 +472,7 @@ class TestValidationRecordsNoTape:
         T.gradual_unfreeze(clf, 2)
         flags = [p.frozen for p in clf.parameters()]
         recorded = record_closures(monkeypatch)
-        loss, _ = T.evaluate_classifier(clf, valid_ids, valid_labels)
+        loss, _ = T.evaluate_classifier(clf, valid_ids, valid_labels, None)
         assert loss == ad.cross_entropy(logits, np.asarray(valid_labels)).item()
         assert recorded and not any(recorded)
         assert [p.frozen for p in clf.parameters()] == flags
@@ -499,7 +500,7 @@ class TestValidationRecordsNoTape:
 
         monkeypatch.setattr(M, "lstm_sequence", fail)
         with pytest.raises(RuntimeError, match="kernel failed"):
-            T.evaluate_classifier(clf, valid_ids, valid_labels)
+            T.evaluate_classifier(clf, valid_ids, valid_labels, None)
         assert [p.frozen for p in clf.parameters()] == flags
 
 
@@ -630,15 +631,16 @@ class TestTrainClf:
         # represents the token stream; pretrain one, then fine-tune
         train = labeled_motif_records(24, seed=0)
         valid = labeled_motif_records(6, seed=500)
-        vocab = C.build_vocab(train)
+        vocab = C.build_vocab(train, SHIPPED.min_freq)
         train_ids = [C.numericalize(r.tokens, vocab) for r in train]
         valid_ids = [C.numericalize(r.tokens, vocab) for r in valid]
-        enc = M.Encoder(len(vocab), emb_size=12, hidden_size=16, n_layers=2,
-                        dropouts=M.Dropouts(0.02, 0.05, 0.05, 0.1, 0.0), seed=7)
-        lm = M.LanguageModel(enc, vocab_hash=vocab.content_hash())
+        enc = encoder(len(vocab), emb_size=12, hidden_size=16, n_layers=2,
+                      dropouts=M.Dropouts(0.02, 0.05, 0.05, 0.1, 0.0), seed=7)
+        lm = M.LanguageModel(enc, vocab_hash=vocab.content_hash(), seed=1)
         T.train_lm(lm, train_ids, valid_ids,
                    RunConfig(epochs=5, batch_size=4, bptt=20, max_lr=0.05, seed=2))
-        clf = M.transfer_encoder(lm, vocab_hash=vocab.content_hash(), head_hidden=12)
+        clf = M.transfer_encoder(lm, vocab_hash=vocab.content_hash(), head_hidden=12,
+                                 dropouts=lm.encoder.dropouts, seed=2)
         result = T.train_clf(clf, prepared(train, vocab), prepared(valid, vocab),
                              RunConfig(epochs=8, batch_size=4, seed=1))
         assert result.best_metric >= 0.9
@@ -680,7 +682,7 @@ class TestTrainClf:
         clf, vocab, train_data, valid_data = clf_setup(per_class=6)
         result = T.train_clf(clf, train_data, valid_data, RunConfig(epochs=4, batch_size=8, seed=3))
         assert result.best_metric == max(h["valid_fbeta"] for h in result.history)
-        _, rep = T.evaluate_classifier(clf, valid_data[0], valid_data[1])
+        _, rep = T.evaluate_classifier(clf, valid_data[0], valid_data[1], None)
         assert rep.weighted["fbeta"] == pytest.approx(result.best_metric, abs=1e-12)
 
     def test_zero_epochs(self):

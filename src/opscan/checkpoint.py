@@ -14,15 +14,15 @@ byte-identical file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import os
 import struct
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .config import _DTYPE_CODE, _DTYPES
 from .corpus import CorpusError, Vocab
 from .model import Classifier, Dropouts, Encoder, LanguageModel
@@ -97,24 +97,11 @@ def save_checkpoint(model, path, vocab: Vocab | None = None, metadata: dict | No
         "params": manifest,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    # Written beside path and renamed over it: a reader, or a crash, sees
-    # either the previous file or the complete new one, never a partial one.
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", VERSION, len(blob)))
-            fh.write(blob)
-            for p, entry in zip(params, manifest):
-                wire = _WIRE_DTYPE[entry["dtype"]]
-                fh.write(np.ascontiguousarray(p.data).astype(wire, copy=False).tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    # streamed chunk by chunk: joined, they would hold a copy of every parameter at once
+    write_atomic(path, itertools.chain(
+        (MAGIC, struct.pack("<II", VERSION, len(blob)), blob),
+        (np.ascontiguousarray(p.data).astype(_WIRE_DTYPE[entry["dtype"]], copy=False).tobytes()
+         for p, entry in zip(params, manifest))))
 
 
 def read_header(path) -> dict:

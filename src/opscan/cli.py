@@ -24,6 +24,7 @@ from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from . import synth as synth_mod
 from . import trainer as trainer_mod
+from .artifacts import write_atomic
 # read_header and vocab_from_header stay bound here, unused, because the
 # traced benchmark run (perfbench/layers.py) wraps them on this module.
 from .checkpoint import CheckpointError, load_checkpoint, read_header, vocab_from_header  # noqa: F401
@@ -67,14 +68,6 @@ def _read_split(data_dir: str | Path, name: str, vocab: Vocab) -> tuple[list, li
     records, _ = corpus_mod.ingest(Path(data_dir) / f"{name}.jsonl")
     ids = [corpus_mod.numericalize(r.tokens, vocab) for r in records]
     return ids, [r.label for r in records]
-
-
-def _write_records_jsonl(records, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            line = {"address": rec.address, "tokens": list(rec.tokens),
-                    "label": rec.label + 1}
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
 def _encoder_from_config(cfg: RunConfig, vocab_size: int) -> Encoder:
@@ -138,7 +131,7 @@ def cmd_disasm(args) -> int:
     print(text)
     if args.out:
         out = _resolve_out(args, "disasm")
-        (out / "disasm.txt").write_text(text + "\n", encoding="utf-8")
+        write_atomic(out / "disasm.txt", text + "\n")
     return 0
 
 
@@ -150,7 +143,9 @@ def cmd_prep(args) -> int:
     split = corpus_mod.stratified_split(deduped, ratios=cfg.ratios(), seed=cfg.seed)
     vocab = corpus_mod.build_vocab(split.train, min_freq=cfg.min_freq)
     for name in ("train", "valid", "test"):
-        _write_records_jsonl(getattr(split, name), out / f"{name}.jsonl")
+        write_atomic(out / f"{name}.jsonl", (
+            json.dumps({"address": r.address, "tokens": list(r.tokens), "label": r.label + 1},
+                       sort_keys=True) + "\n" for r in getattr(split, name)))
     vocab.save(out / "vocab.tsv")
     split.save_manifest(out / "split.json")
     summary = {
@@ -162,16 +157,16 @@ def cmd_prep(args) -> int:
         "vocab_size": len(vocab),
         "vocab_hash": vocab.content_hash(),
     }
-    (out / "prep.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n",
-                                   encoding="utf-8")
+    write_atomic(out / "prep.json", json.dumps(summary, indent=1, sort_keys=True) + "\n")
     cfg.write(out)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
 
 def cmd_lr_find(args) -> int:
-    if not (args.steps >= 2 and 0 < args.lr_start < args.lr_end < np.inf):
-        raise UsageError("need --steps >= 2 and 0 < --lr-start < --lr-end, all finite")
+    min_steps = trainer_mod.LR_FIND_MIN_POINTS
+    if not (args.steps >= min_steps and 0 < args.lr_start < args.lr_end < np.inf):
+        raise UsageError(f"need --steps >= {min_steps} and 0 < --lr-start < --lr-end, all finite")
     cfg = _load_config(args, batch_size=args.batch_size)
     out = _resolve_out(args, "lr-find")
     vocab = Vocab.load(Path(args.data) / "vocab.tsv")
@@ -325,7 +320,7 @@ def cmd_eval(args) -> int:
         predicted = np.argmax(scores, axis=1)
     cm = metrics_mod.confusion_matrix(predicted, actual)
     rep = metrics_mod.report(cm, scores=scores, labels=actual)
-    (out / "metrics.json").write_text(rep.to_json() + "\n", encoding="utf-8")
+    write_atomic(out / "metrics.json", rep.to_json() + "\n")
     metrics_mod.write_confusion_csv(cm, out / "confusion.csv")
     for c in rep.per_class:
         roc_path = out / f"roc_type{c.label}.csv"
@@ -356,8 +351,7 @@ def cmd_predict(args) -> int:
     print(json.dumps(result, sort_keys=True))
     if args.out:
         out = _resolve_out(args, "predict")
-        (out / "prediction.json").write_text(json.dumps(result, indent=1, sort_keys=True) + "\n",
-                                             encoding="utf-8")
+        write_atomic(out / "prediction.json", json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .model import Dropouts
 
 
@@ -101,6 +102,8 @@ class RunConfig:
         for key in ("max_lr", "lr_lo", "lr_hi"):
             if not 0 < getattr(self, key) < math.inf:
                 raise ConfigError(f"{key} must be a finite number > 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError("weight_decay must be a finite number >= 0")
         if self.lr_lo > self.lr_hi:
             raise ConfigError("lr_lo must be <= lr_hi")
         if not all(0 <= r <= 1 for r in self.ratios()) or abs(sum(self.ratios()) - 1) > 1e-9:
@@ -149,10 +152,6 @@ class RunConfig:
     def np_dtype(self):
         return _DTYPES[self.dtype]
 
-    def write(self, out_dir: str | Path) -> Path:
-        path = Path(out_dir) / "config.json"
-        path.write_text(
-            json.dumps(dataclasses.asdict(self), indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return path
+    def write(self, out_dir: str | Path) -> None:
+        write_atomic(Path(out_dir) / "config.json",
+                     json.dumps(dataclasses.asdict(self), indent=1, sort_keys=True) + "\n")

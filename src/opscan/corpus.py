@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .disasm import DisasmError, disassemble
 from .metrics import CLASS_NAMES, N_CLASSES
 
@@ -136,19 +137,15 @@ class Split:
     seed: int
     ratios: tuple[float, float, float]
 
-    def manifest(self) -> dict:
-        return {
+    def save_manifest(self, path) -> None:
+        manifest = {
             "seed": self.seed,
             "ratios": list(self.ratios),
             "train": [r.address for r in self.train],
             "valid": [r.address for r in self.valid],
             "test": [r.address for r in self.test],
         }
-
-    def save_manifest(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.manifest(), fh, indent=1)
-            fh.write("\n")
+        write_atomic(path, json.dumps(manifest, indent=1) + "\n")
 
 
 def _split_counts(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
@@ -220,9 +217,7 @@ class Vocab:
         return h.hexdigest()
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for i, tok in enumerate(self.itos):
-                fh.write(f"{tok}\t{i}\n")
+        write_atomic(path, (f"{tok}\t{i}\n" for i, tok in enumerate(self.itos)))
 
     @classmethod
     def load(cls, path) -> "Vocab":

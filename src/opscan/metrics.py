@@ -9,11 +9,12 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .artifacts import write_atomic
 
 N_CLASSES = 4
 CLASS_NAMES = ("Suicidal", "Prodigal", "Greedy", "Normal")
@@ -210,20 +211,20 @@ def report(cm: np.ndarray, scores=None, labels=None, beta: float = 1.0) -> Metri
     return MetricsReport(accuracy=accuracy(cm), per_class=per_class, weighted=weights)
 
 
+def _csv(rows) -> str:
+    """``rows`` as CSV text with \\r\\n line ends; no field needs quoting."""
+    return "".join(",".join(map(str, row)) + "\r\n" for row in rows)
+
+
 def write_confusion_csv(cm: np.ndarray, path) -> None:
     """Rows are actual classes, columns predicted."""
     k = cm.shape[0]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["actual\\predicted"] + [f"Type-{j + 1}" for j in range(k)])
-        for i in range(k):
-            w.writerow([f"Type-{i + 1}"] + [int(x) for x in cm[i]])
+    write_atomic(path, _csv([["actual\\predicted"] + [f"Type-{j + 1}" for j in range(k)]]
+                            + [[f"Type-{i + 1}"] + [int(x) for x in cm[i]] for i in range(k)]))
 
 
 def write_roc_csv(label: int, curve: tuple[np.ndarray, np.ndarray, np.ndarray], path) -> None:
     """One class's curve (fpr, tpr, thresholds); label is 1-based."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["class", "threshold", "fpr", "tpr"])
-        for x, y, t in zip(*curve):
-            w.writerow([f"Type-{label}", "inf" if np.isinf(t) else repr(float(t)), repr(float(x)), repr(float(y))])
+    write_atomic(path, _csv([["class", "threshold", "fpr", "tpr"]] + [
+        [f"Type-{label}", "inf" if np.isinf(t) else repr(float(t)), repr(float(x)), repr(float(y))]
+        for x, y, t in zip(*curve)]))

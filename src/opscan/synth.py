@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .corpus import NORMAL, ContractRecord
 from .opcodes import BYTE_OF, OPCODES
 
@@ -111,11 +112,7 @@ def to_bytecode(tokens: tuple[str, ...], rng: np.random.Generator) -> str:
 def write_corpus(records: list[ContractRecord], path: str | Path, seed: int) -> None:
     """Write records as corpus JSONL with bytecode payloads and 1-based labels."""
     rng = np.random.default_rng(seed)
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            line = {
-                "address": rec.address,
-                "bytecode": to_bytecode(rec.tokens, rng),
-                "label": rec.label + 1,
-            }
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
+    write_atomic(path, (json.dumps({"address": rec.address,
+                                    "bytecode": to_bytecode(rec.tokens, rng),
+                                    "label": rec.label + 1}, sort_keys=True) + "\n"
+                        for rec in records))

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import corpus as corpus_mod
+from .artifacts import write_atomic
 from .autodiff import Parameter, Tensor, backward
 from .checkpoint import save_checkpoint
 from .config import RunConfig
@@ -200,12 +201,11 @@ class LrFinderResult:
     stopped_early: bool
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("lr,loss\n")
-            for lr, loss in zip(self.lrs, self.losses):
-                fh.write(f"{lr!r},{loss!r}\n")
+        write_atomic(path, ["lr,loss\n"] + [f"{lr!r},{loss!r}\n"
+                                            for lr, loss in zip(self.lrs, self.losses)])
 
 
+LR_FIND_MIN_POINTS = 10  # finite points lr_find needs to suggest an lr
 _LR_FIND_BETA = 0.98  # lr_find's EMA weight of the previous smoothed loss
 _LR_FIND_DIVERGENCE = 4.0  # lr_find stops at a smoothed loss this many times its best
 
@@ -220,8 +220,8 @@ def lr_find(params: Sequence[Parameter], losses: Iterable[Tensor], lr_start: flo
     restored bitwise before returning; the throwaway optimizer never leaks
     state.
     """
-    if not (max_steps >= 2 and 0 < lr_start < lr_end < math.inf):
-        raise TrainerError("need max_steps >= 2 and 0 < lr_start < lr_end")
+    if not (max_steps >= LR_FIND_MIN_POINTS and 0 < lr_start < lr_end < math.inf):
+        raise TrainerError(f"need max_steps >= {LR_FIND_MIN_POINTS} and 0 < lr_start < lr_end")
     snapshot = [p.data.copy() for p in params]
     opt = Adam(params, weight_decay=0.0)
     opt.zero_grad()
@@ -246,7 +246,7 @@ def lr_find(params: Sequence[Parameter], losses: Iterable[Tensor], lr_start: flo
     finally:
         for p, snap in zip(params, snapshot):
             p.data[:] = snap
-    if len(lrs) < 10:
+    if len(lrs) < LR_FIND_MIN_POINTS:
         raise TrainerError(
             f"only {len(lrs)} finite points recorded before divergence; try a smaller lr_start"
         )
@@ -275,21 +275,22 @@ def _fit(model, opt: Adam, epochs: int, plans: Iterator, validate: Callable[[], 
          metric: str, out_dir, vocab, *artifacts: str) -> TrainResult:
     """The epoch loop of both trainers.
 
-    It first empties history.jsonl and deletes ``artifacts`` (the best
+    It first writes an empty history.jsonl and deletes ``artifacts`` (the best
     checkpoint's name first), so a rerun into the same directory holds one
     run even if it stops before writing its own. Only then does it start
     ``plans``, a generator that checks the splits and yields one ``(losses,
     hyper, where)`` per epoch: the epoch's stream of (loss, weight), step
     i's (lr, beta1) and step i's name in an abort reason. Each completed
     epoch appends {"epoch", "train_loss", "valid_loss", "valid_fbeta"}
-    (from ``validate()``) to the history, and the best one by ``metric``
+    (from ``validate()``) to the history, rewrites history.jsonl whole from
+    it, and the best one by ``metric``
     (lowest valid_loss, highest valid_fbeta) is checkpointed. A non-finite
     loss or gradient ends the run with result.abort_reason. Either way the
     model is left holding the best epoch's weights.
     """
     result = TrainResult()
     if out_dir is not None:
-        (Path(out_dir) / "history.jsonl").write_text("", encoding="utf-8")
+        write_atomic(Path(out_dir) / "history.jsonl", "")
         for name in artifacts:
             (Path(out_dir) / name).unlink(missing_ok=True)
     if epochs == 0:
@@ -314,8 +315,8 @@ def _fit(model, opt: Adam, epochs: int, plans: Iterator, validate: Callable[[], 
                  "valid_fbeta": valid_fbeta}
         result.history.append(entry)
         if out_dir is not None:
-            with open(Path(out_dir) / "history.jsonl", "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            write_atomic(Path(out_dir) / "history.jsonl",
+                         (json.dumps(e, sort_keys=True) + "\n" for e in result.history))
         if result.best_metric is None or better(entry[metric], result.best_metric):
             result.best_metric, result.best_epoch = entry[metric], epoch
             best_snap = [p.data.copy() for p in params]
@@ -543,8 +544,6 @@ def train_clf(clf: Classifier, train_data: tuple[Sequence[np.ndarray], Sequence[
     result = _fit(clf, Adam(clf.parameters(), weight_decay=cfg.weight_decay), epochs,
                   plans(), validate, "valid_fbeta", out_dir, vocab, "clf_best.ckpt", "fbeta.csv")
     if out_dir is not None and result.history:
-        with open(Path(out_dir) / "fbeta.csv", "w", encoding="utf-8") as fh:
-            fh.write("epoch,fbeta\n")
-            for entry in result.history:
-                fh.write(f"{entry['epoch']},{entry['valid_fbeta']!r}\n")
+        write_atomic(Path(out_dir) / "fbeta.csv", ["epoch,fbeta\n"] + [
+            f"{e['epoch']},{e['valid_fbeta']!r}\n" for e in result.history])
     return result

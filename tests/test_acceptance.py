@@ -7,6 +7,7 @@ arithmetic and finish in seconds. Criteria 5, 6 and 11 train real models
 on the synthetic corpus and together take a few minutes on one core.
 """
 
+import functools
 import json
 import time
 from types import SimpleNamespace
@@ -284,12 +285,22 @@ def synth_env():
     )
 
 
-def _pretrained_clf(env, s):
-    enc = encoder(len(env.vocab), dropouts=DESK_DROPS, seed=7 + s, **DESK_DIMS)
-    lm = M.LanguageModel(enc, vocab_hash=env.vocab.content_hash(), seed=2 + s)
-    T.train_lm(lm, env.train[0], env.valid[0],
-               RunConfig(epochs=25, batch_size=16, bptt=70, max_lr=0.08, seed=2 + s))
-    return M.transfer_encoder(lm, vocab_hash=env.vocab.content_hash(),
+@pytest.fixture(scope="module")
+def pretrained_lm(synth_env):
+    """lm(s): seed s's pretrained LM, trained on first use and shared by
+    criteria 5 and 6; each takes a fresh transfer_encoder copy of it."""
+    @functools.cache
+    def lm(s):
+        enc = encoder(len(synth_env.vocab), dropouts=DESK_DROPS, seed=7 + s, **DESK_DIMS)
+        model = M.LanguageModel(enc, vocab_hash=synth_env.vocab.content_hash(), seed=2 + s)
+        T.train_lm(model, synth_env.train[0], synth_env.valid[0],
+                   RunConfig(epochs=25, batch_size=16, bptt=70, max_lr=0.08, seed=2 + s))
+        return model
+    return lm
+
+
+def _pretrained_clf(env, lm, s):
+    return M.transfer_encoder(lm(s), vocab_hash=env.vocab.content_hash(),
                               head_hidden=50, dropouts=DESK_DROPS, seed=30 + s)
 
 
@@ -312,9 +323,9 @@ def _epochs_to_target(history, budget):
     return budget + 1  # never reached within budget
 
 
-def test_criterion_05_overfit_sanity(synth_env):
+def test_criterion_05_overfit_sanity(synth_env, pretrained_lm):
     t0 = time.perf_counter()
-    clf = _pretrained_clf(synth_env, 0)
+    clf = _pretrained_clf(synth_env, pretrained_lm, 0)
     _fine_tune(clf, synth_env, epochs=50, seed=3)
     _, train_rep = T.evaluate_classifier(clf, *synth_env.train, None)
     _, test_rep = T.evaluate_classifier(clf, *synth_env.test, None)
@@ -328,11 +339,12 @@ def test_criterion_05_overfit_sanity(synth_env):
     )
 
 
-def test_criterion_06_transfer_benefit(synth_env):
+def test_criterion_06_transfer_benefit(synth_env, pretrained_lm):
     t0 = time.perf_counter()
     ratios = []
     for s in range(5):
-        pre = _fine_tune(_pretrained_clf(synth_env, s), synth_env, CLF_BUDGET, seed=3 + s)
+        pre = _fine_tune(_pretrained_clf(synth_env, pretrained_lm, s), synth_env, CLF_BUDGET,
+                         seed=3 + s)
         rnd = _fine_tune(_random_clf(synth_env, s), synth_env, CLF_BUDGET, seed=3 + s)
         ratios.append(
             _epochs_to_target(pre.history, CLF_BUDGET)

@@ -330,36 +330,3 @@ class TestRefusals:
     def test_save_rejects_non_model(self, tmp_path):
         with pytest.raises(CheckpointError):
             save_checkpoint(object(), tmp_path / "x.ckpt")
-
-
-class TestAtomicWrite:
-    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
-        vocab = small_vocab()
-        path = tmp_path / "lm.ckpt"
-        save_checkpoint(make_lm(vocab, seed=3), path)
-        before = path.read_bytes()
-
-        class DiskFull:
-            """File whose fourth write (the first parameter record) fails."""
-
-            def __init__(self, fh):
-                self.fh, self.writes = fh, 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes == 4:
-                    raise OSError("no space left on device")
-                return self.fh.write(data)
-
-        monkeypatch.setattr(ckpt, "open", lambda p, mode: DiskFull(open(p, mode)), raising=False)
-        with pytest.raises(OSError, match="no space"):
-            save_checkpoint(make_lm(vocab, seed=5), path)
-        monkeypatch.undo()
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["lm.ckpt"]

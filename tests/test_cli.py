@@ -363,8 +363,9 @@ class TestLrFind:
     def test_too_few_points_is_numerical_failure(self, ws, tmp_path, capsys):
         root, cfg = ws
         assert main(["lr-find", "--data", str(root / "prep"), "--model", "lm",
-                     "--out", str(tmp_path), "--steps", "8", "--lr-end", "1e-5",
-                     "--batch-size", "4", "--config", str(cfg)]) == 5
+                     "--out", str(tmp_path), "--steps", "100", "--lr-start", "1",
+                     "--lr-end", "1e300", "--batch-size", "4", "--config", str(cfg)]) == 5
+        assert "finite points recorded before divergence" in capsys.readouterr().err
 
 
 class TestEvalPredictionsFile:
@@ -860,6 +861,8 @@ MALFORMED_INPUTS = {
     "train-clf-lm-other-vocab": (4, None, _train_clf_other_vocab),
     "lr-find-one-step": (2, None, lambda root, tmp: [
         "lr-find", "--data", str(root / "prep"), "--steps", "1", "--out", str(tmp)]),
+    "lr-find-nine-steps": (2, None, lambda root, tmp: [
+        "lr-find", "--data", str(root / "prep"), "--steps", "9", "--out", str(tmp)]),
     "lr-find-start-above-end": (2, None, lambda root, tmp: [
         "lr-find", "--data", str(root / "prep"), "--lr-start", "1", "--lr-end", "0.1",
         "--out", str(tmp)]),

@@ -58,6 +58,7 @@ class TestValidation:
         {"p_emb": -0.1}, {"warmup_frac": 0}, {"seed": -1},
         {"train_ratio": 0.8}, {"valid_ratio": float("nan")},
         {"train_ratio": 1.2, "valid_ratio": -0.1, "test_ratio": -0.1},
+        {"weight_decay": -1}, {"weight_decay": float("inf")}, {"weight_decay": float("nan")},
     ])
     def test_out_of_range(self, bad):
         with pytest.raises(ConfigError):
@@ -110,12 +111,11 @@ class TestReplaced:
 class TestWrite:
     def test_round_trips(self, tmp_path):
         cfg = RunConfig(hidden_size=48, seed=3, max_len=200)
-        path = cfg.write(tmp_path)
-        assert path.name == "config.json"
-        back = RunConfig.from_dict(json.loads(path.read_text()))
+        cfg.write(tmp_path)
+        back = RunConfig.from_dict(json.loads((tmp_path / "config.json").read_text()))
         assert back == cfg
 
     def test_every_field_present(self, tmp_path):
-        path = RunConfig().write(tmp_path)
-        keys = set(json.loads(path.read_text()))
+        RunConfig().write(tmp_path)
+        keys = set(json.loads((tmp_path / "config.json").read_text()))
         assert keys == {f.name for f in dataclasses.fields(RunConfig)}

@@ -94,3 +94,36 @@ def test_no_default_outside_config_copies_a_config_value():
                            if isinstance(s, ast.AnnAssign) and s.value is not None
                            and s.target.id in names]
     assert not copies, f"defaults outside config.py: {', '.join(copies)}"
+
+
+def _writes(tree: ast.Module) -> list[str]:
+    """Each call in a parsed module that writes or replaces a file by itself:
+    open() or .open() with a mode that writes (a mode that is not a literal
+    counts as one), .write_text(), .write_bytes() and os.replace()."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        attr = node.func.attr if isinstance(node.func, ast.Attribute) else name
+        if attr == "open":
+            args = node.args[1:] if name == "open" else node.args
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        args[0] if args else ast.Constant("r"))
+            writes = not isinstance(mode, ast.Constant) or bool(set("wax+") & set(mode.value))
+        else:
+            writes = attr in ("write_text", "write_bytes") or name == "os.replace"
+        if writes:
+            found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return found
+
+
+def test_every_file_write_goes_through_write_atomic():
+    """artifacts.write_atomic is the one place src writes a file: a write
+    anywhere else would skip its tmp file, fsync and rename."""
+    t0 = time.perf_counter()
+    writes = [f"{path.stem}: {w}" for path in sorted(SRC.glob("*.py")) if path.stem != "artifacts"
+              for w in _writes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not writes, f"file writes outside artifacts.write_atomic: {'; '.join(writes)}"
+    assert _writes(ast.parse((SRC / "artifacts.py").read_text(encoding="utf-8")))
+    assert time.perf_counter() - t0 < 1.0

@@ -305,17 +305,10 @@ def padded(seqs: Sequence[np.ndarray], rows: Sequence[int]) -> tuple[np.ndarray,
     return ids, lengths
 
 
-def token_batches(seqs: Sequence[np.ndarray], max_tokens: int) -> list[list[int]]:
-    """Indices of seqs, longest first, cut into batches of at most max_tokens
-    padded positions: rows times the length of the batch's first, longest,
-    sequence. A sequence longer than max_tokens forms a batch of its own."""
-    batches: list[list[int]] = []
-    for i in _longest_first(seqs):
-        if batches and (len(batches[-1]) + 1) * seqs[batches[-1][0]].size <= max_tokens:
-            batches[-1].append(i)
-        else:
-            batches.append([i])
-    return batches
+def row_batches(seqs: Sequence[np.ndarray], rows: int) -> list[list[int]]:
+    """Indices of seqs, longest first, cut into batches of at most ``rows``."""
+    order = _longest_first(seqs)
+    return [order[start : start + rows] for start in range(0, len(order), rows)]
 
 
 def clf_batches(
@@ -335,7 +328,5 @@ def clf_batches(
     if batch_size < 1:
         raise CorpusError("batch_size must be positive")
     seqs = clipped(id_seqs, max_len)
-    order = _longest_first(seqs)
-    for start in range(0, len(order), batch_size):
-        rows = order[start : start + batch_size]
+    for rows in row_batches(seqs, batch_size):
         yield *padded(seqs, rows), np.asarray([labels[i] for i in rows], dtype=np.int64)

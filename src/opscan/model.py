@@ -267,6 +267,12 @@ class LanguageModel:
         return loss, new_state
 
 
+# Positions (steps × rows) per encoder window of a forward that records no
+# backward: a worker holds this many hidden outputs of a layer at a time,
+# however long its batch. A batch wider than this runs one step per window.
+_WINDOW_POSITIONS = 2048
+
+
 class Classifier:
     """Encoder plus pooled head: concat(last, max, mean) -> hidden -> logits.
     seed=None allocates the head without drawing it."""
@@ -305,26 +311,59 @@ class Classifier:
         """ids (T, B) left-aligned with trailing padding, lengths (B,) -> logits (B, K).
 
         Pooling only reads positions before each sequence's length, so
-        trailing padding can never change the logits.
+        trailing padding can never change the logits. Outside training, with
+        no parameter requiring a gradient (the scoring pass freezes them all),
+        the pools come from ``_windowed_pools``, which never holds the whole
+        (T, B, H) output; otherwise from the taped pools over the whole output.
         """
         ids = np.asarray(ids)
         lengths = np.asarray(lengths, dtype=np.int64)
         T, B = ids.shape
         enc = self.encoder
         rng = _dropout_rng(train, rng)
-        out, _ = enc.forward(ids, None, rng)
-        valid = (np.arange(T)[:, None] < lengths[None, :]).astype(enc.dtype)
-        rep = ad.concat(
-            [
-                ad.last_over_time(out, lengths),
-                ad.masked_max_over_time(out, valid),
-                ad.masked_mean_over_time(out, valid),
-            ],
-            axis=1,
-        )
+        if rng is None and not any(p.requires_grad for p in self.parameters()):
+            rep = Tensor(self._windowed_pools(ids, lengths))
+        else:
+            out, _ = enc.forward(ids, None, rng)
+            valid = (np.arange(T)[:, None] < lengths[None, :]).astype(enc.dtype)
+            rep = ad.concat(
+                [
+                    ad.last_over_time(out, lengths),
+                    ad.masked_max_over_time(out, valid),
+                    ad.masked_mean_over_time(out, valid),
+                ],
+                axis=1,
+            )
         hid = ad.relu(ad.add(ad.matmul(rep, self.w1), self.b1))
         hid = dropout(hid, rng, enc.dropouts.head, (B, self.head_hidden))
         return ad.add(ad.matmul(hid, self.w2), self.b2)
+
+    def _windowed_pools(self, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """concat(last, max, mean) over time of the encoder's outputs for ids
+        (T, B), taken in windows of at most _WINDOW_POSITIONS positions (at
+        least one step each), the LSTM state carried from window to window.
+        The mean adds the steps in time order, as the taped pool does, so
+        the pools equal the taped ones up to the kernel's rounding."""
+        T, B = ids.shape
+        if lengths.min() < 1 or lengths.max() > T:
+            raise ad.GradError("length out of range")
+        enc = self.encoder
+        last = np.empty((B, enc.out_size), enc.dtype)
+        high = np.full((B, enc.out_size), -np.inf, enc.dtype)
+        total = np.zeros((B, enc.out_size), enc.dtype)
+        steps, state = max(1, _WINDOW_POSITIONS // B), None
+        for start in range(0, T, steps):
+            out, state = enc.forward(ids[start : start + steps], state)
+            h = out.data  # the window's own array, free to overwrite
+            end = start + len(h)
+            valid = (np.arange(start, end)[:, None] < lengths[None, :])[:, :, None]
+            ends = np.flatnonzero((lengths > start) & (lengths <= end))
+            last[ends] = h[lengths[ends] - 1 - start, ends]
+            np.maximum(high, np.max(h, axis=0, where=valid, initial=-np.inf), out=high)
+            h *= valid
+            h[0] += total
+            np.sum(h, axis=0, out=total)
+        return np.concatenate([last, high, total / lengths.astype(enc.dtype)[:, None]], axis=1)
 
     def loss(self, ids, lengths, labels, train=False, rng=None) -> Tensor:
         logits = self.forward(ids, lengths, train, rng)

@@ -455,18 +455,22 @@ def _for_each(work: Callable, items: Sequence) -> None:
         raise errors[0]
 
 
-# Padded positions (rows × width) per scoring batch: about 32 contracts of
-# 128 opcodes. Each worker's peak memory grows with it.
-_BATCH_TOKENS = 4096
+# Contracts per scoring batch. At this width each LSTM step's numpy calls
+# run long enough that two workers overlap instead of queueing on the GIL;
+# Classifier.forward's windows keep each worker's memory flat whatever the
+# batch's longest contract.
+_BATCH_ROWS = 128
 
 
 def _score(clf: Classifier, id_seqs: Sequence[np.ndarray], max_len: int | None,
            fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
     """The one scoring pass: (N, n_classes) rows fn(ids (T, B), lengths) of
-    id_seqs, in input order. Contracts go in batches of corpus.token_batches
-    under _BATCH_TOKENS, through _for_each; each batch writes only its own
-    rows, so the result does not depend on which thread scored it. Every
-    parameter is frozen for the pass."""
+    id_seqs, in input order. Contracts go longest first in batches of at
+    most _BATCH_ROWS (corpus.row_batches), each padded to its longest one,
+    through _for_each; each batch writes only its own rows, so the result
+    does not depend on which thread scored it. Every parameter is frozen
+    for the pass, so Classifier.forward runs each batch in windows of
+    model._WINDOW_POSITIONS positions."""
     seqs = corpus_mod.clipped(id_seqs, max_len)
     out = np.empty((len(seqs), clf.n_classes))
 
@@ -475,7 +479,7 @@ def _score(clf: Classifier, id_seqs: Sequence[np.ndarray], max_len: int | None,
         out[rows] = fn(ids.T, lengths)
 
     with _frozen(clf.parameters()):
-        _for_each(score, corpus_mod.token_batches(seqs, _BATCH_TOKENS))
+        _for_each(score, corpus_mod.row_batches(seqs, _BATCH_ROWS))
     return out
 
 

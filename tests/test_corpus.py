@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opscan import corpus as C
@@ -357,23 +357,19 @@ class TestClfBatches:
             list(C.clf_batches(self.seqs([3]), [0, 1], batch_size=1, max_len=None))
 
 
-class TestTokenBatches:
+class TestRowBatches:
     @settings(max_examples=60, deadline=None)
-    @given(lengths=st.lists(st.integers(1, 120), max_size=40), budget=st.integers(1, 400))
-    @example(lengths=[4, 3, 4, 4, 4, 9], budget=8)  # batches that fill the budget exactly
-    def test_within_budget_and_longest_first(self, lengths, budget):
+    @given(lengths=st.lists(st.integers(1, 120), max_size=40), rows=st.integers(1, 12))
+    def test_capped_and_longest_first(self, lengths, rows):
         seqs = [np.zeros(n, dtype=np.int64) for n in lengths]
-        batches = C.token_batches(seqs, budget)
-        order = [i for rows in batches for i in rows]
+        batches = C.row_batches(seqs, rows)
+        order = [i for batch in batches for i in batch]
         assert sorted(order) == list(range(len(seqs)))
         sizes = [seqs[i].size for i in order]
         assert sizes == sorted(sizes, reverse=True)
-        for rows in batches:
-            ids, lens = C.padded(seqs, rows)
-            assert ids.size <= budget or (len(rows) == 1 and lens[0] > budget)
-        # each batch is as full as the budget lets it be
-        for rows in batches[:-1]:
-            assert (len(rows) + 1) * seqs[rows[0]].size > budget
+        # every batch but the last is full
+        assert [len(batch) for batch in batches[:-1]] == [rows] * (len(batches) - 1)
+        assert not batches or 1 <= len(batches[-1]) <= rows
 
     def test_padded_rows_follow_the_indices(self):
         seqs = [np.arange(3, dtype=np.int64) + 5, np.arange(6, dtype=np.int64) + 9]

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opscan import autodiff as ad
+from opscan import kernels as K
 from opscan import model as M
 from opscan.autodiff import backward, grad_check, zero_grads
 from opscan.optim import Adam
@@ -323,6 +328,57 @@ class TestClassifier:
         backward(loss)
         assert all(p.grad is None for p in clf.encoder.parameters())
         assert all(p.grad is not None for p in head_parameters(clf))
+
+
+class TestWindowedForward:
+    """With no parameter requiring a gradient, Classifier.forward runs the
+    encoder in windows of model._WINDOW_POSITIONS positions and pools them
+    as they come; it must score as the taped forward over the whole batch."""
+
+    CLF = M.Classifier(tiny_encoder(vocab=9, dtype=np.float32, seed=3), n_classes=4,
+                       head_hidden=10, vocab_hash=None, seed=2)
+
+    def frozen_forward(self, ids, lengths):
+        params = self.CLF.parameters()
+        for p in params:
+            p.frozen = True
+        try:
+            return self.CLF.forward(ids, lengths).data
+        finally:
+            for p in params:
+                p.frozen = False
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), B=st.integers(1, 5), T=st.integers(1, 30),
+           budget=st.integers(1, 40))
+    def test_matches_the_taped_forward(self, data, B, T, budget):
+        steps = max(1, budget // B)
+        # lengths of 1, of T, on a window edge, or anywhere; every id after a
+        # length is a real token, not PAD
+        edges = list(range(steps, T + 1, steps))
+        lengths = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([1, T] + edges), st.integers(1, T)),
+            min_size=B, max_size=B)))
+        ids = np.random.default_rng(T * 41 + B).integers(1, 9, (T, B))
+        taped = self.CLF.forward(ids, lengths).data
+        with mock.patch.object(M, "_WINDOW_POSITIONS", budget), \
+                mock.patch.object(K, "lstm_seq_forward", wraps=K.lstm_seq_forward) as fw:
+            windowed = self.frozen_forward(ids, lengths)
+        assert fw.call_count == -(-T // steps) * self.CLF.encoder.n_layers
+        if steps >= T:
+            np.testing.assert_array_equal(windowed, taped)
+        else:
+            np.testing.assert_allclose(windowed, taped, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("bad", [0, 6])
+    def test_length_out_of_range_raises_on_both_paths(self, bad):
+        ids = np.ones((5, 2), dtype=np.int64)
+        lengths = np.array([3, bad])
+        with pytest.raises(ad.GradError, match="length out of range"):
+            self.CLF.forward(ids, lengths)
+        with mock.patch.object(M, "_WINDOW_POSITIONS", 4), \
+                pytest.raises(ad.GradError, match="length out of range"):
+            self.frozen_forward(ids, lengths)
 
 
 class TestTransfer:

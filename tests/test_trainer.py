@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from opscan import autodiff as ad
 from opscan import corpus as C
+from opscan import kernels as K
 from opscan import model as M
 from opscan import trainer as T
 from opscan.autodiff import Parameter, Tensor, backward
@@ -527,6 +528,36 @@ class TestClassify:
                                       T.classify(clf, [s[:5] for s in valid_ids], None))
 
 
+class TestScoringMemory:
+    """Every LSTM kernel call of a scoring pass holds at most
+    model._WINDOW_POSITIONS positions, whatever the batch's width."""
+
+    CLF = clf_setup()[0]
+
+    def kernel_shapes(self, seqs):
+        with mock.patch.object(K, "lstm_seq_forward", wraps=K.lstm_seq_forward) as fw:
+            T.classify(self.CLF, seqs, None)
+        return [c.args[0].shape[:2] for c in fw.call_args_list]
+
+    @pytest.mark.parametrize("budget", [M._WINDOW_POSITIONS, 100])  # 100: under 128 rows
+    def test_windows_within_the_budget(self, budget):
+        rng = np.random.default_rng(5)
+        seqs = [rng.integers(3, 20, size=n) for n in rng.integers(1, 600, size=200)]
+        with mock.patch.object(M, "_WINDOW_POSITIONS", budget):
+            shapes = self.kernel_shapes(seqs)
+        assert max(rows for _, rows in shapes) == T._BATCH_ROWS
+        for steps, rows in shapes:
+            assert steps * rows <= budget or steps == 1
+        # every step of every batch runs once per layer
+        n_layers = self.CLF.encoder.n_layers
+        widths = [max(len(seqs[i]) for i in b) for b in C.row_batches(seqs, T._BATCH_ROWS)]
+        assert sum(steps for steps, _ in shapes) == n_layers * sum(widths)
+
+    def test_one_contract_under_the_budget_is_one_call_per_layer(self):
+        seq = np.random.default_rng(6).integers(3, 20, size=M._WINDOW_POSITIONS - 1)
+        assert self.kernel_shapes([seq]) == [(seq.size, 1)] * self.CLF.encoder.n_layers
+
+
 class FakeBlas:
     """Stands in for the OpenBLAS thread-count calls and records each set."""
 
@@ -546,7 +577,7 @@ def cores(n):
 
 
 class TestScoringPool:
-    """trainer._for_each runs the scoring pass's token batches on a thread
+    """trainer._for_each runs the scoring pass's row batches on a thread
     per usable core, with OpenBLAS on one thread for the pass."""
 
     CLF = clf_setup()[0]
@@ -558,12 +589,13 @@ class TestScoringPool:
         rng = np.random.default_rng(seed)
         seqs = [rng.integers(3, len(self.CLF.encoder.emb.data), size=n) for n in lengths]
         blas = FakeBlas()
-        with mock.patch.object(T, "_BATCH_TOKENS", 64):  # lengths above it form lone batches
+        with mock.patch.object(T, "_BATCH_ROWS", 3), \
+                mock.patch.object(M, "_WINDOW_POSITIONS", 64):
             with cores(1):
                 inline = T.classify(self.CLF, seqs, None)
             with cores(2), mock.patch.object(T, "_blas_thread_calls", blas.calls):
                 pooled = T.classify(self.CLF, seqs, None)
-            n_batches = len(C.token_batches(seqs, 64))
+            n_batches = len(C.row_batches(seqs, 3))
         np.testing.assert_array_equal(pooled, inline)
         assert blas.sets == ([1, 3] if n_batches > 1 else [])
 
@@ -590,7 +622,7 @@ class TestScoringPool:
 
         blas = FakeBlas()
         flags = [p.frozen for p in clf.parameters()]
-        with mock.patch.object(T, "_BATCH_TOKENS", 40), cores(2), \
+        with mock.patch.object(T, "_BATCH_ROWS", 2), cores(2), \
                 mock.patch.object(T, "_blas_thread_calls", blas.calls):
             with pytest.raises(ValueError, match="batch failed"):
                 T._score(clf, valid_ids, None, fn)
@@ -619,7 +651,7 @@ class TestScoringPool:
         def fn(ids, lengths):
             raise KeyError("batch failed")
 
-        with mock.patch.object(T, "_BATCH_TOKENS", 40), cores(2):
+        with mock.patch.object(T, "_BATCH_ROWS", 2), cores(2):
             with pytest.raises(KeyError):
                 T._score(clf, valid_ids, None, fn)
         assert (calls[0]() if calls else None) == before

@@ -23,9 +23,8 @@ from dataclasses import asdict
 import numpy as np
 
 from .artifacts import write_atomic
-from .config import _DTYPE_CODE, _DTYPES
 from .corpus import CorpusError, Vocab
-from .model import Classifier, Dropouts, Encoder, LanguageModel
+from .model import DTYPES, Classifier, Dropouts, Encoder, LanguageModel
 
 MAGIC = b"OPSC"
 VERSION = 1
@@ -47,16 +46,7 @@ def kind_of(model) -> str:
 
 
 def _hyperparams(model) -> dict:
-    enc = model.encoder
-    hp = {
-        "vocab_size": enc.vocab_size,
-        "emb_size": enc.emb_size,
-        "hidden_size": enc.hidden_size,
-        "n_layers": enc.n_layers,
-        "tie_last": enc.tie_last,
-        "dtype": _DTYPE_CODE[enc.dtype],
-        "dropouts": asdict(enc.dropouts),
-    }
+    hp = {**model.encoder.shape(), "dropouts": asdict(model.encoder.dropouts)}
     if isinstance(model, Classifier):
         hp["n_classes"] = model.n_classes
         hp["head_hidden"] = model.head_hidden
@@ -72,12 +62,14 @@ def save_checkpoint(model, path, vocab: Vocab | None = None, metadata: dict | No
     byte-identical.
     """
     kind = kind_of(model)
+    hyperparams = _hyperparams(model)
+    code = hyperparams["dtype"]
     params = model.parameters()
     manifest = []
     for p in params:
-        code = _DTYPE_CODE.get(p.data.dtype)
-        if code is None:
-            raise CheckpointError(f"parameter {p.name!r} has unsupported dtype {p.data.dtype}")
+        if p.data.dtype != DTYPES[code]:
+            raise CheckpointError(f"parameter {p.name!r} has dtype {p.data.dtype}, "
+                                  f"not the encoder's {code}")
         manifest.append({"name": p.name, "shape": list(p.shape), "dtype": code})
 
     vocab_hash = model.vocab_hash
@@ -92,7 +84,7 @@ def save_checkpoint(model, path, vocab: Vocab | None = None, metadata: dict | No
         "kind": kind,
         "vocab_hash": vocab_hash,
         "vocab": tokens,
-        "hyperparams": _hyperparams(model),
+        "hyperparams": hyperparams,
         "metadata": metadata if metadata is not None else getattr(model, "checkpoint_meta", {}),
         "params": manifest,
     }
@@ -160,16 +152,8 @@ def _rebuild(header: dict, n_records: int):
         if 3 * hp["n_layers"] > n_records:
             raise ValueError(f"n_layers {hp['n_layers']} needs more than the manifest's "
                              f"{n_records} parameter records")
-        enc = Encoder(
-            hp["vocab_size"],
-            emb_size=hp["emb_size"],
-            hidden_size=hp["hidden_size"],
-            n_layers=hp["n_layers"],
-            dropouts=Dropouts(**hp["dropouts"]),
-            tie_last=hp["tie_last"],
-            dtype=_DTYPES[hp["dtype"]],
-            seed=None,
-        )
+        enc = Encoder(**{key: hp[key] for key in Encoder.SHAPE_KEYS},
+                      dropouts=Dropouts(**hp["dropouts"]), seed=None)
         if header["kind"] == "clf":
             return Classifier(
                 enc,

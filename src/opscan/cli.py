@@ -71,23 +71,16 @@ def _read_split(data_dir: str | Path, name: str, vocab: Vocab) -> tuple[list, li
 
 
 def _encoder_from_config(cfg: RunConfig, vocab_size: int) -> Encoder:
-    return Encoder(
-        vocab_size,
-        emb_size=cfg.emb_size,
-        hidden_size=cfg.hidden_size,
-        n_layers=cfg.n_layers,
-        dropouts=cfg.dropouts(),
-        tie_last=cfg.tie_last,
-        dtype=cfg.np_dtype(),
-        seed=cfg.seed,
-    )
+    """An encoder of cfg's shapes over vocab_size ids, drawn from cfg's seed."""
+    shape = {key: getattr(cfg, key) for key in Encoder.SHAPE_KEYS if key != "vocab_size"}
+    return Encoder(vocab_size, **shape, dropouts=cfg.dropouts(), seed=cfg.seed)
 
 
-def _new_model(kind: str, cfg: RunConfig, vocab: Vocab) -> LanguageModel | Classifier:
-    """A freshly drawn LM ("lm", seed + 1) or classifier ("clf", seed + 2)
-    of cfg's shapes over vocab: the model lr-find, train-lm and train-clf
-    start from."""
-    enc = _encoder_from_config(cfg, len(vocab))
+def _new_model(kind: str, enc: Encoder, cfg: RunConfig, vocab: Vocab
+               ) -> LanguageModel | Classifier:
+    """An LM ("lm", decoder drawn from seed + 1) or classifier ("clf", head
+    drawn from seed + 2) over enc and vocab: the model lr-find, train-lm and
+    train-clf start from."""
     if kind == "lm":
         return LanguageModel(enc, vocab_hash=vocab.content_hash(), seed=cfg.seed + 1)
     return Classifier(enc, n_classes=metrics_mod.N_CLASSES, head_hidden=cfg.head_hidden,
@@ -171,7 +164,7 @@ def cmd_lr_find(args) -> int:
     out = _resolve_out(args, "lr-find")
     vocab = Vocab.load(Path(args.data) / "vocab.tsv")
     ids, labels = _read_split(args.data, "train", vocab)
-    model = _new_model(args.model, cfg, vocab)
+    model = _new_model(args.model, _encoder_from_config(cfg, len(vocab)), cfg, vocab)
     # the models' training loss streams, batches in their stored order
     if args.model == "lm":
         batches = corpus_mod.lm_batches(ids, cfg.batch_size, cfg.bptt)
@@ -206,7 +199,7 @@ def cmd_train_lm(args) -> int:
     vocab = Vocab.load(Path(args.data) / "vocab.tsv")
     train_ids, _ = _read_split(args.data, "train", vocab)
     valid_ids, _ = _read_split(args.data, "valid", vocab)
-    lm = _new_model("lm", cfg, vocab)
+    lm = _new_model("lm", _encoder_from_config(cfg, len(vocab)), cfg, vocab)
     cfg.write(out)
     result = trainer_mod.train_lm(lm, train_ids, valid_ids, cfg, out_dir=out, vocab=vocab)
     if result.aborted:
@@ -224,13 +217,11 @@ def cmd_train_clf(args) -> int:
     train_data = _read_split(args.data, "train", vocab)
     valid_data = _read_split(args.data, "valid", vocab)
     if args.lm:
-        lm = load_checkpoint(args.lm, kind="lm", vocab=vocab)
-        clf = transfer_encoder(lm, vocab_hash=vocab.content_hash(),
-                               head_hidden=cfg.head_hidden, dropouts=cfg.dropouts(),
-                               seed=cfg.seed + 2)
-        cfg = cfg.with_shapes_of(lm.encoder)
+        enc = transfer_encoder(load_checkpoint(args.lm, kind="lm", vocab=vocab), cfg.dropouts())
+        cfg = cfg.with_shapes_of(enc)
     else:
-        clf = _new_model("clf", cfg, vocab)
+        enc = _encoder_from_config(cfg, len(vocab))
+    clf = _new_model("clf", enc, cfg, vocab)
     cfg.write(out)
     result = trainer_mod.train_clf(clf, train_data, valid_data, cfg, out_dir=out, vocab=vocab)
     if result.aborted:

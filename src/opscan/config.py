@@ -26,18 +26,14 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .artifacts import write_atomic
-from .model import Dropouts
+from .model import DTYPES, Dropouts
 
 
 class ConfigError(ValueError):
     pass
 
 
-_DTYPES = {"f32": np.float32, "f64": np.float64}
-_DTYPE_CODE = {np.dtype(v): k for k, v in _DTYPES.items()}  # np.dtype -> its code
 # Python types a JSON value may take for each annotated field type; a bool
 # is an int to Python, so it is refused wherever a number is expected.
 _ACCEPTED = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
@@ -83,8 +79,8 @@ class RunConfig:
             accepted = _ACCEPTED[f.type.split(" |")[0]]
             if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        if self.dtype not in _DTYPES:
-            raise ConfigError(f"dtype must be one of {sorted(_DTYPES)}, got {self.dtype!r}")
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"dtype must be one of {sorted(DTYPES)}, got {self.dtype!r}")
         for key in ("emb_size", "hidden_size", "n_layers", "head_hidden",
                     "min_freq", "batch_size", "bptt", "epochs_per_stage"):
             if getattr(self, key) < 1:
@@ -137,10 +133,9 @@ class RunConfig:
     def with_shapes_of(self, encoder) -> "RunConfig":
         """This config with the shapes and dtype ``encoder`` was built with,
         e.g. the ones a classifier takes from a pretrained LM."""
-        return dataclasses.replace(
-            self, emb_size=encoder.emb_size, hidden_size=encoder.hidden_size,
-            n_layers=encoder.n_layers, tie_last=encoder.tie_last,
-            dtype=_DTYPE_CODE[encoder.dtype])
+        shape = encoder.shape()
+        del shape["vocab_size"]  # the vocabulary's, not a config key
+        return dataclasses.replace(self, **shape)
 
     def dropouts(self) -> Dropouts:
         return Dropouts(self.p_emb, self.p_input, self.p_hidden,
@@ -148,9 +143,6 @@ class RunConfig:
 
     def ratios(self) -> tuple[float, float, float]:
         return (self.train_ratio, self.valid_ratio, self.test_ratio)
-
-    def np_dtype(self):
-        return _DTYPES[self.dtype]
 
     def write(self, out_dir: str | Path) -> None:
         write_atomic(Path(out_dir) / "config.json",

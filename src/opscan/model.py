@@ -13,7 +13,12 @@ Survivors are scaled by 1/(1-p), so evaluation is plain identity.
 Each site draws its mask from an explicit rng where the mask is applied
 (``dropout``), so masks come off the rng in the order the forward pass
 applies them; that is what makes gradient checks and same-seed reruns
-exactly reproducible.
+exactly reproducible. The rng alone marks a training pass: every forward
+and loss takes an optional one, and rng=None is evaluation.
+
+An encoder is described by Encoder.SHAPE_KEYS, with its dtype as a DTYPES
+code; a config, a checkpoint header and a transferred copy all build one
+from that description (Encoder.shape()).
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ from . import autodiff as ad
 from . import kernels as K
 from .autodiff import Parameter, Tensor
 from .corpus import Vocab
-from .metrics import N_CLASSES
+
+# dtype code -> the numpy dtype it names: the one spelling of a float width
+# that a config, a checkpoint header and Encoder accept.
+DTYPES = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
 
 
 def keep_mask(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarray:
@@ -43,15 +51,6 @@ def dropout(x: Tensor, rng: np.random.Generator | None, p: float, shape) -> Tens
     if rng is None or not p:
         return x
     return ad.apply_mask(x, keep_mask(rng, shape, p, x.dtype), 1.0 / (1.0 - p))
-
-
-def _dropout_rng(train: bool, rng: np.random.Generator | None):
-    """The rng a forward pass draws its masks from: None outside training."""
-    if not train:
-        return None
-    if rng is None:
-        raise ValueError("training forward needs an rng for dropout")
-    return rng
 
 
 def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, h0, c0):
@@ -127,14 +126,20 @@ class Encoder:
     """Stacked weight-dropped LSTM over embedded token ids.
 
     With tie_last the last layer's width equals the embedding size so a
-    decoder can share the embedding matrix. seed=None allocates the weights
-    without drawing them, for a caller that fills every value.
+    decoder can share the embedding matrix. dtype is a DTYPES code. seed=None
+    allocates the weights without drawing them, for a caller that fills
+    every value.
     """
 
+    # The arguments that describe an encoder's shape: shape() returns them.
+    SHAPE_KEYS = ("vocab_size", "emb_size", "hidden_size", "n_layers", "tie_last", "dtype")
+
     def __init__(self, vocab_size: int, emb_size: int, hidden_size: int, n_layers: int,
-                 dropouts: Dropouts, tie_last: bool, dtype, seed: int | None):
+                 dropouts: Dropouts, tie_last: bool, dtype: str, seed: int | None):
         if min(emb_size, hidden_size, n_layers) < 1:
             raise ValueError("emb_size, hidden_size and n_layers must be >= 1")
+        if dtype not in DTYPES:
+            raise ValueError(f"dtype must be one of {sorted(DTYPES)}, got {dtype!r}")
         rng = _rng(seed)
         self.vocab_size = vocab_size
         self.emb_size = emb_size
@@ -142,7 +147,7 @@ class Encoder:
         self.n_layers = n_layers
         self.tie_last = tie_last
         self.dropouts = dropouts
-        self.dtype = np.dtype(dtype)
+        self.dtype = DTYPES[dtype]
         self.emb = Parameter(_uniform(rng, 0.1, (vocab_size, emb_size), self.dtype), "emb", 0)
         self.layers: list[LstmLayer] = []
         d_in = emb_size
@@ -151,6 +156,13 @@ class Encoder:
             self.layers.append(LstmLayer(l, d_in, hidden, self.dtype, rng))
             d_in = hidden
         self.out_size = d_in
+
+    def shape(self) -> dict:
+        """SHAPE_KEYS and their values, dtype as its DTYPES code: how a config
+        and a checkpoint header spell this encoder."""
+        shape = {key: getattr(self, key) for key in self.SHAPE_KEYS}
+        shape["dtype"] = next(code for code, dt in DTYPES.items() if dt == self.dtype)
+        return shape
 
     def parameters(self) -> list[Parameter]:
         out = [self.emb]
@@ -240,12 +252,10 @@ class LanguageModel:
         self,
         ids: np.ndarray,
         state: list | None = None,
-        train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, list]:
-        """ids (T, B) -> logits (T*B, vocab), new state."""
+        """ids (T, B) -> logits (T*B, vocab), new state; rng=None is evaluation."""
         enc = self.encoder
-        rng = _dropout_rng(train, rng)
         out, new_state = enc.forward(ids, state, rng)
         out = dropout(out, rng, enc.dropouts.hidden, (1, out.shape[1], enc.out_size))
         flat = ad.reshape(out, (-1, enc.out_size))
@@ -258,11 +268,10 @@ class LanguageModel:
         ids: np.ndarray,
         targets: np.ndarray,
         state: list | None = None,
-        train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, list]:
         """Mean next-token loss over the targets that are not PAD."""
-        logits, new_state = self.forward(ids, state, train, rng)
+        logits, new_state = self.forward(ids, state, rng)
         loss = ad.cross_entropy(logits, np.asarray(targets).reshape(-1), Vocab.PAD)
         return loss, new_state
 
@@ -305,10 +314,10 @@ class Classifier:
         self,
         ids: np.ndarray,
         lengths: np.ndarray,
-        train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """ids (T, B) left-aligned with trailing padding, lengths (B,) -> logits (B, K).
+        """ids (T, B) left-aligned with trailing padding, lengths (B,) -> logits (B, K);
+        rng=None is evaluation.
 
         Pooling only reads positions before each sequence's length, so
         trailing padding can never change the logits. Outside training, with
@@ -320,7 +329,6 @@ class Classifier:
         lengths = np.asarray(lengths, dtype=np.int64)
         T, B = ids.shape
         enc = self.encoder
-        rng = _dropout_rng(train, rng)
         if rng is None and not any(p.requires_grad for p in self.parameters()):
             rep = Tensor(self._windowed_pools(ids, lengths))
         else:
@@ -365,8 +373,8 @@ class Classifier:
             np.sum(h, axis=0, out=total)
         return np.concatenate([last, high, total / lengths.astype(enc.dtype)[:, None]], axis=1)
 
-    def loss(self, ids, lengths, labels, train=False, rng=None) -> Tensor:
-        logits = self.forward(ids, lengths, train, rng)
+    def loss(self, ids, lengths, labels, rng=None) -> Tensor:
+        logits = self.forward(ids, lengths, rng)
         return ad.cross_entropy(logits, np.asarray(labels), ignore_id=None)
 
     def predict_proba(self, ids, lengths) -> np.ndarray:
@@ -376,29 +384,15 @@ class Classifier:
         return e / e.sum(axis=1, keepdims=True)
 
 
-def transfer_encoder(lm: LanguageModel, vocab_hash: str | None, head_hidden: int,
-                     dropouts: Dropouts, seed: int) -> Classifier:
-    """Classifier of N_CLASSES classes whose encoder starts from the LM's
-    encoder values: the LM's shapes, with ``dropouts`` for its rates.
+def transfer_encoder(lm: LanguageModel, dropouts: Dropouts) -> Encoder:
+    """A copy of the LM's encoder, its shape and values, with ``dropouts``
+    for its rates.
 
-    The encoder arrives frozen (training stage 0); unfreeze gradually via
-    trainer.gradual_unfreeze. The classifier carries vocab_hash; the caller
-    checks that it agrees with the LM's (load_checkpoint does, given the
-    corpus vocabulary).
+    The copy arrives frozen (training stage 0); unfreeze gradually via
+    trainer.gradual_unfreeze.
     """
-    src = lm.encoder
-    enc = Encoder(
-        vocab_size=src.vocab_size,
-        emb_size=src.emb_size,
-        hidden_size=src.hidden_size,
-        n_layers=src.n_layers,
-        dropouts=dropouts,
-        tie_last=src.tie_last,
-        dtype=src.dtype,
-        seed=None,
-    )
-    for mine, theirs in zip(enc.parameters(), src.parameters()):
+    enc = Encoder(**lm.encoder.shape(), dropouts=dropouts, seed=None)
+    for mine, theirs in zip(enc.parameters(), lm.encoder.parameters()):
         mine.data[:] = theirs.data
         mine.frozen = True
-    return Classifier(enc, n_classes=N_CLASSES, head_hidden=head_hidden,
-                      vocab_hash=vocab_hash, seed=seed)
+    return enc

@@ -166,7 +166,7 @@ def lm_losses(lm: LanguageModel, batches: Sequence, rng: np.random.Generator
     order, the recurrent state carried across them, each of weight 1."""
     state = None
     for x, y in batches:
-        loss, state = lm.loss(x.T, y.T, state, train=True, rng=rng)
+        loss, state = lm.loss(x.T, y.T, state, rng=rng)
         yield loss, 1
 
 
@@ -177,7 +177,7 @@ def clf_losses(clf: Classifier, batches: Sequence, rng: np.random.Generator,
     from ``rng``; without it the batches come in their stored order."""
     for i in rng.permutation(len(batches)) if shuffle else range(len(batches)):
         ids, lengths, labs = batches[i]
-        yield clf.loss(ids.T, lengths, labs, train=True, rng=rng), len(labs)
+        yield clf.loss(ids.T, lengths, labs, rng=rng), len(labs)
 
 
 def cycle(epoch_losses: Callable[[np.random.Generator], Iterable[tuple[Tensor, int]]],
@@ -196,7 +196,6 @@ def cycle(epoch_losses: Callable[[np.random.Generator], Iterable[tuple[Tensor, i
 class LrFinderResult:
     lrs: list[float]
     losses: list[float]  # bias-corrected EMA of the raw losses
-    raw_losses: list[float]
     suggestion: float
     stopped_early: bool
 
@@ -226,7 +225,7 @@ def lr_find(params: Sequence[Parameter], losses: Iterable[Tensor], lr_start: flo
     opt = Adam(params, weight_decay=0.0)
     opt.zero_grad()
     ratio = (lr_end / lr_start) ** (1.0 / (max_steps - 1))
-    lrs, smoothed, raw_losses = [], [], []
+    lrs, smoothed = [], []
     beta, avg, best, stopped = _LR_FIND_BETA, 0.0, math.inf, False
     try:
         for i, loss in enumerate(itertools.islice(losses, max_steps)):
@@ -237,7 +236,6 @@ def lr_find(params: Sequence[Parameter], losses: Iterable[Tensor], lr_start: flo
                 sm = avg / (1.0 - beta ** (i + 1))
                 lrs.append(lr)
                 smoothed.append(sm)
-                raw_losses.append(raw)
                 stopped = sm > _LR_FIND_DIVERGENCE * best
                 best = min(best, sm)
             if stopped or _step(opt, loss, raw, lr) is not None:
@@ -253,7 +251,7 @@ def lr_find(params: Sequence[Parameter], losses: Iterable[Tensor], lr_start: flo
     keep = len(lrs) - 5  # the last points sit in the blow-up region
     diffs = np.diff(smoothed[:keep])
     suggestion = lrs[int(np.argmin(diffs))]
-    return LrFinderResult(lrs, smoothed, raw_losses, suggestion, stopped)
+    return LrFinderResult(lrs, smoothed, suggestion, stopped)
 
 
 # ---------------------------------------------------------------------------

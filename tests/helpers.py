@@ -57,7 +57,6 @@ def head_parameters(clf) -> list:
 def encoder(vocab_size: int, **kwargs) -> M.Encoder:
     """model.Encoder over vocab_size ids, with SHIPPED's shapes, rates, dtype
     and seed for every argument that kwargs leaves out."""
-    args = dict(emb_size=SHIPPED.emb_size, hidden_size=SHIPPED.hidden_size,
-                n_layers=SHIPPED.n_layers, dropouts=SHIPPED.dropouts(),
-                tie_last=SHIPPED.tie_last, dtype=SHIPPED.np_dtype(), seed=SHIPPED.seed)
+    args = {key: getattr(SHIPPED, key) for key in M.Encoder.SHAPE_KEYS if key != "vocab_size"}
+    args.update(dropouts=SHIPPED.dropouts(), seed=SHIPPED.seed)
     return M.Encoder(vocab_size, **{**args, **kwargs})

@@ -179,7 +179,7 @@ def test_criterion_03_gradient_correctness():
     def tiny_encoder(seed):
         return M.Encoder(
             7, emb_size=5, hidden_size=6, n_layers=2,
-            dropouts=ALL_DROP, tie_last=True, dtype=np.float64, seed=seed,
+            dropouts=ALL_DROP, tie_last=True, dtype="f64", seed=seed,
         )
 
     lm = M.LanguageModel(tiny_encoder(0), vocab_hash=None, seed=1)
@@ -189,7 +189,7 @@ def test_criterion_03_gradient_correctness():
 
     def lm_loss():
         # fresh generator per call: identical dropout masks every evaluation
-        loss, _ = lm.loss(lm_ids, lm_targets, train=True, rng=np.random.default_rng(123))
+        loss, _ = lm.loss(lm_ids, lm_targets, rng=np.random.default_rng(123))
         return loss
 
     lstm_err = grad_check(lm_loss, lm.parameters(), eps=1e-5, max_coords=6)
@@ -201,7 +201,7 @@ def test_criterion_03_gradient_correctness():
 
     def clf_loss():
         return clf.loss(clf_ids, np.array([6, 4, 3]), np.array([0, 2, 3]),
-                        train=True, rng=np.random.default_rng(77))
+                        rng=np.random.default_rng(77))
 
     head_err = grad_check(clf_loss, clf.parameters(), eps=1e-5, max_coords=6)
 
@@ -300,8 +300,8 @@ def pretrained_lm(synth_env):
 
 
 def _pretrained_clf(env, lm, s):
-    return M.transfer_encoder(lm(s), vocab_hash=env.vocab.content_hash(),
-                              head_hidden=50, dropouts=DESK_DROPS, seed=30 + s)
+    return M.Classifier(M.transfer_encoder(lm(s), DESK_DROPS), n_classes=4, head_hidden=50,
+                        vocab_hash=env.vocab.content_hash(), seed=30 + s)
 
 
 def _random_clf(env, s):

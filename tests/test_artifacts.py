@@ -79,7 +79,7 @@ WRITERS = {
     "prediction.json": (_cli("predict", "--checkpoint", "{root}/clf.ckpt",
                              "--bytecode", "6001600201"), OLD),
     "lr_find.csv": (lambda w, out: T.LrFinderResult(
-        [1e-3, 1e-2], [2.0, 1.5], [2.0, 1.5], 1e-3, False).write_csv(out / "lr_find.csv"), OLD),
+        [1e-3, 1e-2], [2.0, 1.5], 1e-3, False).write_csv(out / "lr_find.csv"), OLD),
     "history.jsonl": (_train_clf, b""),
     "fbeta.csv": (_train_clf, None),
     "clf_best.ckpt": (_train_clf, None),

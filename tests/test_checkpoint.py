@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import warnings
@@ -20,7 +21,7 @@ def small_vocab():
     return C.build_vocab(records, SHIPPED.min_freq)
 
 
-def make_lm(vocab, dtype=np.float64, seed=3, n_layers=2):
+def make_lm(vocab, dtype="f64", seed=3, n_layers=2):
     enc = encoder(len(vocab), emb_size=6, hidden_size=8, n_layers=n_layers, dtype=dtype, seed=seed)
     return M.LanguageModel(enc, vocab_hash=vocab.content_hash(), seed=1)
 
@@ -43,13 +44,13 @@ def grow_vocab(header, token="PUSH33"):
     header["vocab_hash"] = C.Vocab(header["vocab"][len(C.Vocab.RESERVED):]).content_hash()
 
 
-def make_clf(vocab, dtype=np.float64, seed=4):
+def make_clf(vocab, dtype="f64", seed=4):
     enc = encoder(len(vocab), emb_size=6, hidden_size=8, n_layers=2, dtype=dtype, seed=seed)
     return M.Classifier(enc, n_classes=4, head_hidden=5, vocab_hash=vocab.content_hash(), seed=2)
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
     def test_lm_parameters_bit_identical(self, tmp_path, dtype):
         vocab = small_vocab()
         lm = make_lm(vocab, dtype=dtype)
@@ -93,7 +94,7 @@ class TestRoundTrip:
     def test_untied_decoder_round_trips(self, tmp_path):
         vocab = small_vocab()
         enc = encoder(len(vocab), emb_size=6, hidden_size=8, n_layers=1,
-                      tie_last=False, dtype=np.float64)
+                      tie_last=False, dtype="f64")
         lm = M.LanguageModel(enc, vocab_hash=None, seed=1)
         path = tmp_path / "untied.ckpt"
         save_checkpoint(lm, path)
@@ -126,10 +127,39 @@ class TestRoundTrip:
         vocab = small_vocab()
         drops = M.Dropouts(emb=0.11, input=0.22, hidden=0.33, weight=0.44, head=0.05)
         enc = encoder(len(vocab), emb_size=4, hidden_size=4, n_layers=1,
-                      dropouts=drops, dtype=np.float32)
+                      dropouts=drops, dtype="f32")
         path = tmp_path / "d.ckpt"
         save_checkpoint(M.LanguageModel(enc, vocab_hash=None, seed=1), path)
         assert load_checkpoint(path).encoder.dropouts == drops
+
+    # sha256 of each file test_file_bytes_pinned saves: a change here is a
+    # change of the checkpoint format, header or body
+    PINNED = {
+        ("lm", "f32"): "7d97a59a7d3476a348a3ebf27ea871a96553e292b3be6e04816e2b605925139d",
+        ("clf", "f32"): "520c16aab8edb7d609e054db06cc1077793c6ffc68e635b1359eec379ecafd7c",
+        ("transferred", "f32"): "b5d04f599f93a4c497923f1a10691a43c5fb7e7d9847531d53c96d7b1eca198e",
+        ("lm", "f64"): "cfa452b39ccd715c688280817e53522f9cd42308ed0e606ea9696ce8631a92a3",
+        ("clf", "f64"): "51a9b21421a14d89c884c0ddd73f458bc777e640890e47345ac24024b2031456",
+        ("transferred", "f64"): "7fef3a56a6d832948e89f899875dca061e327bd481af4289de68f0d07ce5e1ba",
+    }
+
+    def test_file_bytes_pinned(self, tmp_path):
+        """A round trip compares a file with its own reload, so it cannot see
+        a header or body that drifts from one version of the code to the
+        next; these hashes can."""
+        vocab = small_vocab()
+        drops = M.Dropouts(emb=0.1, input=0.2, hidden=0.3, weight=0.4, head=0.05)
+        digests = {}
+        for dtype in ("f32", "f64"):
+            lm = make_lm(vocab, dtype=dtype)
+            transferred = M.Classifier(M.transfer_encoder(lm, drops), n_classes=4, head_hidden=5,
+                                       vocab_hash=vocab.content_hash(), seed=2)
+            for kind, model in (("lm", lm), ("clf", make_clf(vocab, dtype=dtype)),
+                                ("transferred", transferred)):
+                path = tmp_path / f"{kind}-{dtype}.ckpt"
+                save_checkpoint(model, path, vocab=vocab)
+                digests[kind, dtype] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == self.PINNED
 
 
 class TestHeader:
@@ -231,7 +261,7 @@ class TestRefusals:
     def test_layers_beyond_the_manifest_refused_before_any_is_built(self, tmp_path,
                                                                     monkeypatch, capsys):
         path = tmp_path / "clf.ckpt"
-        save_checkpoint(make_clf(small_vocab(), dtype=np.float32), path, vocab=small_vocab())
+        save_checkpoint(make_clf(small_vocab(), dtype="f32"), path, vocab=small_vocab())
         rewrite_header(path, lambda h: h["hyperparams"].update(n_layers=10**4))
         built = []
 
@@ -260,7 +290,7 @@ class TestRefusals:
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_parameter_named(self, tmp_path, value):
-        clf = make_clf(small_vocab(), dtype=np.float32)
+        clf = make_clf(small_vocab(), dtype="f32")
         clf.w2.data[1, 2] = value
         path = tmp_path / "clf.ckpt"
         save_checkpoint(clf, path)

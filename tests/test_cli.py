@@ -159,7 +159,7 @@ def poison_loss(monkeypatch, model_cls, at) -> None:
 
     def loss(self, *args, **kwargs):
         out = real_loss(self, *args, **kwargs)
-        if kwargs.get("train"):
+        if kwargs.get("rng") is not None:
             calls.append(1)
             if len(calls) == at:
                 value = out[0] if isinstance(out, tuple) else out

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
 from opscan.config import ConfigError, RunConfig
@@ -19,10 +18,6 @@ class TestDefaults:
 
     def test_ratios_view(self):
         assert RunConfig().ratios() == (0.70, 0.15, 0.15)
-
-    def test_np_dtype(self):
-        assert RunConfig(dtype="f32").np_dtype() is np.float32
-        assert RunConfig(dtype="f64").np_dtype() is np.float64
 
 
 class TestValidation:

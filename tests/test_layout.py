@@ -127,3 +127,16 @@ def test_every_file_write_goes_through_write_atomic():
     assert not writes, f"file writes outside artifacts.write_atomic: {'; '.join(writes)}"
     assert _writes(ast.parse((SRC / "artifacts.py").read_text(encoding="utf-8")))
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_no_src_module_imports_a_private_name_of_another():
+    """A leading underscore marks a name as its module's own: no src module
+    takes one from a sibling with ``from .<module> import _name``."""
+    t0 = time.perf_counter()
+    found = [f"{path.stem} (line {node.lineno}): from .{node.module} import {alias.name}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names if alias.name.startswith("_")]
+    assert not found, f"private names imported across modules: {'; '.join(found)}"
+    assert time.perf_counter() - t0 < 1.0

@@ -18,7 +18,7 @@ NO_DROP = M.Dropouts(emb=0.0, input=0.0, hidden=0.0, weight=0.0, head=0.0)
 ALL_DROP = M.Dropouts(emb=0.2, input=0.25, hidden=0.25, weight=0.5, head=0.1)
 
 
-def tiny_encoder(vocab=9, emb=6, hidden=8, layers=2, dropouts=NO_DROP, dtype=np.float64, seed=0):
+def tiny_encoder(vocab=9, emb=6, hidden=8, layers=2, dropouts=NO_DROP, dtype="f64", seed=0):
     return encoder(vocab, emb_size=emb, hidden_size=hidden, n_layers=layers,
                    dropouts=dropouts, dtype=dtype, seed=seed)
 
@@ -115,11 +115,10 @@ class TestMasks:
             ((1, B, 8), d.hidden),  # between layers 0 and 1
             (enc.layers[1].wh.shape, d.weight),
         ]
-        M.LanguageModel(enc, vocab_hash=None, seed=1).forward(ids, train=True,
-                                                             rng=np.random.default_rng(3))
+        M.LanguageModel(enc, vocab_hash=None, seed=1).forward(ids, rng=np.random.default_rng(3))
         lm_sites = encoder_sites + [((1, B, 6), d.hidden)]  # LM output
         M.Classifier(enc, n_classes=4, head_hidden=7, vocab_hash=None, seed=2).forward(
-            ids, np.full(B, 5), train=True, rng=np.random.default_rng(3))
+            ids, np.full(B, 5), rng=np.random.default_rng(3))
         clf_sites = encoder_sites + [((B, 7), d.head)]
         assert [(shape, p) for shape, p, _ in drawn] == lm_sites + clf_sites
         for sites, masks in ((lm_sites, drawn[: len(lm_sites)]),
@@ -134,9 +133,9 @@ class TestMasks:
         ids = np.zeros((3, 4), dtype=np.int64)
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
-        M.LanguageModel(enc, vocab_hash=None, seed=1).forward(ids, train=True, rng=rng)
+        M.LanguageModel(enc, vocab_hash=None, seed=1).forward(ids, rng=rng)
         M.Classifier(enc, n_classes=4, head_hidden=50, vocab_hash=None, seed=2).forward(
-            ids, np.full(4, 3), train=True, rng=rng)
+            ids, np.full(4, 3), rng=rng)
         assert drawn == [] and rng.bit_generator.state == before
 
     def test_weight_drop_rate(self, monkeypatch):
@@ -186,7 +185,7 @@ class TestEncoder:
 
     def test_untied_last_width(self):
         enc = encoder(9, emb_size=6, hidden_size=8, n_layers=2, tie_last=False,
-                      dropouts=NO_DROP, dtype=np.float64)
+                      dropouts=NO_DROP, dtype="f64")
         out, _ = enc.forward(np.zeros((2, 1), dtype=np.int64))
         assert out.shape == (2, 1, 8)
 
@@ -227,7 +226,7 @@ class TestLanguageModel:
     def test_initial_loss_near_log_vocab(self):
         vocab = 30
         enc = encoder(vocab, emb_size=16, hidden_size=16, n_layers=2,
-                      dropouts=NO_DROP, dtype=np.float64)
+                      dropouts=NO_DROP, dtype="f64")
         lm = M.LanguageModel(enc, vocab_hash=None, seed=1)
         rng = np.random.default_rng(3)
         ids = rng.integers(0, vocab, (10, 4))
@@ -247,20 +246,14 @@ class TestLanguageModel:
 
     def test_untied_has_own_projection(self):
         enc = encoder(9, emb_size=6, hidden_size=8, n_layers=1, tie_last=False,
-                      dropouts=NO_DROP, dtype=np.float64)
+                      dropouts=NO_DROP, dtype="f64")
         lm = M.LanguageModel(enc, vocab_hash=None, seed=1)
         assert lm.dec_w is not None and lm.dec_w.shape == (8, 9)
-
-    def test_train_forward_needs_rng(self):
-        enc = tiny_encoder(dropouts=ALL_DROP)
-        lm = M.LanguageModel(enc, vocab_hash=None, seed=1)
-        with pytest.raises(ValueError):
-            lm.forward(np.zeros((2, 1), dtype=np.int64), train=True)
 
     def test_overfits_tiny_repeating_stream(self):
         vocab = 4
         enc = encoder(vocab, emb_size=12, hidden_size=12, n_layers=1,
-                      dropouts=NO_DROP, dtype=np.float64, seed=1)
+                      dropouts=NO_DROP, dtype="f64", seed=1)
         lm = M.LanguageModel(enc, vocab_hash=None, seed=1)
         stream = np.tile([2, 3], 25)  # strict alternation
         ids = stream[:-1].reshape(1, -1).T.reshape(-1, 1)[:10].reshape(10, 1)
@@ -277,7 +270,7 @@ class TestLanguageModel:
 
 
 class TestClassifier:
-    def make(self, dtype=np.float64, dropouts=NO_DROP):
+    def make(self, dtype="f64", dropouts=NO_DROP):
         enc = tiny_encoder(dropouts=dropouts, dtype=dtype)
         return M.Classifier(enc, n_classes=4, head_hidden=10, vocab_hash=None, seed=2)
 
@@ -324,7 +317,7 @@ class TestClassifier:
             p.frozen = True
         rng = np.random.default_rng(4)
         ids = rng.integers(0, 9, (5, 3))
-        loss = clf.loss(ids, np.full(3, 5), rng.integers(0, 4, 3), train=True, rng=rng)
+        loss = clf.loss(ids, np.full(3, 5), rng.integers(0, 4, 3), rng=rng)
         backward(loss)
         assert all(p.grad is None for p in clf.encoder.parameters())
         assert all(p.grad is not None for p in head_parameters(clf))
@@ -335,7 +328,7 @@ class TestWindowedForward:
     encoder in windows of model._WINDOW_POSITIONS positions and pools them
     as they come; it must score as the taped forward over the whole batch."""
 
-    CLF = M.Classifier(tiny_encoder(vocab=9, dtype=np.float32, seed=3), n_classes=4,
+    CLF = M.Classifier(tiny_encoder(vocab=9, dtype="f32", seed=3), n_classes=4,
                        head_hidden=10, vocab_hash=None, seed=2)
 
     def frozen_forward(self, ids, lengths):
@@ -387,8 +380,8 @@ class TestTransfer:
         return M.LanguageModel(enc, vocab_hash="aaa111", seed=1)
 
     def transfer(self, lm):
-        return M.transfer_encoder(lm, vocab_hash=lm.vocab_hash, head_hidden=50,
-                                  dropouts=lm.encoder.dropouts, seed=2)
+        return M.Classifier(M.transfer_encoder(lm, lm.encoder.dropouts), n_classes=4,
+                            head_hidden=50, vocab_hash=lm.vocab_hash, seed=2)
 
     def test_copies_values_head_fresh_encoder_frozen(self):
         lm = self.make_lm()
@@ -434,7 +427,7 @@ class TestGradChecks:
 
         def loss_fn():
             # fresh generator per call: identical masks on every evaluation
-            loss, _ = lm.loss(ids, targets, train=True, rng=np.random.default_rng(123))
+            loss, _ = lm.loss(ids, targets, rng=np.random.default_rng(123))
             return loss
 
         err = grad_check(loss_fn, lm.parameters(), eps=1e-5, max_coords=6)
@@ -450,7 +443,7 @@ class TestGradChecks:
         labels = np.array([0, 2, 3])
 
         def loss_fn():
-            return clf.loss(ids, lengths, labels, train=True, rng=np.random.default_rng(77))
+            return clf.loss(ids, lengths, labels, rng=np.random.default_rng(77))
 
         err = grad_check(loss_fn, clf.parameters(), eps=1e-5, max_coords=6)
         assert err <= self.TOL

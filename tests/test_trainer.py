@@ -158,7 +158,7 @@ class TestDiscriminativeLrs:
 
 def small_clf(seed=0, n_layers=2):
     enc = encoder(12, emb_size=8, hidden_size=10, n_layers=n_layers,
-                  dropouts=M.Dropouts(0, 0, 0, 0, 0), dtype=np.float64, seed=seed)
+                  dropouts=M.Dropouts(0, 0, 0, 0, 0), dtype="f64", seed=seed)
     return M.Classifier(enc, n_classes=4, head_hidden=6, vocab_hash=None, seed=2)
 
 
@@ -206,7 +206,7 @@ class TestGradualUnfreeze:
         opt = Adam(clf.parameters(), weight_decay=0.0)
         rng = np.random.default_rng(0)
         ids = rng.integers(0, 12, (6, 4))
-        loss = clf.loss(ids, np.full(4, 6), rng.integers(0, 4, 4), train=True, rng=rng)
+        loss = clf.loss(ids, np.full(4, 6), rng.integers(0, 4, 4), rng=rng)
         backward(loss)
         opt.step(0.01)
         for p in clf.parameters():
@@ -217,7 +217,7 @@ class TestGradualUnfreeze:
     @pytest.mark.parametrize("stage, kernel_calls", [(0, 0), (1, 1), (2, 2), (3, 3), (4, 3)])
     def test_backward_skips_what_only_frozen_parameters_need(self, monkeypatch, stage,
                                                              kernel_calls):
-        enc = encoder(12, emb_size=5, hidden_size=7, n_layers=3, dtype=np.float64, seed=2,
+        enc = encoder(12, emb_size=5, hidden_size=7, n_layers=3, dtype="f64", seed=2,
                       dropouts=M.Dropouts(0.1, 0.2, 0.2, 0.3, 0.1))
         clf = M.Classifier(enc, n_classes=4, head_hidden=6, vocab_hash=None, seed=2)
         rng = np.random.default_rng(8)
@@ -225,7 +225,7 @@ class TestGradualUnfreeze:
 
         def grads():
             ad.zero_grads(clf.parameters())
-            loss = clf.loss(ids, lengths, labels, train=True, rng=np.random.default_rng(9))
+            loss = clf.loss(ids, lengths, labels, rng=np.random.default_rng(9))
             backward(loss)
             return {p.name: p.grad for p in clf.parameters()}
 
@@ -671,8 +671,8 @@ class TestTrainClf:
         lm = M.LanguageModel(enc, vocab_hash=vocab.content_hash(), seed=1)
         T.train_lm(lm, train_ids, valid_ids,
                    RunConfig(epochs=5, batch_size=4, bptt=20, max_lr=0.05, seed=2))
-        clf = M.transfer_encoder(lm, vocab_hash=vocab.content_hash(), head_hidden=12,
-                                 dropouts=lm.encoder.dropouts, seed=2)
+        clf = M.Classifier(M.transfer_encoder(lm, lm.encoder.dropouts), n_classes=4,
+                           head_hidden=12, vocab_hash=vocab.content_hash(), seed=2)
         result = T.train_clf(clf, prepared(train, vocab), prepared(valid, vocab),
                              RunConfig(epochs=8, batch_size=4, seed=1))
         assert result.best_metric >= 0.9

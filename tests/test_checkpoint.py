@@ -50,7 +50,7 @@ def make_clf(vocab, dtype="f64", seed=4):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"], ids=["float32", "float64"])
     def test_lm_parameters_bit_identical(self, tmp_path, dtype):
         vocab = small_vocab()
         lm = make_lm(vocab, dtype=dtype)

@@ -73,7 +73,10 @@ def _read_split(data_dir: str | Path, name: str, vocab: Vocab) -> tuple[list, li
 def _encoder_from_config(cfg: RunConfig, vocab_size: int) -> Encoder:
     """An encoder of cfg's shapes over vocab_size ids, drawn from cfg's seed."""
     shape = {key: getattr(cfg, key) for key in Encoder.SHAPE_KEYS if key != "vocab_size"}
-    return Encoder(vocab_size, **shape, dropouts=cfg.dropouts(), seed=cfg.seed)
+    try:
+        return Encoder(vocab_size, **shape, dropouts=cfg.dropouts(), seed=cfg.seed)
+    except MemoryError as exc:
+        raise ConfigError(f"encoder sizes too large to allocate: {exc}") from exc
 
 
 def _new_model(kind: str, enc: Encoder, cfg: RunConfig, vocab: Vocab
@@ -81,10 +84,13 @@ def _new_model(kind: str, enc: Encoder, cfg: RunConfig, vocab: Vocab
     """An LM ("lm", decoder drawn from seed + 1) or classifier ("clf", head
     drawn from seed + 2) over enc and vocab: the model lr-find, train-lm and
     train-clf start from."""
-    if kind == "lm":
-        return LanguageModel(enc, vocab_hash=vocab.content_hash(), seed=cfg.seed + 1)
-    return Classifier(enc, n_classes=metrics_mod.N_CLASSES, head_hidden=cfg.head_hidden,
-                      vocab_hash=vocab.content_hash(), seed=cfg.seed + 2)
+    try:
+        if kind == "lm":
+            return LanguageModel(enc, vocab_hash=vocab.content_hash(), seed=cfg.seed + 1)
+        return Classifier(enc, n_classes=metrics_mod.N_CLASSES, head_hidden=cfg.head_hidden,
+                          vocab_hash=vocab.content_hash(), seed=cfg.seed + 2)
+    except MemoryError as exc:
+        raise ConfigError(f"model sizes too large to allocate: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +107,7 @@ def cmd_synth(args) -> int:
             plants=args.plants,
             dup_normals=args.dup_normals,
         )
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: sizes no allocation holds
         raise UsageError(str(exc)) from exc
     out = _resolve_out(args, "synth")
     path = out / "corpus.jsonl"

@@ -16,7 +16,6 @@ TrainResult.abort_reason names the step.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import ctypes
 import functools
@@ -25,7 +24,7 @@ import json
 import math
 import operator
 import os
-import threading
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -383,37 +382,34 @@ def train_lm(lm: LanguageModel, train_seqs: Sequence[np.ndarray],
 
 @functools.cache
 def _blas_thread_calls():
-    """(get, set) of the thread count of the OpenBLAS that numpy loaded,
-    found through ctypes, or None."""
+    """(get, set) of the thread count of the OpenBLAS that numpy links, or
+    None. The symbols are looked up through ctypes on numpy's own extension
+    module, so they resolve to the library numpy calls."""
+    umath = (sys.modules.get("numpy._core._multiarray_umath")  # numpy 2.x
+             or sys.modules.get("numpy.core._multiarray_umath"))  # numpy 1.x
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
+        dll = ctypes.CDLL(umath.__file__)
+    except (AttributeError, OSError):
         return None
-    for lib in libs:
-        try:
-            dll = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(dll, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(dll, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    return get, put
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(dll, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(dll, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
     return None
 
 
 def _for_each(work: Callable, items: Sequence) -> None:
-    """work(item) for every item, on one thread per usable core up to one
-    per item, the calling thread among them, with OpenBLAS on one thread for
-    the pass and its count restored after it. Unpinned, the BLAS threads
-    and the workers contend for the same cores. With one core or one item,
-    or no OpenBLAS found, the items run in order on the calling thread. An
-    exception in any work() skips the items not yet started and propagates
-    once every thread has stopped."""
+    """work(item) for every item, on a pool of one thread per usable core up
+    to one per item, with OpenBLAS on one thread for the pass and its count
+    restored after it. Unpinned, the BLAS threads and the workers contend
+    for the same cores. With one core or one item, or no OpenBLAS found, the
+    items run in order on the calling thread. The first exception, in item
+    order, cancels the items not yet started and propagates once every
+    worker has stopped."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cores, len(items))
     blas = _blas_thread_calls() if workers > 1 else None
@@ -421,36 +417,18 @@ def _for_each(work: Callable, items: Sequence) -> None:
         for item in items:
             work(item)
         return
-    queue, lock, errors = iter(items), threading.Lock(), []
-
-    def drain():
-        try:
-            while True:
-                with lock:
-                    item = next(queue, None)
-                if item is None:
-                    return
-                work(item)
-        except BaseException as exc:
-            with lock:
-                errors.append(exc)
-                collections.deque(queue, maxlen=0)  # skip the rest
+    # imported here: at module top it would load logging into every CLI start
+    from concurrent.futures import ThreadPoolExecutor
 
     get, put = blas
-    count, helpers = get(), []
+    count = get()
     put(1)
     try:
-        for _ in range(workers - 1):
-            helper = threading.Thread(target=drain)
-            helper.start()
-            helpers.append(helper)
-        drain()
+        with ThreadPoolExecutor(workers) as pool:
+            for _ in pool.map(work, items):
+                pass
     finally:
-        for helper in helpers:
-            helper.join()
         put(count)
-    if errors:
-        raise errors[0]
 
 
 # Contracts per scoring batch. At this width each LSTM step's numpy calls

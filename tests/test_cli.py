@@ -874,6 +874,17 @@ MALFORMED_INPUTS = {
         "synth", "--mean-len", "0", "--out", str(tmp)]),
     "synth-zero-plants": (2, None, lambda root, tmp: [
         "synth", "--plants", "0", "--out", str(tmp)]),
+    # sizes numpy refuses at once, with no gradual allocation first
+    "synth-mean-len-unallocatable": (2, None, lambda root, tmp: [
+        "synth", "--mean-len", str(10**12), "--jitter", "0", "--plants", "1",
+        "--out", str(tmp)]),
+    "train-clf-head-hidden-unallocatable": (2, None, lambda root, tmp: [
+        "train-clf", "--data", str(root / "prep"), "--config",
+        _write(tmp, "cfg.json", '{"head_hidden": 1000000000000}'), "--out", str(tmp / "out")]),
+    **{f"{command}-emb-size-unallocatable": (2, None, lambda root, tmp, command=command: [
+        command, "--data", str(root / "prep"), "--config",
+        _write(tmp, "cfg.json", '{"emb_size": 100000000000}'), "--out", str(tmp / "out")])
+       for command in ("train-lm", "lr-find")},
 }
 
 

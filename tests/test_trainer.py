@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -611,11 +612,12 @@ class TestScoringPool:
 
     def test_worker_exception_propagates_and_blas_is_restored(self):
         clf, _, _, (valid_ids, _) = clf_setup()
-        helper_ran = threading.Event()
+        first, helper_ran, callers = threading.Lock(), threading.Event(), set()
 
         def fn(ids, lengths):
-            if threading.current_thread() is threading.main_thread():
-                helper_ran.wait(timeout=10)  # leave a batch to a helper thread
+            callers.add(threading.current_thread())
+            if first.acquire(blocking=False):
+                helper_ran.wait(timeout=10)  # leave a batch to the other worker
                 return np.zeros((ids.shape[1], clf.n_classes))
             helper_ran.set()
             raise ValueError("batch failed")
@@ -627,8 +629,24 @@ class TestScoringPool:
             with pytest.raises(ValueError, match="batch failed"):
                 T._score(clf, valid_ids, None, fn)
         assert helper_ran.is_set()
+        assert threading.main_thread() not in callers  # every batch ran on a worker
         assert blas.sets == [1, 3]
         assert [p.frozen for p in clf.parameters()] == flags
+
+    def test_a_failure_cancels_the_items_not_yet_started(self):
+        done, blas = [], FakeBlas()
+
+        def work(item):
+            if item == 0:
+                raise ValueError("first item failed")
+            time.sleep(1e-3)  # a batch's scoring, short
+            done.append(item)
+
+        with cores(8), mock.patch.object(T, "_blas_thread_calls", blas.calls):
+            with pytest.raises(ValueError, match="first item failed"):
+                T._for_each(work, range(2000))
+        assert len(done) < 1000  # most items never ran
+        assert blas.sets == [1, 3]
 
     def test_every_item_runs_once_on_more_workers_than_cores(self):
         done, blas, threads = [], FakeBlas(), threading.active_count()
@@ -642,6 +660,24 @@ class TestScoringPool:
         assert sorted(item for item, _ in done) == list(range(2000))
         assert blas.sets == [1, 3]
         assert threading.active_count() == threads  # every helper joined
+
+    def test_lookup_finds_numpys_openblas(self):
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except TypeError:  # an older numpy whose show_config takes no mode
+            pytest.skip("numpy names no BLAS in a dict")
+        if "openblas" not in blas["name"].lower():
+            pytest.skip(f"numpy's BLAS is {blas['name']}, not OpenBLAS")
+        calls = T._blas_thread_calls()
+        assert calls is not None  # else scoring would run with BLAS unpinned
+        get, put = calls
+        count = get()
+        try:
+            put(1)
+            assert get() == 1
+        finally:
+            put(count)
+        assert get() == count
 
     def test_real_blas_count_is_restored(self):
         clf, _, _, (valid_ids, _) = clf_setup()

@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +122,9 @@ def _bytecode(args) -> str:
     """The hex of --bytecode, or of the --input file: exactly one is given."""
     if (args.bytecode is None) == (args.input is None):
         raise UsageError("exactly one of --bytecode or --input is required")
-    return args.bytecode if args.bytecode is not None else Path(args.input).read_text().strip()
+    if args.bytecode is not None:
+        return args.bytecode
+    return Path(args.input).read_text(encoding="utf-8").strip()
 
 
 def cmd_disasm(args) -> int:
@@ -445,7 +448,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite value is reported once, by its exit code and message,
+        # not also by numpy's RuntimeWarnings on the way there, from any thread
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -111,7 +111,7 @@ class RunConfig:
         """Defaults, updated by the JSON file."""
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")

@@ -8,13 +8,15 @@ The corpus file format is line-delimited JSON, one contract per line:
 Raw labels are 1=Suicidal, 2=Prodigal, 3=Greedy, 4=Normal; label 5 marks
 contracts flagged in more than one category and is skipped at ingestion
 (counted, not an error). Internally labels are 0-based class indices
-aligned with ``metrics.CLASS_NAMES``.
+aligned with ``metrics.CLASS_NAMES``. A token is never a reserved vocabulary
+name and holds no tab, CR, LF or lone surrogate, so vocab.tsv can hold it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -68,6 +70,11 @@ def _record_from_line(obj: dict, line: int) -> ContractRecord | None:
         tokens = obj["tokens"]
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise CorpusError("'tokens' must be a list of strings", line)
+        # A vocab.tsv line holds no tab, CR or LF, and UTF-8 no lone surrogate.
+        unfit = "[\t\r\n\ud800-\udfff]"
+        if re.search(unfit, "".join(tokens)) or not frozenset(Vocab.RESERVED).isdisjoint(tokens):
+            bad = next(t for t in tokens if t in Vocab.RESERVED or re.search(unfit, t))
+            raise CorpusError(f"token {bad!r} is reserved or cannot be a vocab.tsv entry", line)
     elif "bytecode" in obj:
         if not isinstance(obj["bytecode"], str):
             raise CorpusError("'bytecode' must be a hex string", line)
@@ -168,8 +175,6 @@ def stratified_split(records: Sequence[ContractRecord], ratios: tuple[float, flo
     Each class uses its own generator keyed on (seed, class), so a class's
     assignment does not depend on which other classes are present.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise CorpusError(f"ratios must sum to 1, got {ratios}")
     by_class: dict[int, list[ContractRecord]] = {}
     for rec in records:
         by_class.setdefault(rec.label, []).append(rec)
@@ -270,8 +275,6 @@ def lm_batches(
     position forward within its lane. Consecutive steps continue each lane,
     so recurrent state can carry across them.
     """
-    if batch_size < 1 or bptt < 1:
-        raise CorpusError("batch_size and bptt must be positive")
     stream = np.concatenate(list(id_seqs)) if id_seqs else np.empty(0, dtype=np.int64)
     if stream.size < batch_size * (bptt + 1):
         raise CorpusError(
@@ -323,10 +326,6 @@ def clf_batches(
     the tail of shorter rows. Sequences longer than max_len are truncated to
     their first max_len ids.
     """
-    if len(id_seqs) != len(labels):
-        raise CorpusError("id_seqs and labels differ in length")
-    if batch_size < 1:
-        raise CorpusError("batch_size must be positive")
     seqs = clipped(id_seqs, max_len)
     for rows in row_batches(seqs, batch_size):
         yield *padded(seqs, rows), np.asarray([labels[i] for i in rows], dtype=np.int64)

@@ -38,9 +38,7 @@ DTYPES = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
 
 
 def keep_mask(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarray:
-    """0/1 keep mask with drop probability p."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"drop probability out of range: {p}")
+    """0/1 keep mask with drop probability p, 0 <= p < 1."""
     return (rng.random(shape) >= p).astype(dtype)
 
 

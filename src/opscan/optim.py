@@ -44,12 +44,9 @@ def _resolve_lr(lr, group: int) -> float:
 
 
 class Adam:
-    """Adam with bias correction and decoupled weight decay."""
+    """Adam with bias correction and decoupled weight decay, state keyed by p.name."""
 
     def __init__(self, params: Sequence[Parameter], weight_decay: float):
-        names = [p.name for p in params]
-        if len(names) != len(set(names)):
-            raise ValueError("parameter names must be unique")
         self.params = list(params)
         self.weight_decay = weight_decay
         self.state: dict[str, dict] = {}

@@ -44,7 +44,7 @@ from .optim import Adam, NumericalError
 
 
 class TrainerError(RuntimeError):
-    """Schedule misuse or a training run that cannot proceed."""
+    """A training run that cannot proceed."""
 
 
 # ---------------------------------------------------------------------------
@@ -65,29 +65,16 @@ class OneCycleSchedule:
     total_steps: int
     warmup_frac: float
 
-    def __post_init__(self):
-        if self.total_steps < 3:
-            raise TrainerError("one-cycle needs at least 3 steps")
-        if self.max_lr <= 0:
-            raise TrainerError("max_lr must be positive")
-        if not 0 < self.warmup_frac < 1:
-            raise TrainerError("warmup_frac must lie in (0, 1)")
-
     @property
     def warm_end(self) -> int:
         last = self.total_steps - 1
         return min(max(1, round(self.warmup_frac * last)), last - 1)
-
-    def _check(self, step: int) -> None:
-        if not 0 <= step < self.total_steps:
-            raise TrainerError(f"step {step} outside schedule of {self.total_steps} steps")
 
     @staticmethod
     def _cosine(lo: float, hi: float, t: float) -> float:
         return lo + (hi - lo) * (1.0 - math.cos(math.pi * t)) / 2.0
 
     def lr(self, step: int) -> float:
-        self._check(step)
         warm = self.warm_end
         if step <= warm:
             return self._cosine(self.max_lr / START_DIV, self.max_lr, step / warm)
@@ -95,7 +82,6 @@ class OneCycleSchedule:
         return self._cosine(self.max_lr, self.max_lr / FINAL_DIV, t)
 
     def momentum(self, step: int) -> float:
-        self._check(step)
         warm = self.warm_end
         if step <= warm:
             return self._cosine(MOM_HI, MOM_LO, step / warm)
@@ -105,10 +91,6 @@ class OneCycleSchedule:
 
 def discriminative_lrs(n_groups: int, lr_lo: float, lr_hi: float) -> list[float]:
     """Geometric ramp of per-group max learning rates, embedding -> head."""
-    if n_groups < 1:
-        raise TrainerError("need at least one parameter group")
-    if lr_lo <= 0 or lr_lo > lr_hi:
-        raise TrainerError(f"require 0 < lr_lo <= lr_hi, got ({lr_lo}, {lr_hi})")
     if n_groups == 1:
         return [lr_hi]
     ratio = lr_hi / lr_lo
@@ -121,8 +103,6 @@ def gradual_unfreeze(model, stage: int):
     Head / decoder parameters are always trainable."""
     encoder = model.encoder
     top = encoder.n_layers  # encoder groups are 0 (embedding) .. n_layers
-    if not 0 <= stage <= top + 1:
-        raise TrainerError(f"stage must lie in 0..{top + 1}, got {stage}")
     for p in encoder.parameters():
         p.frozen = p.layer_group < top + 1 - stage
     return model
@@ -218,8 +198,6 @@ def lr_find(params: Sequence[Parameter], losses: Iterable[Tensor], lr_start: flo
     restored bitwise before returning; the throwaway optimizer never leaks
     state.
     """
-    if not (max_steps >= LR_FIND_MIN_POINTS and 0 < lr_start < lr_end < math.inf):
-        raise TrainerError(f"need max_steps >= {LR_FIND_MIN_POINTS} and 0 < lr_start < lr_end")
     snapshot = [p.data.copy() for p in params]
     opt = Adam(params, weight_decay=0.0)
     opt.zero_grad()
@@ -468,8 +446,6 @@ def evaluate_classifier(
     """Mean loss plus a full metrics report over one labeled split, from the
     logits of the scoring pass. The loss is taken from the logits as
     cross_entropy takes it, never as -log of a probability."""
-    if len(id_seqs) == 0:
-        raise TrainerError("evaluation split is empty")
     logits = _score(clf, id_seqs, max_len, lambda ids, lengths: clf.forward(ids, lengths).data)
     labels = np.asarray(labels, dtype=np.int64)
     loss = ad.cross_entropy(logits, labels).item()

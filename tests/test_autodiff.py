@@ -377,8 +377,3 @@ class TestAdam:
         opt.step(0.5)
         # zero gradient: only the shrinkage term acts
         np.testing.assert_allclose(w.data, [2.0 - 0.5 * 0.1 * 2.0])
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
-            Adam([Parameter(np.zeros(1), "w"), Parameter(np.zeros(1), "w")], weight_decay=0.0)
-

@@ -732,6 +732,15 @@ def _prep(tmp_path, second_line):
     return ["prep", "--corpus", corpus, "--out", str(tmp_path / "out")]
 
 
+def _prep_token(tmp_path, token):
+    """prep over three records of one class, the second holding token; at
+    three records a class fills every split, so only the token can fail."""
+    lines = [{"address": f"0x{i}", "label": 1, "tokens": ["ADD", token][: 1 + (i == 2)]}
+             for i in (1, 2, 3)]
+    corpus = _write(tmp_path, "corpus.jsonl", "".join(json.dumps(x) + "\n" for x in lines))
+    return ["prep", "--corpus", corpus, "--out", str(tmp_path / "out")]
+
+
 def _eval(tmp_path, row):
     """eval over a predictions file whose line 1 is row (JSON text if bytes)."""
     line = row if isinstance(row, bytes) else json.dumps(row).encode()
@@ -844,6 +853,12 @@ MALFORMED_INPUTS = {
     "eval-row-nested-too-deep": (3, 1, lambda root, tmp: _eval(tmp, TOO_DEEP)),
     "config-nested-too-deep": (2, None, lambda root, tmp: [
         "synth", "--config", _write(tmp, "cfg.json", TOO_DEEP), "--out", str(tmp)]),
+    "config-not-utf8": (2, None, lambda root, tmp: [
+        "synth", "--config", _write(tmp, "cfg.json", NON_UTF8 + b"{}"), "--out", str(tmp)]),
+    # tokens no vocab.tsv line can hold, or that would take a reserved id
+    **{f"corpus-token-{case}": (3, 2, lambda root, tmp, token=token: _prep_token(tmp, token))
+       for case, token in (("holds-a-tab", "PUSH1\tADD"), ("holds-a-newline", "ADD\n"),
+                           ("is-pad", "<pad>"), ("is-lone-surrogate", "\ud800"))},
     "checkpoint-header-nested-too-deep": (4, None, _predict_too_deep_header),
     "predict-vocab-longer-than-model": (4, None, lambda root, tmp: [
         "predict", "--checkpoint", str(_edited_checkpoint(root, tmp, "clf")), "--bytecode",

@@ -352,10 +352,6 @@ class TestClfBatches:
                 seen[int(labels[row])] = int(lens[row])
         assert seen == {10: 9, 20: 2, 30: 7, 40: 4, 50: 11}
 
-    def test_mismatched_labels_rejected(self):
-        with pytest.raises(CorpusError):
-            list(C.clf_batches(self.seqs([3]), [0, 1], batch_size=1, max_len=None))
-
 
 class TestRowBatches:
     @settings(max_examples=60, deadline=None)

@@ -96,26 +96,40 @@ def test_no_default_outside_config_copies_a_config_value():
     assert not copies, f"defaults outside config.py: {', '.join(copies)}"
 
 
-def _writes(tree: ast.Module) -> list[str]:
-    """Each call in a parsed module that writes or replaces a file by itself:
-    open() or .open() with a mode that writes (a mode that is not a literal
-    counts as one), .write_text(), .write_bytes() and os.replace()."""
-    found = []
+def _calls(tree: ast.Module):
+    """(call, the called name's last part or "os.replace", the mode if it
+    is open() or .open()) for each call in a parsed module. The mode is "r"
+    when none is given and None when it is not a literal."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         name = ast.unparse(node.func)
         attr = node.func.attr if isinstance(node.func, ast.Attribute) else name
+        mode = None
         if attr == "open":
             args = node.args[1:] if name == "open" else node.args
             mode = next((k.value for k in node.keywords if k.arg == "mode"),
                         args[0] if args else ast.Constant("r"))
-            writes = not isinstance(mode, ast.Constant) or bool(set("wax+") & set(mode.value))
-        else:
-            writes = attr in ("write_text", "write_bytes") or name == "os.replace"
-        if writes:
-            found.append(f"{ast.unparse(node)} (line {node.lineno})")
-    return found
+            mode = mode.value if isinstance(mode, ast.Constant) else None
+        yield node, name if name == "os.replace" else attr, mode
+
+
+def _writes(tree: ast.Module) -> list[str]:
+    """Each call in a parsed module that writes or replaces a file by itself:
+    open() or .open() with a mode that writes (a mode that is not a literal
+    counts as one), .write_text(), .write_bytes() and os.replace()."""
+    return [f"{ast.unparse(node)} (line {node.lineno})" for node, attr, mode in _calls(tree)
+            if attr in ("write_text", "write_bytes", "os.replace")
+            or attr == "open" and (mode is None or set("wax+") & set(mode))]
+
+
+def _unnamed_encodings(tree: ast.Module) -> list[str]:
+    """Each .read_text(), and each open() or .open() whose mode has no "b" (a
+    mode that is not a literal counts as text), in a parsed module that
+    passes no encoding=."""
+    return [f"{ast.unparse(node)} (line {node.lineno})" for node, attr, mode in _calls(tree)
+            if (attr == "read_text" or attr == "open" and "b" not in (mode or ""))
+            and not any(k.arg == "encoding" for k in node.keywords)]
 
 
 def test_every_file_write_goes_through_write_atomic():
@@ -126,6 +140,20 @@ def test_every_file_write_goes_through_write_atomic():
               for w in _writes(ast.parse(path.read_text(encoding="utf-8")))]
     assert not writes, f"file writes outside artifacts.write_atomic: {'; '.join(writes)}"
     assert _writes(ast.parse((SRC / "artifacts.py").read_text(encoding="utf-8")))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_every_text_read_names_its_encoding():
+    """Every text read in src passes encoding=: without it Python decodes
+    with the locale's encoding, so one input file could read one way on one
+    machine and fail or read otherwise on another."""
+    t0 = time.perf_counter()
+    reads = [f"{path.stem}: {r}" for path in sorted(SRC.glob("*.py"))
+             for r in _unnamed_encodings(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not reads, f"text reads without encoding=: {'; '.join(reads)}"
+    probe = 'open(p)\nopen(p, "rb")\np.open("w")\np.read_text()\np.read_text(encoding="utf-8")'
+    assert [r.split(" (")[0] for r in _unnamed_encodings(ast.parse(probe))] == [
+        "open(p)", "p.open('w')", "p.read_text()"]
     assert time.perf_counter() - t0 < 1.0
 
 

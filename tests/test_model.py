@@ -87,10 +87,6 @@ class TestMasks:
         rng = np.random.default_rng(0)
         assert np.all(M.keep_mask(rng, 100, 0.0, np.float64) == 1.0)
 
-    def test_keep_mask_bad_p(self):
-        with pytest.raises(ValueError):
-            M.keep_mask(np.random.default_rng(0), 3, 1.0, np.float64)
-
     def test_dropout_expectation(self):
         rng = np.random.default_rng(1)
         x = ad.Tensor(np.full(64, 3.0))

@@ -19,7 +19,7 @@ that model.py wraps into a graph node with a custom backward closure.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,9 +56,12 @@ class Tensor:
         return float(self.data)
 
     def accumulate(self, g: np.ndarray) -> None:
+        """Add g into .grad. The first gradient is 0 + g in one pass, into
+        an array of the data's shape and dtype that never aliases g."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -130,11 +133,6 @@ def backward(loss: Tensor) -> None:
         node._backward = None
 
 
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
     extra = g.ndim - len(shape)
@@ -188,64 +186,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, bw)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data, (a, b))
-
-    def bw():
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(out.grad * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(out.grad * a.data, b.data.shape))
-
-    return _record(out, bw)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function as 0.5 * tanh(0.5 * x) + 0.5: one tanh, no large
-    exponents, and the formula the LSTM kernels' gates use."""
-    x = _as_tensor(x)
-    s = 0.5 * np.tanh(0.5 * x.data) + 0.5
-    out = Tensor(s, (x,))
-
-    def bw():
-        x.accumulate(out.grad * s * (1.0 - s))
-
-    return _record(out, bw)
-
-
-def tanh(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    y = np.tanh(x.data)
-    out = Tensor(y, (x,))
-
-    def bw():
-        x.accumulate(out.grad * (1.0 - y * y))
-
-    return _record(out, bw)
-
-
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(np.maximum(x.data, 0), (x,))
 
     def bw():
         x.accumulate(out.grad * (x.data > 0))
-
-    return _record(out, bw)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = _as_tensor(x)
-    m = x.data.max(axis=axis, keepdims=True)
-    shifted = x.data - m
-    logsum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - logsum
-    out = Tensor(y, (x,))
-
-    def bw():
-        g = out.grad
-        x.accumulate(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
     return _record(out, bw)
 
@@ -258,9 +204,23 @@ def embedding_lookup(matrix: Tensor, ids: np.ndarray) -> Tensor:
     out = Tensor(matrix.data[ids], (matrix,))
 
     def bw():
-        g = np.zeros_like(matrix.data)
-        np.add.at(g, ids.reshape(-1), out.grad.reshape(-1, matrix.data.shape[1]))
-        matrix.accumulate(g)
+        # Each id's rows are summed in the order they occur, (0 + r0) + r1
+        # ..., as an unbuffered scatter-add would: a stable sort groups them
+        # and one reduce per id runs down its rows one after another. numpy
+        # would sum a lone column pairwise instead, so it gets a twin.
+        v, e = matrix.data.shape
+        flat = ids.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        sorted_ids = flat[order]
+        rows = out.grad.reshape(-1, e)[order]
+        if e == 1:
+            rows = np.concatenate((rows, rows), axis=1)
+        starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+        g = np.zeros((v, rows.shape[1]), dtype=matrix.data.dtype)
+        bounds = starts.tolist() + [len(flat)]
+        for i, lo, hi in zip(sorted_ids[starts].tolist(), bounds, bounds[1:]):
+            np.add.reduce(rows[lo:hi], axis=0, out=g[i])
+        matrix.accumulate(g[:, :e])
 
     return _record(out, bw)
 
@@ -298,16 +258,6 @@ def transpose(x: Tensor) -> Tensor:
 
     def bw():
         x.accumulate(out.grad.T)
-
-    return _record(out, bw)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(np.asarray(x.data.sum()), (x,))
-
-    def bw():
-        x.accumulate(np.broadcast_to(out.grad, x.data.shape))
 
     return _record(out, bw)
 
@@ -359,7 +309,7 @@ def masked_max_over_time(x: Tensor, mask: np.ndarray) -> Tensor:
         idx = np.where(mask[:, :, None], x.data, -np.inf).argmax(axis=0)  # (B, H)
         b_ix, h_ix = np.indices(idx.shape)
         g = np.zeros_like(x.data)
-        np.add.at(g, (idx, b_ix, h_ix), out.grad)
+        g[idx, b_ix, h_ix] += out.grad  # each (b, h) is written once
         x.accumulate(g)
 
     return _record(out, bw)
@@ -414,46 +364,3 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int | None = N
         logits.accumulate(g * (out.grad / n_keep))
 
     return _record(out, bw)
-
-
-# ---------------------------------------------------------------- grad check
-
-
-def grad_check(
-    loss_fn: Callable[[], Tensor],
-    params: Sequence[Parameter],
-    eps: float = 1e-5,
-    max_coords: int = 10,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max relative error between autodiff and central finite differences.
-
-    loss_fn must rebuild the graph deterministically on every call (fix any
-    dropout masks). Large parameters are probed at max_coords sampled
-    coordinates. Relative error: |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-12).
-    """
-    rng = rng or np.random.default_rng(0)
-    zero_grads(params)
-    loss = loss_fn()
-    if not np.isfinite(loss.data):
-        raise GradError("non-finite loss")
-    backward(loss)
-    analytic = {p.name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for p in params}
-
-    worst = 0.0
-    for p in params:
-        flat = p.data.reshape(-1)
-        n = flat.size
-        coords = range(n) if n <= max_coords else sorted(rng.choice(n, max_coords, replace=False))
-        g_flat = analytic[p.name].reshape(-1)
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(loss_fn().data)
-            flat[i] = orig - eps
-            f_minus = float(loss_fn().data)
-            flat[i] = orig
-            g_fd = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(g_flat[i] - g_fd) / max(abs(g_flat[i]), abs(g_fd), 1e-12)
-            worst = max(worst, err)
-    return worst

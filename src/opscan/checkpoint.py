@@ -88,7 +88,8 @@ def save_checkpoint(model, path, vocab: Vocab | None = None, metadata: dict | No
         "metadata": metadata if metadata is not None else getattr(model, "checkpoint_meta", {}),
         "params": manifest,
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False).encode("utf-8")
     # streamed chunk by chunk: joined, they would hold a copy of every parameter at once
     write_atomic(path, itertools.chain(
         (MAGIC, struct.pack("<II", VERSION, len(blob)), blob),

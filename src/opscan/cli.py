@@ -147,7 +147,7 @@ def cmd_prep(args) -> int:
     for name in ("train", "valid", "test"):
         write_atomic(out / f"{name}.jsonl", (
             json.dumps({"address": r.address, "tokens": list(r.tokens), "label": r.label + 1},
-                       sort_keys=True) + "\n" for r in getattr(split, name)))
+                       sort_keys=True, allow_nan=False) + "\n" for r in getattr(split, name)))
     vocab.save(out / "vocab.tsv")
     split.save_manifest(out / "split.json")
     summary = {
@@ -159,9 +159,10 @@ def cmd_prep(args) -> int:
         "vocab_size": len(vocab),
         "vocab_hash": vocab.content_hash(),
     }
-    write_atomic(out / "prep.json", json.dumps(summary, indent=1, sort_keys=True) + "\n")
+    write_atomic(out / "prep.json",
+                 json.dumps(summary, indent=1, sort_keys=True, allow_nan=False) + "\n")
     cfg.write(out)
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(summary, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -188,7 +189,7 @@ def cmd_lr_find(args) -> int:
     result.write_csv(out / "lr_find.csv")
     cfg.write(out)
     print(json.dumps({"suggestion": result.suggestion,
-                      "stopped_early": result.stopped_early}))
+                      "stopped_early": result.stopped_early}, allow_nan=False))
     return 0
 
 
@@ -214,7 +215,7 @@ def cmd_train_lm(args) -> int:
     if result.aborted:
         return _report_abort(result)
     print(json.dumps({"best_valid_loss": result.best_metric,
-                      "best_epoch": result.best_epoch}))
+                      "best_epoch": result.best_epoch}, allow_nan=False))
     return 0
 
 
@@ -236,7 +237,7 @@ def cmd_train_clf(args) -> int:
     if result.aborted:
         return _report_abort(result)
     print(json.dumps({"best_valid_fbeta": result.best_metric,
-                      "best_epoch": result.best_epoch}))
+                      "best_epoch": result.best_epoch}, allow_nan=False))
     return 0
 
 
@@ -348,10 +349,11 @@ def cmd_predict(args) -> int:
         "probabilities": {name: float(p)
                           for name, p in zip(metrics_mod.CLASS_NAMES, probs)},
     }
-    print(json.dumps(result, sort_keys=True))
+    print(json.dumps(result, sort_keys=True, allow_nan=False))
     if args.out:
         out = _resolve_out(args, "predict")
-        write_atomic(out / "prediction.json", json.dumps(result, indent=1, sort_keys=True) + "\n")
+        write_atomic(out / "prediction.json",
+                     json.dumps(result, indent=1, sort_keys=True, allow_nan=False) + "\n")
     return 0
 
 

@@ -146,4 +146,5 @@ class RunConfig:
 
     def write(self, out_dir: str | Path) -> None:
         write_atomic(Path(out_dir) / "config.json",
-                     json.dumps(dataclasses.asdict(self), indent=1, sort_keys=True) + "\n")
+                     json.dumps(dataclasses.asdict(self), indent=1, sort_keys=True,
+                                allow_nan=False) + "\n")

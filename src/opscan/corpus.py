@@ -152,7 +152,7 @@ class Split:
             "valid": [r.address for r in self.valid],
             "test": [r.address for r in self.test],
         }
-        write_atomic(path, json.dumps(manifest, indent=1) + "\n")
+        write_atomic(path, json.dumps(manifest, indent=1, allow_nan=False) + "\n")
 
 
 def _split_counts(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:

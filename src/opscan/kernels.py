@@ -48,6 +48,8 @@ Contract of the two time loops:
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -86,16 +88,18 @@ def _fw_recurrence(xp, wh, h0, h_seq, gates):
     pre_bgh = pre.reshape(B, 4, H)
     prod = np.empty((2 * B, H), dtype=xp.dtype)     # [i*g, f*c_prev]
     ig, fc = prod[:B], prod[B:]
-    # At small B the loop is bound by call overhead, so every view it reads
-    # is made here, ufuncs are bound to locals and outputs passed by position.
-    rows = [(gates[k, :4].transpose(1, 0, 2), gates[k, :3].reshape(3 * B, H),
-             gates[k, :2].reshape(2 * B, H), gates[k, 3:].reshape(2 * B, H),
-             gates[k, 2], gates[(k + 1) % n, 4])
-            for k in range(min(n, T))]
+    # At small B the loop is bound by call overhead, so it iterates views of
+    # the whole call, made here (with one row, the same views every step),
+    # ufuncs are bound to locals and outputs passed by position.
+    g = gates[: min(n, T)]
+    views = (g[:, :4].transpose(0, 2, 1, 3), g[:, :3].reshape(-1, 3 * B, H),
+             g[:, :2].reshape(-1, 2 * B, H), g[:, 3:].reshape(-1, 2 * B, H),
+             g[:, 2], gates[1:, 4] if n > 1 else gates[:, 4])
+    if n == 1:
+        views = [itertools.repeat(v[0]) for v in views]
     dot, add, mul, tanh = np.dot, np.add, np.multiply, np.tanh
     h_prev = h0
-    for t, (x_t, h_t) in enumerate(zip(xp, h_seq)):
-        gate_bgh, ifo, i_f, g_c, o, c = rows[t % len(rows)]
+    for x_t, h_t, gate_bgh, ifo, i_f, g_c, o, c in zip(xp, h_seq, *views):
         dot(h_prev, wh, pre)
         add(x_t, pre, pre)
         tanh(pre_bgh, gate_bgh)
@@ -154,21 +158,23 @@ def _bw_recurrence(dh_seq, wh_t, gates, c_seq, da_all, dh0, dc0):
         np.copyto(to[:, 1], gm[:, 2])
         mul(to[:, 0], to[:, 0], dtc)
         np.subtract(one, dtc, dtc)
-        io = gm[:, 0:3:2]                           # [i, o]
-        for s in range(n - 1, -1, -1):
-            t = start + s
-            add(dh_seq[t], dh0, dh)
-            mul(dh, to[s], do_dho)
-            mul(dho, dtc[s], dho)
+        rev = gm[::-1]
+        steps = zip(dh_seq[start:end][::-1], to[::-1], dtc[::-1], rev[:, 3:], rev[:, :2],
+                    om[::-1, :2], rev[:, 0:3:2], om[::-1, 2:], da4[start:end][::-1],
+                    da_all[start:end][::-1], rev[:, 1])
+        for dh_t, to_t, dtc_t, gc_t, if_t, omif_t, io_t, omgo_t, da4_t, da_t, f_t in steps:
+            add(dh_t, dh0, dh)
+            mul(dh, to_t, do_dho)
+            mul(dho, dtc_t, dho)
             add(dc, dho, dc)
-            mul(dc, gm[s, 3:], da_if)
-            mul(da_if, gm[s, :2], da_if)
-            mul(da_if, om[s, :2], da_if)
-            mul(dc_do, io[s], da_go)
-            mul(da_go, om[s, 2:], da_go)
-            np.copyto(da4[t], da_gm_t)
-            dot(da_all[t], wh_t, dh0)
-            mul(dc, gm[s, 1], dc)
+            mul(dc, gc_t, da_if)
+            mul(da_if, if_t, da_if)
+            mul(da_if, omif_t, da_if)
+            mul(dc_do, io_t, da_go)
+            mul(da_go, omgo_t, da_go)
+            np.copyto(da4_t, da_gm_t)
+            dot(da_t, wh_t, dh0)
+            mul(dc, f_t, dc)
     dc0[...] = dc
 
 

@@ -156,7 +156,7 @@ class MetricsReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def report(cm: np.ndarray, scores=None, labels=None, beta: float = 1.0) -> MetricsReport:

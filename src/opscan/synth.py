@@ -114,5 +114,6 @@ def write_corpus(records: list[ContractRecord], path: str | Path, seed: int) -> 
     rng = np.random.default_rng(seed)
     write_atomic(path, (json.dumps({"address": rec.address,
                                     "bytecode": to_bytecode(rec.tokens, rng),
-                                    "label": rec.label + 1}, sort_keys=True) + "\n"
+                                    "label": rec.label + 1},
+                                   sort_keys=True, allow_nan=False) + "\n"
                         for rec in records))

@@ -11,7 +11,9 @@ one-epoch loss stream, which lr_find consumes through ``cycle``.
 
 A split with no batch raises corpus.CorpusError naming it before the
 first epoch. A non-finite loss or gradient ends a run early, and
-TrainResult.abort_reason names the step.
+TrainResult.abort_reason names the step; so does a validation that meets
+a non-finite number, naming the epoch. Scoring refuses non-finite scores
+with optim.NumericalError.
 """
 
 from __future__ import annotations
@@ -260,8 +262,9 @@ def _fit(model, opt: Adam, epochs: int, plans: Iterator, validate: Callable[[], 
     (from ``validate()``) to the history, rewrites history.jsonl whole from
     it, and the best one by ``metric``
     (lowest valid_loss, highest valid_fbeta) is checkpointed. A non-finite
-    loss or gradient ends the run with result.abort_reason. Either way the
-    model is left holding the best epoch's weights.
+    loss or gradient, or a validation that meets a non-finite number, ends
+    the run with result.abort_reason; that epoch is not recorded. Either
+    way the model is left holding the best epoch's weights.
     """
     result = TrainResult()
     if out_dir is not None:
@@ -285,13 +288,19 @@ def _fit(model, opt: Adam, epochs: int, plans: Iterator, validate: Callable[[], 
             n += weight
         if result.aborted:
             break
-        valid_loss, valid_fbeta = validate()
+        try:
+            valid_loss, valid_fbeta = validate()
+            if not math.isfinite(valid_loss):
+                raise NumericalError(f"non-finite validation loss {valid_loss}")
+        except NumericalError as exc:
+            result.abort_reason = f"{exc} in validation after epoch {epoch}"
+            break
         entry = {"epoch": epoch, "train_loss": total / n, "valid_loss": valid_loss,
                  "valid_fbeta": valid_fbeta}
         result.history.append(entry)
         if out_dir is not None:
-            write_atomic(Path(out_dir) / "history.jsonl",
-                         (json.dumps(e, sort_keys=True) + "\n" for e in result.history))
+            write_atomic(Path(out_dir) / "history.jsonl", (
+                json.dumps(e, sort_keys=True, allow_nan=False) + "\n" for e in result.history))
         if result.best_metric is None or better(entry[metric], result.best_metric):
             result.best_metric, result.best_epoch = entry[metric], epoch
             best_snap = [p.data.copy() for p in params]
@@ -422,7 +431,9 @@ def _score(clf: Classifier, id_seqs: Sequence[np.ndarray], max_len: int | None,
     id_seqs, in input order. Contracts go longest first in batches of at
     most _BATCH_ROWS (corpus.row_batches), each padded to its longest one,
     through _for_each; each batch writes only its own rows, so the result
-    does not depend on which thread scored it. Every parameter is frozen
+    does not depend on which thread scored it. A row with a non-finite
+    score raises NumericalError naming the first such contract by its
+    position in id_seqs. Every parameter is frozen
     for the pass, so Classifier.forward runs each batch in windows of
     model._WINDOW_POSITIONS positions."""
     seqs = corpus_mod.clipped(id_seqs, max_len)
@@ -434,6 +445,10 @@ def _score(clf: Classifier, id_seqs: Sequence[np.ndarray], max_len: int | None,
 
     with _frozen(clf.parameters()):
         _for_each(score, corpus_mod.row_batches(seqs, _BATCH_ROWS))
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise NumericalError(f"non-finite scores for {bad.size} of {len(out)} contracts, "
+                             f"the first at input position {bad[0]}")
     return out
 
 

@@ -22,13 +22,14 @@ from opscan import corpus as corpus_mod
 from opscan import metrics
 from opscan import model as M
 from opscan import trainer as T
-from opscan.autodiff import Parameter, grad_check
+from opscan.autodiff import Parameter
 from opscan.config import RunConfig
 from opscan.disasm import disassemble
 from opscan.opcodes import OPCODES
 from opscan.synth import synth_records
 
 from canon_table import CANON, PUSH_FIXTURE_HEX, PUSH_FIXTURE_TOKENS, canon_token
+from gradcheck import grad_check, log_softmax, mul, sigmoid, sum_all, tanh
 from helpers import encoder, kernel_step
 from oracle_lstm import cell_scalar
 from ref_eval import HEADLINE, HEADLINE_TOL_PP, REF_CM, auc_by_pair_counting
@@ -109,53 +110,53 @@ def _primitive_cases():
     cases = []
 
     a, b = _param(rng, 3, 4, name="a"), _param(rng, 4, 2, name="b")
-    cases.append(("matmul", lambda: ad.sum_all(ad.matmul(a, b)), [a, b]))
+    cases.append(("matmul", lambda: sum_all(ad.matmul(a, b)), [a, b]))
 
     c, d, e = _param(rng, 3, 4, name="c"), _param(rng, 4, name="d"), _param(rng, 3, 4, name="e")
-    cases.append(("add-broadcast+mul", lambda: ad.sum_all(ad.mul(ad.add(c, d), e)), [c, d, e]))
+    cases.append(("add-broadcast+mul", lambda: sum_all(mul(ad.add(c, d), e)), [c, d, e]))
 
     f = _param(rng, 2, 5, name="f")
-    cases.append(("sigmoid", lambda: ad.sum_all(ad.sigmoid(f)), [f]))
+    cases.append(("sigmoid", lambda: sum_all(sigmoid(f)), [f]))
 
     g = _param(rng, 2, 5, name="g")
-    cases.append(("tanh", lambda: ad.sum_all(ad.tanh(g)), [g]))
+    cases.append(("tanh", lambda: sum_all(tanh(g)), [g]))
 
     h = _param(rng, 2, 5, name="h")
     h.data[np.abs(h.data) < 0.2] += 0.5  # keep clear of the kink
-    cases.append(("relu", lambda: ad.sum_all(ad.relu(h)), [h]))
+    cases.append(("relu", lambda: sum_all(ad.relu(h)), [h]))
 
     k = _param(rng, 3, 5, name="k")
     kw = ad.Tensor(rng.normal(size=(3, 5)))
-    cases.append(("log_softmax", lambda: ad.sum_all(ad.mul(ad.log_softmax(k), kw)), [k]))
+    cases.append(("log_softmax", lambda: sum_all(mul(log_softmax(k), kw)), [k]))
 
     emb = _param(rng, 7, 4, name="emb")
     ids = rng.integers(0, 7, size=(5, 2))
-    cases.append(("embedding_lookup", lambda: ad.sum_all(ad.embedding_lookup(emb, ids)), [emb]))
+    cases.append(("embedding_lookup", lambda: sum_all(ad.embedding_lookup(emb, ids)), [emb]))
 
     p1, p2 = _param(rng, 3, 2, name="p1"), _param(rng, 3, 4, name="p2")
     cw = ad.Tensor(rng.normal(size=(3, 6)))
-    cases.append(("concat", lambda: ad.sum_all(ad.mul(ad.concat([p1, p2], axis=-1), cw)), [p1, p2]))
+    cases.append(("concat", lambda: sum_all(mul(ad.concat([p1, p2], axis=-1), cw)), [p1, p2]))
 
     q = _param(rng, 6, 2, name="q")
     qw = ad.Tensor(rng.normal(size=(4, 3)))
     cases.append(
-        ("reshape+transpose", lambda: ad.sum_all(ad.mul(ad.transpose(ad.reshape(q, (3, 4))), qw)), [q])
+        ("reshape+transpose", lambda: sum_all(mul(ad.transpose(ad.reshape(q, (3, 4))), qw)), [q])
     )
 
     x1 = _param(rng, 4, 5, name="x1")
     drop = (rng.random((4, 5)) > 0.3).astype(float)
-    cases.append(("apply_mask", lambda: ad.sum_all(ad.apply_mask(x1, drop, 2.0)), [x1]))
+    cases.append(("apply_mask", lambda: sum_all(ad.apply_mask(x1, drop, 2.0)), [x1]))
 
     lengths = np.array([5, 3, 2])
     tmask = (np.arange(5)[:, None] < lengths[None, :]).astype(float)
     x2 = _param(rng, 5, 3, 4, name="x2")
-    cases.append(("masked_mean_over_time", lambda: ad.sum_all(ad.masked_mean_over_time(x2, tmask)), [x2]))
+    cases.append(("masked_mean_over_time", lambda: sum_all(ad.masked_mean_over_time(x2, tmask)), [x2]))
 
     x3 = _param(rng, 5, 3, 4, name="x3")
-    cases.append(("masked_max_over_time", lambda: ad.sum_all(ad.masked_max_over_time(x3, tmask)), [x3]))
+    cases.append(("masked_max_over_time", lambda: sum_all(ad.masked_max_over_time(x3, tmask)), [x3]))
 
     x4 = _param(rng, 5, 3, 4, name="x4")
-    cases.append(("last_over_time", lambda: ad.sum_all(ad.last_over_time(x4, lengths)), [x4]))
+    cases.append(("last_over_time", lambda: sum_all(ad.last_over_time(x4, lengths)), [x4]))
 
     logits = _param(rng, 6, 4, name="logits")
     targets = np.array([0, 2, 3, 9, 1, 9])

@@ -3,11 +3,16 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opscan import autodiff as ad
 from opscan import optim
-from opscan.autodiff import Parameter, Tensor, backward, grad_check, zero_grads
+from opscan.autodiff import Parameter, Tensor, backward
 from opscan.optim import Adam, NumericalError
+
+import ref_step
+from gradcheck import grad_check, log_softmax, mul, sigmoid, sum_all, tanh, zero_grads
 
 
 def param(rng, *shape, name="p", group=0):
@@ -17,23 +22,23 @@ def param(rng, *shape, name="p", group=0):
 class TestForwardValues:
     def test_sigmoid_tanh_relu(self):
         x = Tensor(np.array([0.0, -2.0, 3.0]))
-        np.testing.assert_allclose(ad.sigmoid(x).data[0], 0.5)
-        np.testing.assert_allclose(ad.tanh(x).data[0], 0.0)
+        np.testing.assert_allclose(sigmoid(x).data[0], 0.5)
+        np.testing.assert_allclose(tanh(x).data[0], 0.0)
         np.testing.assert_array_equal(ad.relu(x).data, [0.0, 0.0, 3.0])
 
     def test_sigmoid_extremes_stable(self):
-        y = ad.sigmoid(Tensor(np.array([-1e4, 1e4]))).data
+        y = sigmoid(Tensor(np.array([-1e4, 1e4]))).data
         assert y[0] == 0.0 and y[1] == 1.0
 
     def test_log_softmax_uniform(self):
-        y = ad.log_softmax(Tensor(np.zeros((2, 5)))).data
+        y = log_softmax(Tensor(np.zeros((2, 5)))).data
         np.testing.assert_allclose(y, -np.log(5.0))
 
     def test_log_softmax_shift_invariant(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 7))
-        a = ad.log_softmax(Tensor(x)).data
-        b = ad.log_softmax(Tensor(x + 100.0)).data
+        a = log_softmax(Tensor(x)).data
+        b = log_softmax(Tensor(x + 100.0)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_cross_entropy_uniform_is_log_k(self):
@@ -80,7 +85,7 @@ class TestForwardValues:
         mx = ad.masked_max_over_time(x, mask)
         assert mx.data.dtype == dtype
         np.testing.assert_array_equal(mx.data, data[idx, b_ix, h_ix])
-        backward(ad.sum_all(mx))
+        backward(sum_all(mx))
         routed = np.zeros_like(data)
         routed[idx, b_ix, h_ix] = 1.0  # a tie goes to the earliest step only
         assert routed[0, 2].all() and not routed[2, 2].any()
@@ -99,17 +104,17 @@ class TestForwardValues:
 class TestBackwardBasics:
     def test_sum_grad_is_ones(self):
         w = Parameter(np.array([1.0, 2.0, 3.0]), "w")
-        backward(ad.sum_all(w))
+        backward(sum_all(w))
         np.testing.assert_array_equal(w.grad, np.ones(3))
 
     def test_quadratic_grad(self):
         w = Parameter(np.array([1.0, -2.0, 0.5]), "w")
-        backward(ad.sum_all(ad.mul(w, w)))
+        backward(sum_all(mul(w, w)))
         np.testing.assert_allclose(w.grad, 2 * w.data)
 
     def test_fanout_accumulates(self):
         x = Parameter(np.array([3.0]), "x")
-        backward(ad.sum_all(ad.add(x, x)))
+        backward(sum_all(ad.add(x, x)))
         np.testing.assert_array_equal(x.grad, [2.0])
 
     def test_cross_entropy_grad_is_softmax_minus_onehot(self):
@@ -123,7 +128,7 @@ class TestBackwardBasics:
 
     def test_backward_twice_raises(self):
         w = Parameter(np.ones(2), "w")
-        loss = ad.sum_all(w)
+        loss = sum_all(w)
         backward(loss)
         with pytest.raises(ad.GradError):
             backward(loss)
@@ -131,12 +136,12 @@ class TestBackwardBasics:
     def test_backward_non_scalar_raises(self):
         w = Parameter(np.ones(2), "w")
         with pytest.raises(ad.GradError):
-            backward(ad.mul(w, w))
+            backward(mul(w, w))
 
     def test_bias_broadcast_grad(self):
         b = Parameter(np.zeros(3), "b")
         x = Tensor(np.ones((5, 3)))
-        backward(ad.sum_all(ad.add(x, b)))
+        backward(sum_all(ad.add(x, b)))
         np.testing.assert_array_equal(b.grad, [5.0, 5.0, 5.0])
 
     def test_consumed_graph_is_freed_without_the_collector(self):
@@ -145,7 +150,7 @@ class TestBackwardBasics:
         try:
             hidden = ad.relu(ad.matmul(Tensor(np.ones((4, 3))), w))
             alive = weakref.ref(hidden.data)
-            loss = ad.sum_all(hidden)
+            loss = sum_all(hidden)
             del hidden
             backward(loss)
             del loss
@@ -155,8 +160,8 @@ class TestBackwardBasics:
 
     def test_grad_accumulates_across_backwards(self):
         w = Parameter(np.ones(2), "w")
-        backward(ad.sum_all(w))
-        backward(ad.sum_all(w))
+        backward(sum_all(w))
+        backward(sum_all(w))
         np.testing.assert_array_equal(w.grad, [2.0, 2.0])
         zero_grads([w])
         assert w.grad is None
@@ -197,62 +202,62 @@ class TestGradCheckPrimitives:
         a = param(rng, 4, 3, name="a")
         b = param(rng, 3, 5, name="b")
         c = Tensor(rng.normal(size=(4, 5)))
-        self.check(lambda: ad.sum_all(ad.mul(ad.matmul(a, b), c)), [a, b])
+        self.check(lambda: sum_all(mul(ad.matmul(a, b), c)), [a, b])
 
     def test_add_broadcast(self):
         rng = np.random.default_rng(2)
         x = param(rng, 4, 3, name="x")
         b = param(rng, 3, name="b")
         c = Tensor(rng.normal(size=(4, 3)))
-        self.check(lambda: ad.sum_all(ad.mul(ad.add(x, b), c)), [x, b])
+        self.check(lambda: sum_all(mul(ad.add(x, b), c)), [x, b])
 
     def test_mul(self):
         rng = np.random.default_rng(3)
         x = param(rng, 5, name="x")
         y = param(rng, 5, name="y")
-        self.check(lambda: ad.sum_all(ad.mul(x, y)), [x, y])
+        self.check(lambda: sum_all(mul(x, y)), [x, y])
 
     def test_sigmoid(self):
         rng = np.random.default_rng(4)
         x = param(rng, 6, name="x")
-        self.check(lambda: ad.sum_all(ad.sigmoid(x)), [x])
+        self.check(lambda: sum_all(sigmoid(x)), [x])
 
     def test_tanh(self):
         rng = np.random.default_rng(5)
         x = param(rng, 6, name="x")
-        self.check(lambda: ad.sum_all(ad.tanh(x)), [x])
+        self.check(lambda: sum_all(tanh(x)), [x])
 
     def test_relu(self):
         rng = np.random.default_rng(6)
         x = Parameter(rng.normal(size=8) + np.sign(rng.normal(size=8)) * 0.05, "x")
-        self.check(lambda: ad.sum_all(ad.relu(x)), [x])
+        self.check(lambda: sum_all(ad.relu(x)), [x])
 
     def test_log_softmax(self):
         rng = np.random.default_rng(7)
         x = param(rng, 3, 5, name="x")
         c = Tensor(rng.normal(size=(3, 5)))
-        self.check(lambda: ad.sum_all(ad.mul(ad.log_softmax(x), c)), [x])
+        self.check(lambda: sum_all(mul(log_softmax(x), c)), [x])
 
     def test_embedding_lookup(self):
         rng = np.random.default_rng(8)
         m = param(rng, 6, 4, name="emb")
         ids = np.array([[0, 2, 2], [5, 0, 1]])
         c = Tensor(rng.normal(size=(2, 3, 4)))
-        self.check(lambda: ad.sum_all(ad.mul(ad.embedding_lookup(m, ids), c)), [m])
+        self.check(lambda: sum_all(mul(ad.embedding_lookup(m, ids), c)), [m])
 
     def test_concat(self):
         rng = np.random.default_rng(9)
         a = param(rng, 2, 3, name="a")
         b = param(rng, 2, 2, name="b")
         c = Tensor(rng.normal(size=(2, 5)))
-        self.check(lambda: ad.sum_all(ad.mul(ad.concat([a, b], axis=1), c)), [a, b])
+        self.check(lambda: sum_all(mul(ad.concat([a, b], axis=1), c)), [a, b])
 
     def test_reshape_transpose(self):
         rng = np.random.default_rng(10)
         a = param(rng, 2, 6, name="a")
         c = Tensor(rng.normal(size=(4, 3)))
         self.check(
-            lambda: ad.sum_all(ad.mul(ad.transpose(ad.reshape(a, (3, 4))), c)), [a]
+            lambda: sum_all(mul(ad.transpose(ad.reshape(a, (3, 4))), c)), [a]
         )
 
     def test_apply_mask(self):
@@ -260,14 +265,14 @@ class TestGradCheckPrimitives:
         x = param(rng, 4, 3, name="x")
         mask = (rng.random((4, 3)) < 0.5).astype(float)
         c = Tensor(rng.normal(size=(4, 3)))
-        self.check(lambda: ad.sum_all(ad.mul(ad.apply_mask(x, mask, 2.0), c)), [x])
+        self.check(lambda: sum_all(mul(ad.apply_mask(x, mask, 2.0), c)), [x])
 
     def test_masked_mean(self):
         rng = np.random.default_rng(12)
         x = param(rng, 5, 2, 3, name="x")
         mask = np.array([[1, 1], [1, 1], [1, 0], [0, 0], [1, 0]], dtype=float)
         c = Tensor(rng.normal(size=(2, 3)))
-        self.check(lambda: ad.sum_all(ad.mul(ad.masked_mean_over_time(x, mask), c)), [x])
+        self.check(lambda: sum_all(mul(ad.masked_mean_over_time(x, mask), c)), [x])
 
     def test_masked_max(self):
         rng = np.random.default_rng(13)
@@ -275,14 +280,14 @@ class TestGradCheckPrimitives:
         x.data *= 5.0  # keep maxima well separated from the eps probe
         mask = np.array([[1, 1], [1, 1], [1, 0], [0, 1], [1, 0]], dtype=float)
         c = Tensor(rng.normal(size=(2, 3)))
-        self.check(lambda: ad.sum_all(ad.mul(ad.masked_max_over_time(x, mask), c)), [x])
+        self.check(lambda: sum_all(mul(ad.masked_max_over_time(x, mask), c)), [x])
 
     def test_last_over_time(self):
         rng = np.random.default_rng(14)
         x = param(rng, 5, 3, 2, name="x")
         lengths = np.array([5, 1, 3])
         c = Tensor(rng.normal(size=(3, 2)))
-        self.check(lambda: ad.sum_all(ad.mul(ad.last_over_time(x, lengths), c)), [x])
+        self.check(lambda: sum_all(mul(ad.last_over_time(x, lengths), c)), [x])
 
     def test_cross_entropy_with_ignore(self):
         rng = np.random.default_rng(15)
@@ -377,3 +382,177 @@ class TestAdam:
         opt.step(0.5)
         # zero gradient: only the shrinkage term acts
         np.testing.assert_allclose(w.data, [2.0 - 0.5 * 0.1 * 2.0])
+
+
+DTYPES = [np.float32, np.float64]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape, dtype and bytes: -0.0 differs from 0.0 and NaN matches
+    itself."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestEmbeddingGradOracle:
+    """The embedding backward sums each id's rows in occurrence order, as
+    np.add.at does, bit for bit."""
+
+    IDS = {
+        "repeated": lambda rng, v: rng.integers(0, v, (9, 5)),
+        "skewed": lambda rng, v: np.minimum(rng.geometric(0.3, (12, 4)) - 1, v - 1),
+        "unique": lambda rng, v: rng.permutation(v)[:10].reshape(5, 2),
+        "single": lambda rng, v: np.array([[3]]),
+        "one_id_everywhere": lambda rng, v: np.full((7, 3), 2),
+        "empty": lambda rng, v: np.zeros((0, 4), dtype=np.int64),
+    }
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", sorted(IDS))
+    def test_matches_add_at(self, case, dtype):
+        rng = np.random.default_rng(len(case))
+        v, e = 11, 6
+        ids = self.IDS[case](rng, v)
+        m = Parameter(rng.normal(size=(v, e)).astype(dtype), "emb")
+        out = ad.embedding_lookup(m, ids)
+        # magnitudes over many decades make the summation order visible
+        upstream = (rng.normal(size=out.shape) * 10.0 ** rng.uniform(-6, 6, out.shape)
+                    ).astype(dtype)
+        upstream[..., 0] = -0.0
+        upstream[..., 1] = rng.choice([-0.0, 0.0, 1.0], size=upstream.shape[:-1])
+        out.grad = upstream
+        out._backward()
+        want = ref_step.accumulate(None, m.data, ref_step.embedding_grad(m.data, ids, upstream))
+        assert same_bits(m.grad, want)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_adds_into_a_tied_gradient(self, dtype):
+        """A tied matrix already holds a gradient: rows no id names add a +0,
+        which turns a -0.0 there into +0.0 as the scatter-add into zeros does."""
+        rng = np.random.default_rng(5)
+        m = Parameter(rng.normal(size=(6, 3)).astype(dtype), "emb")
+        before = rng.normal(size=(6, 3)).astype(dtype)
+        before[:, 0] = -0.0
+        m.grad = before.copy()
+        ids = np.array([[1, 4, 1], [4, 4, 0]])
+        out = ad.embedding_lookup(m, ids)
+        out.grad = rng.normal(size=out.shape).astype(dtype)
+        out._backward()
+        want = ref_step.accumulate(before.copy(), m.data,
+                                   ref_step.embedding_grad(m.data, ids, out.grad))
+        assert same_bits(m.grad, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(v=st.integers(1, 40), e=st.integers(1, 300), n=st.integers(0, 600),
+           skew=st.floats(0.01, 1.0), dtype=st.sampled_from(DTYPES), seed=st.integers(0, 2**16))
+    def test_any_shape_matches_add_at(self, v, e, n, skew, dtype, seed):
+        rng = np.random.default_rng(seed)
+        ids = np.minimum(rng.geometric(skew, n) - 1, v - 1)
+        m = Parameter(np.zeros((v, e), dtype=dtype), "emb")
+        out = ad.embedding_lookup(m, ids)
+        out.grad = (rng.normal(size=(n, e)) * 10.0 ** rng.uniform(-5, 5, (n, 1))).astype(dtype)
+        out._backward()
+        want = ref_step.accumulate(None, m.data, ref_step.embedding_grad(m.data, ids, out.grad))
+        assert same_bits(m.grad, want)
+
+    def test_one_column_over_many_rows(self):
+        """With one column the reduce runs over the rows' own axis: it must
+        still add them one after another, not pairwise."""
+        rng = np.random.default_rng(8)
+        m = Parameter(np.zeros((3, 1), dtype=np.float32), "emb")
+        ids = rng.integers(0, 3, 5000)
+        out = ad.embedding_lookup(m, ids)
+        out.grad = (rng.normal(size=(5000, 1)) * 10.0 ** rng.uniform(-4, 4, (5000, 1))
+                    ).astype(np.float32)
+        out._backward()
+        assert same_bits(m.grad, ref_step.embedding_grad(m.data, ids, out.grad) + 0)
+
+
+class TestMaskedMaxGradOracle:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_matches_add_at(self, dtype):
+        rng = np.random.default_rng(3)
+        x = Parameter(rng.integers(-2, 3, (6, 4, 5)).astype(dtype), "x")  # many ties
+        mask = np.ones((6, 4), dtype=bool)
+        mask[4:, 1] = mask[1:, 3] = False
+        out = ad.masked_max_over_time(x, mask)
+        upstream = rng.normal(size=out.shape).astype(dtype)
+        upstream[0] = -0.0
+        out.grad = upstream
+        out._backward()
+        want = ref_step.accumulate(None, x.data, ref_step.masked_max_grad(x.data, mask, upstream))
+        assert same_bits(x.grad, want)
+
+
+class TestAccumulateOracle:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_first_gradient_is_a_fresh_zero_plus_g(self, dtype):
+        t = Parameter(np.ones((2, 3), dtype=dtype), "t")
+        g = np.array([[-0.0, 1.5, -2.0], [0.0, -0.0, 3.25]], dtype=dtype)
+        t.accumulate(g)
+        assert same_bits(t.grad, ref_step.accumulate(None, t.data, g))
+        assert not np.signbit(t.grad[0, 0])
+        assert not np.shares_memory(t.grad, g)
+        g[0, 1] = 99.0
+        assert t.grad[0, 1] == 1.5
+
+    def test_broadcasts_and_casts_like_the_zeroed_sum(self):
+        t = Tensor(np.ones((4, 3), dtype=np.float32))
+        t.requires_grad = True
+        row = np.array([1e-9, -0.0, 1.0 / 3.0])  # float64, broadcast over 4 rows
+        t.accumulate(row)
+        want = ref_step.accumulate(None, t.data, row)
+        assert t.grad.dtype == np.float32 and same_bits(t.grad, want)
+        t.accumulate(row)
+        assert same_bits(t.grad, ref_step.accumulate(want, t.data, row))
+
+    def test_a_shape_that_cannot_broadcast_is_refused(self):
+        t = Tensor(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            t.accumulate(np.ones((3, 3)))
+
+
+class TestAdamOracle:
+    """Adam.step updates in place and through shared scratch, with the
+    products and sums of the allocate-per-step formula, bit for bit."""
+
+    @staticmethod
+    def _params(dtype, rng):
+        shapes = [("emb", (7, 4), 0), ("w", (4, 5), 1), ("b", (5,), 1), ("head", (5, 3), 2),
+                  ("frozen", (3, 3), 2)]
+        return [Parameter(rng.normal(size=shape).astype(dtype), name, group)
+                for name, shape, group in shapes]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_matches_the_allocating_formula(self, dtype, weight_decay):
+        rng = np.random.default_rng(17)
+        params = self._params(dtype, rng)
+        params[-1].frozen = True
+        ref = [Parameter(p.data.copy(), p.name, p.layer_group) for p in params]
+        ref[-1].frozen = True
+        opt, ref_opt = Adam(params, weight_decay=weight_decay), ref_step.Adam(weight_decay)
+        steps = [(0.01, None), ([0.001, 0.003, 0.01], 0.87), (0.02, 0.95), ([0.0, 1e-3, 0.5], None)]
+        for lr, beta1 in steps:
+            for p, r in zip(params, ref):
+                g = (rng.normal(size=p.shape) * 10.0 ** rng.uniform(-3, 3)).astype(dtype)
+                g.flat[0] = -0.0
+                p.grad, r.grad = g, g.copy()
+            opt.step(lr, beta1=beta1)
+            ref_opt.step(ref, lr, beta1=beta1)
+            for p, r in zip(params, ref):
+                assert same_bits(p.data, r.data), p.name
+                assert same_bits(p.grad, r.grad), p.name  # the scratch is not the gradient
+        assert opt.state.keys() == ref_opt.state.keys() == {"emb", "w", "b", "head"}
+        for name, st in opt.state.items():
+            want = ref_opt.state[name]
+            assert st["t"] == want["t"] == len(steps)
+            assert same_bits(st["m"], want["m"]) and same_bits(st["v"], want["v"])
+
+    def test_a_parameter_without_a_gradient_is_skipped(self):
+        a, b = Parameter(np.ones(3), "a"), Parameter(np.ones(8), "b")
+        a.grad = np.full(3, 0.5)
+        opt = Adam([a, b], weight_decay=0.1)
+        opt.step(0.1)
+        assert set(opt.state) == {"a"}
+        assert b.data.tolist() == [1.0] * 8 and a.data[0] < 1.0
+

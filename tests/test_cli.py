@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opscan import checkpoint as ckpt_mod
@@ -668,6 +668,42 @@ class TestCorruptCheckpoint:
             probs = json.loads(out.getvalue(), parse_constant=_reject_constant)["probabilities"]
             assert all(math.isfinite(p) and 0 <= p <= 1 for p in probs.values())
             assert sum(probs.values()) == pytest.approx(1.0, abs=1e-5)
+
+
+class TestHugeWeights:
+    """Weights that are finite but huge overflow the forward pass, so no
+    checkpoint check can refuse them. predict and eval --checkpoint then
+    print strict JSON (no NaN, no Infinity) or exit 5 with one line."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_scale=st.floats(0.0, math.log10(3e38)), seed=st.integers(0, 2**32 - 1))
+    @example(log_scale=math.log10(3e37), seed=0)
+    def test_any_weight_scale_is_strict_json_or_exits_5(self, ws, log_scale, seed):
+        root, _ = ws
+        clf = ckpt_mod.load_checkpoint(root / "clf" / "clf_best.ckpt")
+        rng = np.random.default_rng(seed)
+        scale = min(10.0**log_scale, 3e38)
+        for p in clf.parameters():
+            p.data[...] = scale * rng.choice([-1.0, 1.0], size=p.shape)
+        path = root / "huge.ckpt"
+        ckpt_mod.save_checkpoint(clf, path, vocab=clf.checkpoint_vocab)
+        eval_out = root / "huge_eval"
+        for argv in (["predict", "--checkpoint", str(path), "--bytecode", "6001600201331450"],
+                     ["eval", "--checkpoint", str(path), "--data", str(root / "prep"),
+                      "--out", str(eval_out)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            assert rc in (0, 5), argv[0]
+            if rc == 5:
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith("numerical failure: non-finite scores")
+                assert err.getvalue().count("\n") == 1
+                continue
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+            if argv[0] == "eval":
+                json.loads((eval_out / "metrics.json").read_text(encoding="utf-8"),
+                           parse_constant=_reject_constant)
 
 
 class TestExitCodes:

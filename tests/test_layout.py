@@ -11,8 +11,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "opscan"
 ALLOWED_UNUSED = {
     ("checkpoint", "read_header"): "perfbench reads it (cli binds it for the traced run)",
     ("kernels", "active_backend"): "perfbench reads it",
-    **{("autodiff", op): "criterion 3 grad-checks it"
-       for op in ("sigmoid", "tanh", "mul", "log_softmax", "sum_all", "grad_check")},
 }
 
 
@@ -167,4 +165,38 @@ def test_no_src_module_imports_a_private_name_of_another():
              if isinstance(node, ast.ImportFrom) and node.level
              for alias in node.names if alias.name.startswith("_")]
     assert not found, f"private names imported across modules: {'; '.join(found)}"
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_autodiff_scatters_with_no_add_at():
+    """np.add.at is an unbuffered scatter that runs per element: autodiff's
+    backward closures gather by sort-and-reduce or by a fancy-index add
+    whose targets are distinct, never by it."""
+    tree = ast.parse((SRC / "autodiff.py").read_text(encoding="utf-8"))
+    found = [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "at"
+             and ast.unparse(node.value).endswith("add")]
+    assert not found, f"np.add.at in autodiff.py: {'; '.join(found)}"
+
+
+def _nan_dumps(tree: ast.Module) -> list[str]:
+    """Each json.dumps() call in a parsed module that does not pass
+    allow_nan=False."""
+    return [f"{ast.unparse(node)} (line {node.lineno})" for node, attr, _ in _calls(tree)
+            if attr == "dumps" and not any(
+                k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
+                and k.value.value is False for k in node.keywords)]
+
+
+def test_every_json_dumps_refuses_nan():
+    """Every JSON artifact and stdout line is strict JSON: json.dumps writes
+    NaN and Infinity, which no JSON reader need accept, unless it is told
+    allow_nan=False, and then it raises instead."""
+    t0 = time.perf_counter()
+    dumps = [f"{path.stem}: {d}" for path in sorted(SRC.glob("*.py"))
+             for d in _nan_dumps(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not dumps, f"json.dumps without allow_nan=False: {'; '.join(dumps)}"
+    probe = "json.dumps(x)\njson.dumps(x, allow_nan=False)\njson.dumps(x, allow_nan=True)"
+    assert [d.split(" (")[0] for d in _nan_dumps(ast.parse(probe))] == [
+        "json.dumps(x)", "json.dumps(x, allow_nan=True)"]
     assert time.perf_counter() - t0 < 1.0

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from opscan import autodiff as ad
 from opscan import kernels as K
 from opscan import model as M
-from opscan.autodiff import backward, grad_check, zero_grads
+from opscan.autodiff import backward
 from opscan.optim import Adam
 
+from gradcheck import grad_check
 from helpers import encoder, head_parameters, kernel_step
 from oracle_lstm import cell_scalar
 

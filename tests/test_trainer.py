@@ -19,9 +19,10 @@ from opscan import trainer as T
 from opscan.autodiff import Parameter, Tensor, backward
 from opscan.config import RunConfig
 from opscan.corpus import ContractRecord
-from opscan.optim import Adam
+from opscan.optim import Adam, NumericalError
 from opscan.trainer import OneCycleSchedule, TrainerError
 
+from gradcheck import mul, sum_all, zero_grads
 from helpers import SHIPPED, encoder, head_parameters
 
 MOTIFS = [
@@ -200,7 +201,7 @@ class TestGradualUnfreeze:
         ids, lengths, labels = rng.integers(0, 12, (6, 3)), np.array([6, 4, 2]), np.array([0, 3, 1])
 
         def grads():
-            ad.zero_grads(clf.parameters())
+            zero_grads(clf.parameters())
             loss = clf.loss(ids, lengths, labels, rng=np.random.default_rng(9))
             backward(loss)
             return {p.name: p.grad for p in clf.parameters()}
@@ -227,7 +228,7 @@ def quadratic_param():
 def quadratic_losses(w, target=3.0):
     while True:
         d = ad.add(w, Tensor(np.array([-target])))
-        yield ad.sum_all(ad.mul(d, d))
+        yield sum_all(mul(d, d))
 
 
 class TestLrFind:
@@ -277,7 +278,7 @@ class TestLrFind:
         def losses():
             for v in planted:
                 w.data[:] = math.sqrt(v)
-                yield ad.sum_all(ad.mul(w, w))
+                yield sum_all(mul(w, w))
 
         with pytest.raises(TrainerError, match="smaller lr_start"):
             T.lr_find([w], losses(), lr_start=1e-4, lr_end=1.0, max_steps=100)
@@ -398,6 +399,21 @@ class TestTrainLm:
         assert [h["epoch"] for h in result.history] == list(range(1, epochs + 1))
         assert all(math.isfinite(h["train_loss"]) for h in result.history)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_valid_loss_aborts_before_history(self, tmp_path, monkeypatch, bad):
+        """A NaN first epoch would stay "best" (nothing compares below NaN)
+        and reach history.jsonl as NaN: the run ends there instead."""
+        lm, vocab, train_ids, valid_ids = lm_setup(n_train=20, n_valid=8)
+        losses = iter([2.5, bad])
+        monkeypatch.setattr(T, "_lm_valid_loss", lambda *args: next(losses))
+        result = T.train_lm(lm, train_ids, valid_ids,
+                            RunConfig(epochs=3, batch_size=4, bptt=10, max_lr=0.005, seed=0),
+                            out_dir=tmp_path, vocab=vocab)
+        assert result.abort_reason == f"non-finite validation loss {bad} in validation after epoch 2"
+        assert [h["epoch"] for h in result.history] == [1] and result.best_epoch == 1
+        lines = (tmp_path / "history.jsonl").read_text().splitlines()
+        assert [json.loads(l)["valid_loss"] for l in lines] == [2.5]
+
     def test_nonfinite_loss_aborts(self):
         lm, vocab, train_ids, valid_ids = lm_setup(n_train=12, n_valid=8)
         result = T.train_lm(lm, train_ids, valid_ids, RunConfig(
@@ -502,6 +518,20 @@ class TestClassify:
         clf, _, _, (valid_ids, _) = clf_setup()
         np.testing.assert_array_equal(T.classify(clf, valid_ids, max_len=5),
                                       T.classify(clf, [s[:5] for s in valid_ids], None))
+
+    def test_non_finite_scores_are_refused_naming_the_first_contract(self):
+        clf, _, _, (valid_ids, _) = clf_setup()
+
+        def fn(ids, lengths):  # contracts of length 4 and 6 score NaN or inf
+            out = np.zeros((ids.shape[1], clf.n_classes))
+            out[lengths == 4, 1], out[lengths == 6, 3] = np.nan, -np.inf
+            return out
+
+        seqs = [np.arange(3, 3 + n) for n in (5, 6, 2, 4, 4)]
+        with pytest.raises(NumericalError, match="for 3 of 5 contracts, the first at input "
+                                                 "position 1$"):
+            T._score(clf, seqs, None, fn)
+        assert T._score(clf, [seqs[0], seqs[2]], None, fn).shape == (2, clf.n_classes)
 
 
 class TestScoringMemory:
@@ -688,6 +718,27 @@ class TestTrainClf:
                              RunConfig(epochs=8, batch_size=4, seed=1))
         assert result.best_metric >= 0.9
         assert result.history[-1]["valid_fbeta"] is not None
+
+    def test_nonfinite_validation_scores_abort_before_history(self, tmp_path, monkeypatch):
+        clf, vocab, train_data, valid_data = clf_setup()
+        real, calls = T.evaluate_classifier, []
+
+        def evaluate(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericalError("non-finite scores for 1 of 16 contracts, "
+                                     "the first at input position 3")
+            return real(*args)
+
+        monkeypatch.setattr(T, "evaluate_classifier", evaluate)
+        result = T.train_clf(clf, train_data, valid_data, RunConfig(epochs=3, batch_size=8, seed=1),
+                             out_dir=tmp_path, vocab=vocab)
+        assert result.abort_reason == ("non-finite scores for 1 of 16 contracts, the first at "
+                                       "input position 3 in validation after epoch 2")
+        assert [h["epoch"] for h in result.history] == [1] and result.best_epoch == 1
+        assert len((tmp_path / "history.jsonl").read_text().splitlines()) == 1
+        assert (tmp_path / "fbeta.csv").read_text().splitlines()[1:] == [
+            f"1,{result.history[0]['valid_fbeta']!r}"]
 
     def test_first_epoch_leaves_encoder_untouched(self):
         clf, vocab, train_data, valid_data = clf_setup()

@@ -13,6 +13,13 @@ parameters alone (inference, or the frozen layers of a fine-tuning stage)
 therefore records no tape and holds no activation longer than the forward
 pass needs it.
 
+The tape that is recorded lives for one backward() and no longer.
+backward() takes each node off the graph once its closure has run, so an
+activation is released by reference count, without the collector, when
+the last closure that reads it is done. Only the Parameter gradients, and
+the loss's value, survive the call: a training loop that keeps its last
+loss bound while the next forward pass runs holds no tape beside it.
+
 The LSTM sequence op is not here; it is a fused kernel (see kernels.py)
 that model.py wraps into a graph node with a custom backward closure.
 """
@@ -97,9 +104,12 @@ class Parameter(Tensor):
 def backward(loss: Tensor) -> None:
     """Populate .grad on everything reachable from loss that requires one.
 
-    loss must be scalar. backward consumes the graph: every closure is dropped
-    once run, and a second call on the same node without re-running the
-    forward pass is an error.
+    loss must be scalar. backward consumes the graph as it walks it: once a
+    node's closure has run, the node loses its closure, its parent links
+    and, unless it is a Parameter, its gradient. An activation is therefore
+    released as soon as the last closure that reads it has run, and only
+    the Parameter gradients and loss's value outlive the call. A second call
+    on the same loss without re-running the forward pass is an error.
     """
     if loss.data.size != 1:
         raise GradError(f"backward needs a scalar, got shape {loss.data.shape}")
@@ -124,13 +134,17 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None and node.grad is not None:
             node._backward()
-        # A closure refers to its own output; dropping it leaves the graph
-        # free of reference cycles, so it is freed as soon as the caller
-        # drops the loss rather than at some later garbage collection.
+        # Every node that reads this one has already run, so nothing needs
+        # its closure, links or gradient again: drop them, and whatever
+        # only they held is freed by reference count.
         node._backward = None
+        node._parents = ()
+        if not isinstance(node, Parameter):
+            node.grad = None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

@@ -78,9 +78,11 @@ class Adam:
             g = _check_finite(p)
             if g is None:
                 continue
-            st = self.state.setdefault(
-                p.name, {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data), "t": 0}
-            )
+            st = self.state.get(p.name)
+            if st is None:
+                st = self.state[p.name] = {
+                    "m": np.zeros_like(p.data), "v": np.zeros_like(p.data), "t": 0
+                }
             st["t"] += 1
             t = st["t"]
             m, v = st["m"], st["v"]

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opscan import autodiff as ad
+from opscan import kernels as K
+from opscan import model as M
 from opscan import optim
 from opscan.autodiff import Parameter, Tensor, backward
 from opscan.optim import Adam, NumericalError
 
 import ref_step
 from gradcheck import grad_check, log_softmax, mul, sigmoid, sum_all, tanh, zero_grads
+from helpers import encoder
 
 
 def param(rng, *shape, name="p", group=0):
@@ -153,8 +157,35 @@ class TestBackwardBasics:
             loss = sum_all(hidden)
             del hidden
             backward(loss)
-            del loss
+            # released by backward itself, while the caller still holds loss
             assert alive() is None
+            assert loss._parents == () and loss._backward is None and loss.grad is None
+            assert w.grad is not None
+        finally:
+            gc.enable()
+
+    def test_backward_releases_every_lstm_layer_output(self, monkeypatch):
+        real = K.lstm_seq_forward
+        outputs = []
+
+        def lstm_seq_forward(*args, **kwargs):
+            h_seq, c_seq, gates = real(*args, **kwargs)
+            outputs.append(weakref.ref(h_seq))
+            return h_seq, c_seq, gates
+
+        monkeypatch.setattr(K, "lstm_seq_forward", lstm_seq_forward)
+        enc = encoder(11, emb_size=6, hidden_size=8, n_layers=2,
+                      dropouts=M.Dropouts(0.1, 0.1, 0.1, 0.1, 0.0), seed=3)
+        lm = M.LanguageModel(enc, vocab_hash="h", seed=4)
+        ids = np.random.default_rng(5).integers(1, 11, size=(7, 3))
+        gc.disable()
+        try:
+            loss, _ = lm.loss(ids[:-1], ids[1:], None, rng=np.random.default_rng(6))
+            assert len(outputs) == 2 and all(ref() is not None for ref in outputs)
+            backward(loss)
+            assert [ref() for ref in outputs] == [None, None]
+            assert loss._parents == ()
+            assert all(p.grad is not None for p in lm.parameters())
         finally:
             gc.enable()
 
@@ -547,6 +578,25 @@ class TestAdamOracle:
             want = ref_opt.state[name]
             assert st["t"] == want["t"] == len(steps)
             assert same_bits(st["m"], want["m"]) and same_bits(st["v"], want["v"])
+
+    def test_a_later_step_allocates_no_state(self):
+        rng = np.random.default_rng(3)
+        params = [Parameter(rng.normal(size=shape), name) for name, shape in
+                  (("big", (200, 500)), ("w", (30, 40)), ("b", (40,)))]
+        opt = Adam(params, weight_decay=0.01)
+        for p in params:
+            p.grad = rng.normal(size=p.shape)
+        opt.step(0.01)
+        largest = max(p.data.nbytes for p in params)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            opt.step(0.01, beta1=0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < largest
+        assert all(opt.state[p.name]["t"] == 2 for p in params)
 
     def test_a_parameter_without_a_gradient_is_skipped(self):
         a, b = Parameter(np.ones(3), "a"), Parameter(np.ones(8), "b")

@@ -1,9 +1,11 @@
+import gc
 import itertools
 import json
 import math
 import sys
 import threading
 import time
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -495,6 +497,60 @@ class TestValidationRecordsNoTape:
         with pytest.raises(RuntimeError, match="kernel failed"):
             T.evaluate_classifier(clf, valid_ids, valid_labels, None)
         assert [p.frozen for p in clf.parameters()] == flags
+
+
+def stale_outputs(monkeypatch) -> list:
+    """Counts, at each LSTM forward, of the layer outputs made before the
+    latest backward (so before the latest optimizer step) still alive. The
+    collector is off: anything not freed by reference count stays alive."""
+    real_forward, real_backward = K.lstm_seq_forward, T.backward
+    made: list = []  # (backwards run when it was made, weakref to h_seq)
+    stale: list = []
+    steps = [0]
+
+    def lstm_seq_forward(*args, **kwargs):
+        stale.append(sum(1 for step, ref in made if step < steps[0] and ref() is not None))
+        h_seq, c_seq, gates = real_forward(*args, **kwargs)
+        made.append((steps[0], weakref.ref(h_seq)))
+        return h_seq, c_seq, gates
+
+    def backward(loss):
+        real_backward(loss)
+        steps[0] += 1
+
+    monkeypatch.setattr(K, "lstm_seq_forward", lstm_seq_forward)
+    monkeypatch.setattr(T, "backward", backward)
+    return stale
+
+
+class TestOneStepTape:
+    """A training loop keeps its last loss bound while the next forward runs;
+    that loss holds none of its step's activations."""
+
+    @pytest.fixture(autouse=True)
+    def no_collector(self):
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_train_lm(self, monkeypatch):
+        lm, _, train_ids, valid_ids = lm_setup(n_train=20, n_valid=8)
+        assert len(list(C.lm_batches(train_ids, 4, 10))) >= 2
+        stale = stale_outputs(monkeypatch)
+        result = T.train_lm(lm, train_ids, valid_ids,
+                            RunConfig(epochs=2, batch_size=4, bptt=10, max_lr=0.005, seed=0))
+        assert not result.aborted and len(result.history) == 2
+        assert len(stale) > 8 and sum(stale) == 0
+
+    def test_train_clf_through_a_trained_lstm_stage(self, monkeypatch):
+        clf, _, train_data, valid_data = clf_setup()
+        stale = stale_outputs(monkeypatch)
+        cfg = RunConfig(epochs=3, epochs_per_stage=1, batch_size=8, lr_lo=1e-3, lr_hi=1e-2,
+                        seed=0)
+        result = T.train_clf(clf, train_data, valid_data, cfg)
+        assert not result.aborted and len(result.history) == 3
+        assert not clf.encoder.layers[-1].wh.frozen  # the last epoch trained an LSTM layer
+        assert len(stale) > 8 and sum(stale) == 0
 
 
 class TestClassify:

@@ -38,12 +38,11 @@ def time_backend(backend, inp, repeats):
     build being timed; the numpy one, from active_backend(), is the only one."""
     if backend != active_backend():
         raise ValueError(f"no {backend!r} kernel build; only {active_backend()!r}")
-    fw = lambda: lstm_seq_forward(inp["x"], inp["wx"], inp["wh"], inp["b"], inp["h0"], inp["c0"])
-    h_seq, c_seq, gates = fw()  # warmup
-    dh = np.ones_like(h_seq)
-    bw = lambda: lstm_seq_backward(
-        dh, inp["x"], inp["wx"], inp["wh"], inp["h0"], h_seq, c_seq, gates
-    )
+    args = [inp[k] for k in ("x", "wx", "wh", "b", "h0", "c0")]
+    fw = lambda: lstm_seq_forward(*args, True)
+    hs, gates = fw()  # warmup
+    dh = np.ones_like(hs[1:])
+    bw = lambda: lstm_seq_backward(dh, inp["x"], inp["wx"], inp["wh"], hs, gates, (True,) * 4)
     bw()
     fw_times, bw_times = [], []
     for _ in range(repeats):

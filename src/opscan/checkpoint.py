@@ -29,7 +29,6 @@ from .model import DTYPES, Classifier, Dropouts, Encoder, LanguageModel
 MAGIC = b"OPSC"
 VERSION = 1
 
-_WIRE_DTYPE = {"f32": "<f4", "f64": "<f8"}  # little-endian on any host
 _HEADER_KEYS = ("kind", "vocab_hash", "vocab", "hyperparams", "metadata", "params")
 
 
@@ -90,11 +89,11 @@ def save_checkpoint(model, path, vocab: Vocab | None = None, metadata: dict | No
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":"),
                       allow_nan=False).encode("utf-8")
+    wire = DTYPES[code].newbyteorder("<")  # little-endian on any host
     # streamed chunk by chunk: joined, they would hold a copy of every parameter at once
     write_atomic(path, itertools.chain(
         (MAGIC, struct.pack("<II", VERSION, len(blob)), blob),
-        (np.ascontiguousarray(p.data).astype(_WIRE_DTYPE[entry["dtype"]], copy=False).tobytes()
-         for p, entry in zip(params, manifest))))
+        (np.ascontiguousarray(p.data).astype(wire, copy=False).tobytes() for p in params)))
 
 
 def read_header(path) -> dict:
@@ -172,7 +171,7 @@ def _manifest(header: dict) -> list[tuple[str, list, np.dtype]]:
     """(name, shape, wire dtype) of every parameter record in the header."""
     try:
         return [
-            (entry["name"], entry["shape"], np.dtype(_WIRE_DTYPE[entry["dtype"]]))
+            (entry["name"], entry["shape"], DTYPES[entry["dtype"]].newbyteorder("<"))
             for entry in header["params"]
         ]
     except (KeyError, TypeError) as exc:

@@ -159,7 +159,7 @@ class MetricsReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
-def report(cm: np.ndarray, scores=None, labels=None, beta: float = 1.0) -> MetricsReport:
+def report(cm: np.ndarray, scores=None, labels=None) -> MetricsReport:
     """Assemble the full report from a confusion matrix.
 
     scores (n, K) class probabilities and labels (n,) actual class indices
@@ -173,7 +173,7 @@ def report(cm: np.ndarray, scores=None, labels=None, beta: float = 1.0) -> Metri
     predicted_counts = cm.sum(axis=0)
     rec = recall_per_class(cm)
     prec = precision_per_class(cm)
-    fb = f_beta_per_class(prec, rec, beta)
+    fb = f_beta_per_class(prec, rec)
     per_class = []
     for i in range(k):
         flags = []

@@ -54,30 +54,28 @@ def dropout(x: Tensor, rng: np.random.Generator | None, p: float, shape) -> Tens
 def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor, h0, c0):
     """Fused LSTM graph node over x (T, B, D).
 
-    Returns (out, (h_last, c_last)): out is a (T, B, H) Tensor on the tape;
-    the final state is detached numpy, ready to carry into the next window.
-    When no input requires a gradient, the node gets no backward and the
-    kernel keeps no per-step cells or gates; otherwise the kernel backward
-    computes only the gradients of the inputs that require one.
+    Returns (out, (h_last, c_last)): out is a (T, B, H) Tensor on the tape,
+    the view hs[1:] of the kernel's hidden states; the final state is
+    detached numpy copies of hs[-1] and gates[-1, 4], ready to carry into
+    the next window. When no input requires a gradient, the node gets no
+    backward and the kernel keeps no per-step cells or gates; otherwise the
+    kernel backward computes only the gradients of the inputs that require
+    one.
     """
     inputs = (x, wx, wh, b)
     needs = tuple(t.requires_grad for t in inputs)
-    h_seq, c_seq, gates = K.lstm_seq_forward(
-        x.data, wx.data, wh.data, b.data, h0, c0, for_backward=any(needs)
-    )
-    out = Tensor(h_seq, inputs)
+    hs, gates = K.lstm_seq_forward(x.data, wx.data, wh.data, b.data, h0, c0, any(needs))
+    out = Tensor(hs[1:], inputs)
     if out.requires_grad:
 
         def bw():
-            grads = K.lstm_seq_backward(
-                out.grad, x.data, wx.data, wh.data, h0, h_seq, c_seq, gates, needs=needs
-            )
-            for t, g in zip(inputs, grads[:4]):
+            grads = K.lstm_seq_backward(out.grad, x.data, wx.data, wh.data, hs, gates, needs)
+            for t, g in zip(inputs, grads):
                 if g is not None:
                     t.accumulate(g)
 
         out._backward = bw
-    return out, (h_seq[-1].copy(), c_seq[-1].copy())
+    return out, (hs[-1].copy(), gates[-1, 4].copy())
 
 
 def _rng(seed: int | None) -> np.random.Generator | None:

@@ -45,8 +45,8 @@ def reference_tokens(code: bytes, collapse_push: bool = False) -> list[str]:
 def kernel_step(x, h, c, wx, wh, b, for_backward: bool):
     """One LSTM step of x (B, D) from state (h, c), run through
     kernels.lstm_seq_forward at T = 1; returns (h_new, c_new)."""
-    h_seq, c_seq, _ = K.lstm_seq_forward(x[None], wx, wh, b, h, c, for_backward=for_backward)
-    return h_seq[0], c_seq[0]
+    hs, gates = K.lstm_seq_forward(x[None], wx, wh, b, h, c, for_backward)
+    return hs[1], gates[-1, 4]
 
 
 def head_parameters(clf) -> list:

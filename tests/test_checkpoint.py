@@ -220,8 +220,10 @@ class TestRefusals:
         lambda h: h["params"][1].pop("shape"),
         lambda h: h["params"][1].pop("dtype"),
         lambda h: h["params"][1].update(dtype="f16"),
+        lambda h: h["params"][1].update(dtype=["f32"]),
         lambda h: h.update(params=[["emb"]]),
-    ], ids=["no-name", "no-shape", "no-dtype", "unknown-dtype", "not-an-object"])
+    ], ids=["no-name", "no-shape", "no-dtype", "unknown-dtype", "unhashable-dtype",
+            "not-an-object"])
     def test_bad_manifest_entry(self, tmp_path, edit):
         path = tmp_path / "lm.ckpt"
         save_checkpoint(make_lm(small_vocab()), path)

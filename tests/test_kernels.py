@@ -1,4 +1,7 @@
+import importlib.util
+import math
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,57 +31,58 @@ class TestForward:
         rng = np.random.default_rng(100)
         for _ in range(20):
             case = random_case(rng)
-            h_seq, _, _ = K.lstm_seq_forward(*case)
+            hs, _ = K.lstm_seq_forward(*case, True)
             h_ref, h_last, _ = sequence_scalar(*case)
-            np.testing.assert_allclose(h_seq, h_ref, atol=1e-12)
-            np.testing.assert_allclose(h_seq[-1], h_last, atol=1e-12)
+            assert np.array_equal(hs[0], case[4])
+            np.testing.assert_allclose(hs[1:], h_ref, atol=1e-12)
+            np.testing.assert_allclose(hs[-1], h_last, atol=1e-12)
 
     def test_zero_weights_give_zero_h(self):
         T, B, D, H = 4, 3, 5, 6
         x = np.random.default_rng(1).normal(size=(T, B, D))
         z = np.zeros
-        h_seq, c_seq, _ = K.lstm_seq_forward(
-            x, z((D, 4 * H)), z((H, 4 * H)), z(4 * H), z((B, H)), z((B, H))
+        hs, gates = K.lstm_seq_forward(
+            x, z((D, 4 * H)), z((H, 4 * H)), z(4 * H), z((B, H)), z((B, H)), True
         )
-        assert np.all(h_seq == 0.0)
-        assert np.all(c_seq == 0.0)
+        assert np.all(hs == 0.0)
+        assert np.all(gates[:, 4] == 0.0)
 
     def test_float32_stays_float32(self):
         case64 = random_case(np.random.default_rng(3))
         case32 = [a.astype(np.float32) for a in case64]
-        out32 = K.lstm_seq_forward(*case32)
-        dh = np.ones_like(out32[0])
-        grads = K.lstm_seq_backward(dh, *case32[:3], case32[4], *out32)
+        out32 = K.lstm_seq_forward(*case32, True)
+        dh = np.ones_like(out32[0][1:])
+        grads = K.lstm_seq_backward(dh, *case32[:3], *out32, (True,) * 4)
         assert all(a.dtype == np.float32 for a in (*out32, *grads))
-        for a, b in zip(out32, K.lstm_seq_forward(*case64)):
+        for a, b in zip(defined(*out32), defined(*K.lstm_seq_forward(*case64, True))):
             np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
 
     def test_without_backward_keeps_only_the_last_step(self):
         case = random_case(np.random.default_rng(11), T=5, B=3, D=4, H=6)
-        h_seq, c_seq, gates = K.lstm_seq_forward(*case)
-        h_only, c_last, g_last = K.lstm_seq_forward(*case, for_backward=False)
-        assert c_last.shape == (1, 3, 6) and g_last.shape == (1, 5, 3, 6)
-        assert np.array_equal(h_only, h_seq)
+        hs, gates = K.lstm_seq_forward(*case, True)
+        h_only, g_last = K.lstm_seq_forward(*case, False)
+        assert gates.shape == (6, 5, 3, 6) and g_last.shape == (1, 5, 3, 6)
+        assert np.array_equal(h_only, hs)
         # the one row's c_prev slot ends holding the last cell
-        assert np.array_equal(c_last[0], c_seq[-1]) and np.array_equal(g_last[0, 4], c_seq[-1])
-        assert np.array_equal(g_last[0, :4], gates[-1, :4])
+        assert np.array_equal(g_last[0, 4], gates[-1, 4])
+        assert np.array_equal(g_last[0, :4], gates[-2, :4])
 
     def test_gate_ranges(self):
         rng = np.random.default_rng(4)
         case = random_case(rng, T=5, B=3, D=4, H=4)
-        h_seq, c_seq, gates = K.lstm_seq_forward(*case)
-        sig_part = gates[:, :3]
+        hs, gates = K.lstm_seq_forward(*case, True)
+        sig_part = gates[:-1, :3]
         assert np.all(sig_part > 0) and np.all(sig_part < 1)
-        assert np.all(np.abs(gates[:, 3]) < 1)
-        assert np.all(np.abs(h_seq) < 1)  # |h| = |o * tanh(c)| < 1
+        assert np.all(np.abs(gates[:-1, 3]) < 1)
+        assert np.all(np.abs(hs[1:]) < 1)  # |h| = |o * tanh(c)| < 1
 
     def test_shape_errors(self):
         rng = np.random.default_rng(5)
         x, wx, wh, b, h0, c0 = random_case(rng)
         with pytest.raises(ValueError):
-            K.lstm_seq_forward(x, wx[:, :-1], wh, b, h0, c0)
+            K.lstm_seq_forward(x, wx[:, :-1], wh, b, h0, c0, True)
         with pytest.raises(ValueError):
-            K.lstm_seq_forward(x, wx, wh, b, h0[:1], c0)
+            K.lstm_seq_forward(x, wx, wh, b, h0[:1], c0, True)
 
 
 class TestFusedGates:
@@ -103,34 +107,38 @@ class TestFusedGates:
     def test_g_columns_are_tanh_of_preactivation(self, dtype, B):
         T, D, H = 9, 5, 6
         x, wx, wh, b, h0, c0 = case = random_case(np.random.default_rng(13), T, B, D, H, dtype)
-        h_seq, _, gates = K.lstm_seq_forward(*case)
+        hs, gates = K.lstm_seq_forward(*case, True)
         xp = (x.reshape(T * B, D) @ wx).reshape(T, B, 4 * H)
         xp += b
         g_cols = slice(2 * H, 3 * H)
         for t in range(T):
-            a = xp[t] + np.dot(h_seq[t - 1] if t else h0, wh)
+            a = xp[t] + np.dot(hs[t], wh)
             assert np.array_equal(gates[t, 3], np.tanh(a[:, g_cols]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("B", [1, 4])
     def test_gates_are_gate_major(self, dtype, B):
-        """gates is C-contiguous (T, 5, B, H); slot q < 4 of step t is gate q
-        of a plain (B, 4H) step on the reordered weights, and slot 4 the cell
-        before the step, which c_seq holds after it."""
+        """gates is C-contiguous (T + 1, 5, B, H); slot q < 4 of step t is
+        gate q of a plain (B, 4H) step on the reordered weights, and slot 4
+        the cell before the step: c0 in row 0, and in row t + 1 the cell
+        f * c_prev + i * g that step t leads to, whose o * tanh is hs[t + 1]."""
         T, D, H = 7, 5, 6
         case = random_case(np.random.default_rng(14), T, B, D, H, dtype)
-        h_seq, c_seq, gates = K.lstm_seq_forward(*case)
-        assert gates.shape == (T, 5, B, H) and gates.flags.c_contiguous
+        hs, gates = K.lstm_seq_forward(*case, True)
+        assert gates.shape == (T + 1, 5, B, H) and gates.flags.c_contiguous
         x, wx, wh, b, h0, c0 = case
+        assert np.array_equal(gates[0, 4], c0)
         wx, wh, b = (K._fused_gate_copy(w) for w in (wx, wh, b))
         xp = (x.reshape(T * B, D) @ wx).reshape(T, B, 4 * H)
         xp += b
         for t in range(T):
-            a = np.tanh(xp[t] + np.dot(h_seq[t - 1] if t else h0, wh))
+            a = np.tanh(xp[t] + np.dot(hs[t], wh))
             a[:, : 3 * H] = a[:, : 3 * H] * dtype(0.5) + dtype(0.5)
             for q in range(4):
                 assert np.array_equal(gates[t, q], a[:, q * H : (q + 1) * H])
-            assert np.array_equal(gates[t, 4], c_seq[t - 1] if t else c0)
+            i, f, o, g, c_prev = gates[t]
+            assert np.array_equal(gates[t + 1, 4], f * c_prev + i * g)
+            assert np.array_equal(hs[t + 1], o * np.tanh(gates[t + 1, 4]))
 
     def test_fused_gate_copy_reorders_and_halves(self):
         H = 3
@@ -148,15 +156,15 @@ class TestBackward:
         weight = rng.normal(size=(3, 2, 4))
 
         def loss(*arrays):
-            h_seq, _, _ = K.lstm_seq_forward(*arrays)
-            return float((h_seq * weight).sum())
+            hs, _ = K.lstm_seq_forward(*arrays, True)
+            return float((hs[1:] * weight).sum())
 
-        h_seq, c_seq, gates = K.lstm_seq_forward(*case)
+        hs, gates = K.lstm_seq_forward(*case, True)
         grads = K.lstm_seq_backward(
-            weight.copy(), case[0], case[1], case[2], case[4], h_seq, c_seq, gates,
+            weight.copy(), case[0], case[1], case[2], hs, gates, (True,) * 4,
         )
         eps = 1e-6
-        for arg_idx, g_ad in zip([0, 1, 2, 4, 5], [grads[i] for i in [0, 1, 2, 4, 5]]):
+        for arg_idx, g_ad in zip([0, 1, 2], grads[:3]):
             arr = case[arg_idx]
             flat = arr.reshape(-1)
             g_flat = g_ad.reshape(-1)
@@ -187,34 +195,32 @@ class TestBackward:
         rng = np.random.default_rng(9)
         case = random_case(rng, T=4, B=2, D=3, H=5)
         x, wx, wh, b, h0, c0 = case
-        fw = K.lstm_seq_forward(*case)
-        dh = rng.normal(size=fw[0].shape)
-        full = K.lstm_seq_backward(dh, x, wx, wh, h0, *fw)
+        fw = K.lstm_seq_forward(*case, True)
+        dh = rng.normal(size=fw[0][1:].shape)
+        full = K.lstm_seq_backward(dh, x, wx, wh, *fw, (True,) * 4)
+        assert len(full) == 4
         for needs in [(False, True, True, True), (True, False, True, False),
                       (False, False, False, True)]:
-            part = K.lstm_seq_backward(dh, x, wx, wh, h0, *fw, needs=needs)
-            for need, a, b in zip(needs + (True, True), part, full):
+            part = K.lstm_seq_backward(dh, x, wx, wh, *fw, needs)
+            for need, a, b in zip(needs, part, full, strict=True):
                 assert (a is None) if not need else np.array_equal(a, b)
 
-    def test_initial_state_grads_flow(self):
-        rng = np.random.default_rng(8)
-        case = random_case(rng, T=2, B=1, D=2, H=3)
-        h_seq, c_seq, gates = K.lstm_seq_forward(*case)
-        dh = np.ones_like(h_seq)
-        *_, dh0, dc0 = K.lstm_seq_backward(
-            dh, case[0], case[1], case[2], case[4], h_seq, c_seq, gates
-        )
-        assert np.any(dh0 != 0) and np.any(dc0 != 0)
 
+def defined(hs, gates):
+    """The forward's outputs without the slots it leaves unwritten: with
+    every step's rows, the last row holds only the last cell."""
+    if len(gates) == 1:
+        return hs, gates
+    return hs, gates[:-1], gates[-1, 4]
 
 
 def run_kernels(case, dh, for_backward, needs):
     """Forward outputs, plus the backward's when for_backward is set."""
     x, wx, wh, b, h0, c0 = case
-    fw = K.lstm_seq_forward(*case, for_backward=for_backward)
+    fw = K.lstm_seq_forward(*case, for_backward)
     if not for_backward:
-        return fw
-    return fw + K.lstm_seq_backward(dh, x, wx, wh, h0, *fw, needs=needs)
+        return defined(*fw)
+    return defined(*fw) + K.lstm_seq_backward(dh, x, wx, wh, *fw, needs)
 
 
 class TestMatchesReferenceLoops:
@@ -242,7 +248,7 @@ class TestMatchesReferenceLoops:
         rng = np.random.default_rng(seed)
         case = [a * dtype(scale) for a in random_case(rng, T, B, D, H, dtype)]
         dh = rng.normal(size=(T, B, H)).astype(dtype)
-        with mock.patch.object(K, "_BW_SCRATCH_BYTES", budget):
+        with mock.patch.object(K, "_SCRATCH_BYTES", budget):
             got = run_kernels(case, dh, for_backward, needs)
         with mock.patch.object(K, "_fw_recurrence", ref_recurrence.fw_recurrence), \
                 mock.patch.object(K, "_bw_recurrence", ref_recurrence.bw_recurrence):
@@ -257,3 +263,18 @@ class TestMatchesReferenceLoops:
             a = (rng.normal(size=(5, 37)) * 40).astype(dtype)
             got = sigmoid(a).data
             assert got.dtype == dtype and np.array_equal(got, ref_recurrence.sigmoid(a))
+
+
+class TestBenchKernels:
+    """benchmarks/bench_kernels.py, which the benchmark harness's kernel
+    microbenchmark runs, stays on the kernels' signatures."""
+
+    @pytest.mark.parametrize("T, B", [(3, 1), (5, 2)])
+    def test_times_both_kernels(self, T, B):
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+        spec = importlib.util.spec_from_file_location("bench_kernels", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        inp = bench.make_inputs(T, B, 3, 4, np.float32)
+        times = bench.time_backend(K.active_backend(), inp, 1)
+        assert len(times) == 2 and all(math.isfinite(t) and t > 0 for t in times)

@@ -11,7 +11,7 @@ from opscan import model as M
 from opscan.autodiff import backward
 from opscan.optim import Adam
 
-from gradcheck import grad_check
+from gradcheck import grad_check, sum_all
 from helpers import encoder, head_parameters, kernel_step
 from oracle_lstm import cell_scalar
 
@@ -75,6 +75,36 @@ class TestCellStep:
                                        for_backward)
             assert c_new[0, 0] == pytest.approx(1.0, abs=1e-15)
             assert h_new[0, 0] == pytest.approx(0.5 * np.tanh(1.0), abs=1e-15)
+
+
+class TestLstmSequence:
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_carried_state_is_a_copy_of_the_last_step(self, monkeypatch, frozen):
+        """(h_last, c_last) equal hs[-1] and the last cell, gates[-1, 4], share
+        no memory with the kernel's buffers, and stay so through a backward;
+        with frozen weights the kernel keeps only the last step's row."""
+        real, made = K.lstm_seq_forward, []
+        monkeypatch.setattr(K, "lstm_seq_forward", lambda *a: made.append(real(*a)) or made[-1])
+        rng = np.random.default_rng(21)
+        T, B, D, H = 5, 2, 3, 4
+        x = ad.Tensor(rng.normal(size=(T, B, D)))
+        wx, wh, b = (ad.Parameter(rng.normal(size=shape) / 2, name) for name, shape in
+                     (("wx", (D, 4 * H)), ("wh", (H, 4 * H)), ("b", (4 * H,))))
+        for p in (wx, wh, b):
+            p.frozen = frozen
+        h0, c0 = rng.normal(size=(2, B, H))
+        out, (h_last, c_last) = M.lstm_sequence(x, wx, wh, b, h0, c0)
+        (hs, gates), = made
+        assert len(gates) == (1 if frozen else T + 1)
+        assert np.array_equal(out.data, hs[1:])
+        for a in (h_last, c_last):
+            assert not np.shares_memory(a, hs) and not np.shares_memory(a, gates)
+        last = hs[-1].copy(), gates[-1, 4].copy()
+        if not frozen:
+            backward(sum_all(out))
+            assert all(p.grad is not None for p in (wx, wh, b))
+        assert np.array_equal(h_last, last[0]) and np.array_equal(c_last, last[1])
+        assert np.array_equal(h_last, hs[-1]) and np.array_equal(c_last, gates[-1, 4])
 
 
 class TestMasks:

@@ -504,15 +504,15 @@ def stale_outputs(monkeypatch) -> list:
     latest backward (so before the latest optimizer step) still alive. The
     collector is off: anything not freed by reference count stays alive."""
     real_forward, real_backward = K.lstm_seq_forward, T.backward
-    made: list = []  # (backwards run when it was made, weakref to h_seq)
+    made: list = []  # (backwards run when it was made, weakref to hs)
     stale: list = []
     steps = [0]
 
     def lstm_seq_forward(*args, **kwargs):
         stale.append(sum(1 for step, ref in made if step < steps[0] and ref() is not None))
-        h_seq, c_seq, gates = real_forward(*args, **kwargs)
-        made.append((steps[0], weakref.ref(h_seq)))
-        return h_seq, c_seq, gates
+        hs, gates = real_forward(*args, **kwargs)
+        made.append((steps[0], weakref.ref(hs)))
+        return hs, gates
 
     def backward(loss):
         real_backward(loss)

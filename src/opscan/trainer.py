@@ -8,6 +8,9 @@ trainers: history.jsonl, best-epoch selection, the best checkpoint and
 the abort bookkeeping. ``lm_losses`` and ``clf_losses`` are each model's
 one-epoch loss stream, which lr_find consumes through ``cycle``.
 ``_score`` is the one scoring pass of validation, eval and predict.
+The first ``_step`` of a process tells glibc to keep the heap that each
+step's tape frees (``_keep_heap``), so the next step does not fault it in
+again; eval and predict never set it.
 
 A split with no batch raises corpus.CorpusError naming it before the
 first epoch. A non-finite loss or gradient ends a run early, and
@@ -113,10 +116,27 @@ def gradual_unfreeze(model, stage: int):
 # ---------------------------------------------------------------------------
 # the optimizer step and the loss streams
 
+@functools.cache
+def _keep_heap() -> None:
+    """Once per process, have glibc serve blocks up to 32 MiB from its heap
+    and trim it only past 1 GiB free: backward frees each step's tape, which
+    glibc would hand back to the OS for the next step to fault in again.
+    Any mallopt call turns off glibc's dynamic mmap threshold, so both are
+    set. Does nothing without glibc's mallopt."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
 def _step(opt: Adam, loss: Tensor, raw: float, lr, beta1: float | None = None) -> str | None:
     """One optimizer step on ``loss``, whose value is ``raw``: backward, Adam
     at ``lr`` and ``beta1``, zero_grad. Returns None, or why no step was
     taken: a non-finite loss or a non-finite gradient."""
+    _keep_heap()
     if not math.isfinite(raw):
         return f"non-finite training loss {raw}"
     backward(loss)

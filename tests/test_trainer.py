@@ -2,10 +2,15 @@ import gc
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
+import textwrap
 import time
 import weakref
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -13,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opscan
 from opscan import autodiff as ad
 from opscan import corpus as C
 from opscan import kernels as K
@@ -551,6 +557,117 @@ class TestOneStepTape:
         assert not result.aborted and len(result.history) == 3
         assert not clf.encoder.layers[-1].wh.frozen  # the last epoch trained an LSTM layer
         assert len(stale) > 8 and sum(stale) == 0
+
+
+class FakeMallopt:
+    """Stands in for glibc's mallopt and records each call."""
+
+    def __init__(self, returns=1):
+        self.returns, self.calls = returns, []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.returns
+
+
+KEPT = [(-3, 32 << 20), (-1, 1 << 30)]  # M_MMAP_THRESHOLD 32 MiB, then M_TRIM_THRESHOLD 1 GiB
+
+
+def glibc_has_mallopt() -> bool:
+    try:
+        T.ctypes.CDLL("libc.so.6").mallopt
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+def lm_run():
+    lm, _, train_ids, valid_ids = lm_setup(n_train=20, n_valid=8)
+    return T.train_lm(lm, train_ids, valid_ids,
+                      RunConfig(epochs=2, batch_size=4, bptt=10, max_lr=0.005, seed=0))
+
+
+def clf_run():
+    clf, _, train_data, valid_data = clf_setup(per_class=6)
+    return T.train_clf(clf, train_data, valid_data, RunConfig(epochs=2, batch_size=8, seed=2))
+
+
+def lr_find_run():
+    w = quadratic_param()
+    return T.lr_find([w], quadratic_losses(w), lr_start=1e-5, lr_end=1.0, max_steps=30)
+
+
+class TestKeepHeap:
+    """trainer._keep_heap: the first training step of a process sets glibc's
+    mmap and trim thresholds, once; without a working mallopt it does
+    nothing."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_process(self):
+        T._keep_heap.cache_clear()
+        yield
+        T._keep_heap.cache_clear()
+
+    @staticmethod
+    def libc(monkeypatch, libc):
+        def cdll(name):
+            assert name == "libc.so.6"
+            if isinstance(libc, Exception):
+                raise libc
+            return libc
+
+        monkeypatch.setattr(T.ctypes, "CDLL", cdll)
+
+    @pytest.mark.parametrize("run", [lm_run, clf_run, lr_find_run])
+    def test_each_trainer_sets_both_thresholds_once(self, monkeypatch, run):
+        mallopt = FakeMallopt()
+        self.libc(monkeypatch, SimpleNamespace(mallopt=mallopt))
+        run()
+        run()
+        assert mallopt.calls == KEPT
+
+    @pytest.mark.parametrize("libc", [SimpleNamespace(), OSError("no libc.so.6")],
+                             ids=["no-mallopt", "no-glibc"])
+    def test_nothing_without_mallopt(self, monkeypatch, libc):
+        self.libc(monkeypatch, libc)
+        assert not lm_run().aborted
+
+    def test_nothing_after_a_refused_mallopt(self, monkeypatch):
+        mallopt = FakeMallopt(returns=0)
+        self.libc(monkeypatch, SimpleNamespace(mallopt=mallopt))
+        assert not lm_run().aborted
+        assert mallopt.calls == KEPT[:1]
+
+
+class TestHeapFaults:
+    """Once training has run in a process, a later train-lm call finds the
+    heap it needs already mapped."""
+
+    @pytest.mark.skipif(not glibc_has_mallopt(), reason="needs glibc's mallopt")
+    def test_later_calls_do_not_fault_the_heap_back_in(self, tmp_path):
+        # a fresh process, so no earlier test has set the thresholds, with
+        # no MALLOC_* variable that would set them for it
+        script = textwrap.dedent(f"""
+            import contextlib, io, resource
+            from opscan import cli
+            out = {str(tmp_path)!r}
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["synth", "--per-class", "12", "--mean-len", "120",
+                                 "--seed", "0", "--out", out + "/synth"]) == 0
+                assert cli.main(["prep", "--corpus", out + "/synth/corpus.jsonl",
+                                 "--out", out + "/prep"]) == 0
+                for _ in range(3):
+                    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                    assert cli.main(["train-lm", "--data", out + "/prep", "--epochs", "1",
+                                     "--out", out + "/lm"]) == 0
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env["PYTHONPATH"] = str(Path(opscan.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 1000  # about 5k with glibc's default thresholds
 
 
 class TestClassify:

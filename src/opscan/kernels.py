@@ -209,13 +209,12 @@ def lstm_seq_forward(x, wx, wh, b, h0, c0, for_backward):
     one row, (1, 5, B, H): the last step's gates, with the last cell in its
     c_prev slot. Either way hs[-1] and gates[-1, 4] are the last state. The
     backward needs every step, a carried state only the last.
+
+    Precondition: the shapes agree: model.LstmLayer and load_checkpoint fix
+    the weights, Encoder.initial_state or the previous window the states.
     """
     T, B, D = x.shape
     H = wh.shape[0]
-    if wx.shape != (D, 4 * H) or wh.shape != (H, 4 * H) or b.shape != (4 * H,):
-        raise ValueError("packed weight shapes do not match input width")
-    if h0.shape != (B, H) or c0.shape != (B, H):
-        raise ValueError("state shapes do not match batch")
     wx, wh, b = (_fused_gate_copy(w) for w in (wx, wh, b))
     x = np.ascontiguousarray(x)
     hs = np.empty((T + 1, B, H), dtype=x.dtype)

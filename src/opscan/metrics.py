@@ -2,9 +2,12 @@
 
 Conventions fixed here and relied on everywhere else:
   - confusion matrix rows are actual classes, columns are predicted classes;
-  - a zero denominator never raises: the metric is 0.0 and the affected class
-    carries a flag in the report;
+  - a per-class zero denominator never raises: the metric is 0.0 and the
+    affected class carries a flag in the report;
   - weighted averages are support-weighted: sum(n_i * m_i) / N.
+
+Precondition: one prediction per label, each a class index 0..K-1, and at
+least one label (cli.cmd_eval and trainer.evaluate_classifier).
 """
 
 from __future__ import annotations
@@ -28,23 +31,13 @@ def confusion_matrix(predicted, actual, n_classes: int = N_CLASSES) -> np.ndarra
     """Count matrix cm[actual, predicted] from class-index arrays (0-based)."""
     predicted = np.asarray(predicted, dtype=np.int64)
     actual = np.asarray(actual, dtype=np.int64)
-    if predicted.shape != actual.shape or predicted.ndim != 1:
-        raise MetricsError(
-            f"prediction/actual shape mismatch: {predicted.shape} vs {actual.shape}"
-        )
-    for name, arr in (("predicted", predicted), ("actual", actual)):
-        if arr.size and (arr.min() < 0 or arr.max() >= n_classes):
-            raise MetricsError(f"{name} class index out of range 0..{n_classes - 1}")
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(cm, (actual, predicted), 1)
     return cm
 
 
 def accuracy(cm: np.ndarray) -> float:
-    total = cm.sum()
-    if total == 0:
-        raise MetricsError("empty confusion matrix")
-    return float(np.trace(cm) / total)
+    return float(np.trace(cm) / cm.sum())
 
 
 def _safe_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -76,10 +69,7 @@ def weighted(values, supports) -> float:
     """Support-weighted average sum(n_i * v_i) / N."""
     values = np.asarray(values, dtype=np.float64)
     supports = np.asarray(supports, dtype=np.float64)
-    total = supports.sum()
-    if total == 0:
-        raise MetricsError("no samples")
-    return float(np.dot(supports, values) / total)
+    return float(np.dot(supports, values) / supports.sum())
 
 
 def roc_curve(scores, positive) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,8 +81,6 @@ def roc_curve(scores, positive) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     scores = np.asarray(scores, dtype=np.float64)
     positive = np.asarray(positive, dtype=bool)
-    if scores.shape != positive.shape or scores.ndim != 1:
-        raise MetricsError("scores/positive shape mismatch")
     n_pos = int(positive.sum())
     n_neg = int(positive.size - n_pos)
     if n_pos == 0 or n_neg == 0:

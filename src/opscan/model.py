@@ -198,8 +198,6 @@ class Encoder:
         it back in to carry across consecutive windows of the same streams.
         """
         ids = np.asarray(ids)
-        if ids.ndim != 2:
-            raise ValueError("ids must be (T, B)")
         if state is None:
             state = self.initial_state(ids.shape[1])
         d = self.dropouts
@@ -349,8 +347,6 @@ class Classifier:
         The mean adds the steps in time order, as the taped pool does, so
         the pools equal the taped ones up to the kernel's rounding."""
         T, B = ids.shape
-        if lengths.min() < 1 or lengths.max() > T:
-            raise ad.GradError("length out of range")
         enc = self.encoder
         last = np.empty((B, enc.out_size), enc.dtype)
         high = np.full((B, enc.out_size), -np.inf, enc.dtype)

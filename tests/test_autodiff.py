@@ -130,18 +130,6 @@ class TestBackwardBasics:
         expect[1] -= 1.0
         np.testing.assert_allclose(logits.grad[0], expect, atol=1e-12)
 
-    def test_backward_twice_raises(self):
-        w = Parameter(np.ones(2), "w")
-        loss = sum_all(w)
-        backward(loss)
-        with pytest.raises(ad.GradError):
-            backward(loss)
-
-    def test_backward_non_scalar_raises(self):
-        w = Parameter(np.ones(2), "w")
-        with pytest.raises(ad.GradError):
-            backward(mul(w, w))
-
     def test_bias_broadcast_grad(self):
         b = Parameter(np.zeros(3), "b")
         x = Tensor(np.ones((5, 3)))
@@ -202,22 +190,6 @@ class TestErrors:
     def test_cross_entropy_all_ignored(self):
         with pytest.raises(ad.GradError):
             ad.cross_entropy(Tensor(np.zeros((2, 3))), np.array([7, 7]), ignore_id=7)
-
-    def test_cross_entropy_bad_target(self):
-        with pytest.raises(ad.GradError):
-            ad.cross_entropy(Tensor(np.zeros((1, 3))), np.array([3]))
-
-    def test_embedding_bad_id(self):
-        with pytest.raises(ad.GradError):
-            ad.embedding_lookup(Tensor(np.zeros((2, 3))), np.array([2]))
-
-    def test_masked_mean_empty_column(self):
-        with pytest.raises(ad.GradError):
-            ad.masked_mean_over_time(Tensor(np.zeros((2, 1, 3))), np.zeros((2, 1)))
-
-    def test_last_over_time_bad_length(self):
-        with pytest.raises(ad.GradError):
-            ad.last_over_time(Tensor(np.zeros((2, 1, 3))), np.array([3]))
 
 
 class TestGradCheckPrimitives:

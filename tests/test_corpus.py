@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opscan import corpus as C
@@ -316,6 +316,40 @@ class TestLmBatches:
     def test_too_few_tokens(self):
         with pytest.raises(CorpusError, match="at least"):
             list(C.lm_batches([np.arange(5)], batch_size=2, bptt=3))
+
+
+@pytest.fixture(scope="module")
+def one_line_corpus(tmp_path_factory):
+    return tmp_path_factory.mktemp("pad") / "c.jsonl"
+
+
+class TestNoIdIsPad:
+    """ingest refuses a reserved token, and numericalize maps every other
+    token to UNK or an id past the reserved ones: no id, and so no LM
+    target, is PAD."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=st.lists(st.lists(st.one_of(st.text(max_size=5),
+                                              st.sampled_from(Vocab.RESERVED + ("ADD", "\t"))),
+                                    max_size=8), min_size=1, max_size=12),
+           min_freq=st.integers(1, 4), batch_size=st.integers(1, 4), bptt=st.integers(1, 6))
+    def test_no_id_or_lm_target_is_pad(self, one_line_corpus, corpus, min_freq, batch_size,
+                                       bptt):
+        records = []
+        for n, tokens in enumerate(corpus):
+            write_corpus(one_line_corpus, [{"address": f"0x{n}", "tokens": tokens,
+                                            "label": 1 + n % 4}])
+            try:
+                records += C.ingest(one_line_corpus)[0]
+            except CorpusError:
+                pass  # a refused record is skipped
+        assume(records)
+        vocab = C.build_vocab(records, min_freq)
+        ids = [C.numericalize(r.tokens, vocab) for r in records]
+        assert all((s != Vocab.PAD).all() for s in ids)
+        if sum(map(len, ids)) >= batch_size * (bptt + 1):
+            for _, y in C.lm_batches(ids, batch_size, bptt):
+                assert (y != Vocab.PAD).all()
 
 
 class TestClfBatches:

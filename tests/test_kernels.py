@@ -76,14 +76,6 @@ class TestForward:
         assert np.all(np.abs(gates[:-1, 3]) < 1)
         assert np.all(np.abs(hs[1:]) < 1)  # |h| = |o * tanh(c)| < 1
 
-    def test_shape_errors(self):
-        rng = np.random.default_rng(5)
-        x, wx, wh, b, h0, c0 = random_case(rng)
-        with pytest.raises(ValueError):
-            K.lstm_seq_forward(x, wx[:, :-1], wh, b, h0, c0, True)
-        with pytest.raises(ValueError):
-            K.lstm_seq_forward(x, wx, wh, b, h0[:1], c0, True)
-
 
 class TestFusedGates:
     """The gates come from one tanh: sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5."""

@@ -19,16 +19,6 @@ class TestConfusion:
         assert cm[1, 1] == 1 and cm[1, 3] == 1
         assert cm.sum() == 4
 
-    def test_shape_mismatch(self):
-        with pytest.raises(M.MetricsError):
-            M.confusion_matrix([0, 1], [0])
-
-    def test_out_of_range(self):
-        with pytest.raises(M.MetricsError):
-            M.confusion_matrix([4], [0])
-        with pytest.raises(M.MetricsError):
-            M.confusion_matrix([0], [-1])
-
     def test_row_sums_are_supports(self):
         rng = np.random.default_rng(0)
         actual = rng.integers(0, 4, 500)
@@ -94,10 +84,6 @@ class TestWeighted:
             acc = M.accuracy(cm)
             wrec = M.weighted(M.recall_per_class(cm), cm.sum(axis=1))
             assert abs(wrec - acc) <= 1e-12
-
-    def test_empty_raises(self):
-        with pytest.raises(M.MetricsError):
-            M.weighted([0.0], [0])
 
 
 class TestFBeta:

@@ -422,6 +422,7 @@ class TestTrainLm:
         lines = (tmp_path / "history.jsonl").read_text().splitlines()
         assert [json.loads(l)["valid_loss"] for l in lines] == [2.5]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_nonfinite_loss_aborts(self):
         lm, vocab, train_ids, valid_ids = lm_setup(n_train=12, n_valid=8)
         result = T.train_lm(lm, train_ids, valid_ids, RunConfig(

@@ -30,7 +30,6 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels as K
 from .autodiff import Parameter, Tensor
-from .corpus import Vocab
 
 # dtype code -> the numpy dtype it names: the one spelling of a float width
 # that a config, a checkpoint header and Encoder accept.
@@ -264,9 +263,10 @@ class LanguageModel:
         state: list | None = None,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, list]:
-        """Mean next-token loss over the targets that are not PAD."""
+        """Mean next-token loss over every target; no target is PAD, as
+        corpus.lm_batches concatenates unpadded sequences."""
         logits, new_state = self.forward(ids, state, rng)
-        loss = ad.cross_entropy(logits, np.asarray(targets).reshape(-1), Vocab.PAD)
+        loss = ad.cross_entropy(logits, np.asarray(targets).reshape(-1))
         return loss, new_state
 
 
@@ -316,58 +316,32 @@ class Classifier:
         Pooling only reads positions before each sequence's length, so
         trailing padding can never change the logits. Outside training, with
         no parameter requiring a gradient (the scoring pass freezes them all),
-        the pools come from ``_windowed_pools``, which never holds the whole
-        (T, B, H) output; otherwise from the taped pools over the whole output.
+        the encoder runs in windows of at most _WINDOW_POSITIONS positions (at
+        least one step each), the LSTM state carried from window to window,
+        and ``ad.Pools`` folds each window in as it comes, so no (T, B, H)
+        output is held whole; otherwise ``ad.pool_over_time`` pools the whole
+        output as one window, on the tape.
         """
         ids = np.asarray(ids)
         lengths = np.asarray(lengths, dtype=np.int64)
         T, B = ids.shape
         enc = self.encoder
         if rng is None and not any(p.requires_grad for p in self.parameters()):
-            rep = Tensor(self._windowed_pools(ids, lengths))
+            pools, state = ad.Pools(lengths, enc.out_size, enc.dtype), None
+            steps = max(1, _WINDOW_POSITIONS // B)
+            for start in range(0, T, steps):
+                out, state = enc.forward(ids[start : start + steps], state)
+                pools.add(out.data)  # the window's own array, free to overwrite
+            rep = Tensor(pools.value())
         else:
-            out, _ = enc.forward(ids, None, rng)
-            valid = (np.arange(T)[:, None] < lengths[None, :]).astype(enc.dtype)
-            rep = ad.concat(
-                [
-                    ad.last_over_time(out, lengths),
-                    ad.masked_max_over_time(out, valid),
-                    ad.masked_mean_over_time(out, valid),
-                ],
-                axis=1,
-            )
+            rep = ad.pool_over_time(enc.forward(ids, None, rng)[0], lengths)
         hid = ad.relu(ad.add(ad.matmul(rep, self.w1), self.b1))
         hid = dropout(hid, rng, enc.dropouts.head, (B, self.head_hidden))
         return ad.add(ad.matmul(hid, self.w2), self.b2)
 
-    def _windowed_pools(self, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """concat(last, max, mean) over time of the encoder's outputs for ids
-        (T, B), taken in windows of at most _WINDOW_POSITIONS positions (at
-        least one step each), the LSTM state carried from window to window.
-        The mean adds the steps in time order, as the taped pool does, so
-        the pools equal the taped ones up to the kernel's rounding."""
-        T, B = ids.shape
-        enc = self.encoder
-        last = np.empty((B, enc.out_size), enc.dtype)
-        high = np.full((B, enc.out_size), -np.inf, enc.dtype)
-        total = np.zeros((B, enc.out_size), enc.dtype)
-        steps, state = max(1, _WINDOW_POSITIONS // B), None
-        for start in range(0, T, steps):
-            out, state = enc.forward(ids[start : start + steps], state)
-            h = out.data  # the window's own array, free to overwrite
-            end = start + len(h)
-            valid = (np.arange(start, end)[:, None] < lengths[None, :])[:, :, None]
-            ends = np.flatnonzero((lengths > start) & (lengths <= end))
-            last[ends] = h[lengths[ends] - 1 - start, ends]
-            np.maximum(high, np.max(h, axis=0, where=valid, initial=-np.inf), out=high)
-            h *= valid
-            h[0] += total
-            np.sum(h, axis=0, out=total)
-        return np.concatenate([last, high, total / lengths.astype(enc.dtype)[:, None]], axis=1)
-
     def loss(self, ids, lengths, labels, rng=None) -> Tensor:
         logits = self.forward(ids, lengths, rng)
-        return ad.cross_entropy(logits, np.asarray(labels), ignore_id=None)
+        return ad.cross_entropy(logits, np.asarray(labels))
 
     def predict_proba(self, ids, lengths) -> np.ndarray:
         logits = self.forward(ids, lengths).data

@@ -1,7 +1,8 @@
 """Autodiff ops that only the tests use: the scalar losses the
 finite-difference checks differentiate (sum_all, mul), three activations
 the checks cover (sigmoid, tanh, log_softmax) and the check itself
-(grad_check, with zero_grads). No opscan command runs any of them.
+(grad_check, with zero_grads and GradCheckError). No opscan command runs
+any of them.
 """
 
 from __future__ import annotations
@@ -10,8 +11,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from opscan.autodiff import (GradError, Parameter, Tensor, _as_tensor, _record, _unbroadcast,
-                             backward)
+from opscan.autodiff import Parameter, Tensor, _as_tensor, _record, _unbroadcast, backward
+
+
+class GradCheckError(RuntimeError):
+    """The loss a gradient check differentiates is not finite."""
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
@@ -98,7 +102,7 @@ def grad_check(
     zero_grads(params)
     loss = loss_fn()
     if not np.isfinite(loss.data):
-        raise GradError("non-finite loss")
+        raise GradCheckError("non-finite loss")
     backward(loss)
     analytic = {p.name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for p in params}
 

@@ -1,10 +1,11 @@
 """Oracles for the training step's scatter and update.
 
-The plain forms of what autodiff's embedding and max-pool backward,
+The plain forms of what autodiff's embedding and pooling backward,
 ``Tensor.accumulate`` and ``optim.Adam.step`` compute: an unbuffered
-scatter-add into zeros, a zeroed first gradient, and an Adam step that
-allocates every intermediate. The code in ``src`` does the same arithmetic
-in the same order without them, so its results must equal these bit for bit.
+scatter-add into zeros, one pool's gradient at a time, a zeroed first
+gradient, and an Adam step that allocates every intermediate. The code in
+``src`` does the same arithmetic in the same order without them, so its
+results must equal these bit for bit.
 """
 
 import numpy as np
@@ -26,6 +27,34 @@ def masked_max_grad(x: np.ndarray, mask: np.ndarray, upstream: np.ndarray) -> np
     b_ix, h_ix = np.indices(idx.shape)
     g = np.zeros_like(x)
     np.add.at(g, (idx, b_ix, h_ix), upstream)
+    return g
+
+
+def last_grad(x: np.ndarray, lengths: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """The gradient of x[lengths - 1, b] over x (T, B, H) for an upstream
+    gradient (B, H)."""
+    g = np.zeros_like(x)
+    np.add.at(g, (lengths - 1, np.arange(x.shape[1])), upstream)
+    return g
+
+
+def masked_mean_grad(x: np.ndarray, mask: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """The gradient of the mean of x (T, B, H) over the valid steps of mask
+    (T, B) for an upstream gradient (B, H)."""
+    m3 = mask.astype(x.dtype)[:, :, None]
+    return upstream[None, :, :] * m3 / m3.sum(axis=0)[None, :, :]
+
+
+def pool_grad(x: np.ndarray, lengths: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """The gradient of concat(last, max, mean) over the first lengths[b]
+    steps of x (T, B, H) for an upstream gradient (B, 3H): the three pools'
+    gradients, each from its own formula, added into a fresh zero in that
+    order."""
+    H = x.shape[2]
+    mask = np.arange(len(x))[:, None] < lengths[None, :]
+    g = accumulate(None, x, last_grad(x, lengths, upstream[:, :H]))
+    g += masked_max_grad(x, mask, upstream[:, H : 2 * H])
+    g += masked_mean_grad(x, mask, upstream[:, 2 * H :])
     return g
 
 

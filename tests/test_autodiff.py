@@ -50,13 +50,6 @@ class TestForwardValues:
         loss = ad.cross_entropy(logits, np.array([0, 1, 2, 3]))
         assert loss.item() == pytest.approx(np.log(6.0))
 
-    def test_cross_entropy_ignores_rows(self):
-        logits = Tensor(np.array([[10.0, 0.0], [0.0, 10.0]]))
-        loss_all = ad.cross_entropy(logits, np.array([0, 0]))
-        loss_ignored = ad.cross_entropy(logits, np.array([0, 99]), ignore_id=99)
-        assert loss_ignored.item() < loss_all.item()
-        assert loss_ignored.item() == pytest.approx(-np.log(1 / (1 + np.exp(-10.0))), rel=1e-6)
-
     def test_embedding_lookup_rows(self):
         m = Tensor(np.arange(12.0).reshape(4, 3))
         out = ad.embedding_lookup(m, np.array([[1, 0], [3, 3]]))
@@ -65,13 +58,12 @@ class TestForwardValues:
 
     def test_masked_pools(self):
         x = Tensor(np.arange(12.0).reshape(3, 2, 2))  # (T, B, H)
-        mask = np.array([[1, 1], [1, 0], [0, 0]], dtype=float)
-        mean = ad.masked_mean_over_time(x, mask)
-        np.testing.assert_allclose(mean.data[0], [(0 + 4) / 2, (1 + 5) / 2])
-        np.testing.assert_allclose(mean.data[1], [2.0, 3.0])
-        mx = ad.masked_max_over_time(x, mask)
-        np.testing.assert_allclose(mx.data[0], [4.0, 5.0])
-        np.testing.assert_allclose(mx.data[1], [2.0, 3.0])
+        pooled = ad.pool_over_time(x, np.array([2, 1])).data
+        mx, mean = pooled[:, 2:4], pooled[:, 4:]
+        np.testing.assert_allclose(mean[0], [(0 + 4) / 2, (1 + 5) / 2])
+        np.testing.assert_allclose(mean[1], [2.0, 3.0])
+        np.testing.assert_allclose(mx[0], [4.0, 5.0])
+        np.testing.assert_allclose(mx[1], [2.0, 3.0])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_masked_pools_match_the_gathering_formulas(self, dtype):
@@ -86,23 +78,26 @@ class TestForwardValues:
         idx = np.where(m3 != 0, data, -np.inf).argmax(axis=0)
         b_ix, h_ix = np.indices(idx.shape)
         x = Parameter(data.copy(), "x")
-        mx = ad.masked_max_over_time(x, mask)
-        assert mx.data.dtype == dtype
-        np.testing.assert_array_equal(mx.data, data[idx, b_ix, h_ix])
-        backward(sum_all(mx))
+        out = ad.pool_over_time(x, lengths)
+        assert out.data.dtype == dtype
+        np.testing.assert_array_equal(out.data[:, :H], data[lengths - 1, np.arange(B)])
+        np.testing.assert_array_equal(out.data[:, H : 2 * H], data[idx, b_ix, h_ix])
+        np.testing.assert_array_equal(out.data[:, 2 * H :],
+                                      (data * m3).sum(axis=0) / mask.sum(axis=0)[:, None])
+        out.grad = np.zeros_like(out.data)
+        out.grad[:, H : 2 * H] = 1.0  # the max's gradient alone
+        out._backward()
         routed = np.zeros_like(data)
         routed[idx, b_ix, h_ix] = 1.0  # a tie goes to the earliest step only
         assert routed[0, 2].all() and not routed[2, 2].any()
         np.testing.assert_array_equal(x.grad, routed)
-        mean = ad.masked_mean_over_time(Tensor(data), mask)
-        assert mean.data.dtype == dtype
-        np.testing.assert_array_equal(mean.data, (data * m3).sum(axis=0) / mask.sum(axis=0)[:, None])
+        np.testing.assert_array_equal(x.data, data)  # pooling wrote nothing into its input
 
     def test_last_over_time(self):
         x = Tensor(np.arange(12.0).reshape(3, 2, 2))
-        out = ad.last_over_time(x, np.array([2, 1]))
-        np.testing.assert_array_equal(out.data[0], [4.0, 5.0])
-        np.testing.assert_array_equal(out.data[1], [2.0, 3.0])
+        out = ad.pool_over_time(x, np.array([2, 1]))
+        np.testing.assert_array_equal(out.data[0, :2], [4.0, 5.0])
+        np.testing.assert_array_equal(out.data[1, :2], [2.0, 3.0])
 
 
 class TestBackwardBasics:
@@ -186,12 +181,6 @@ class TestBackwardBasics:
         assert w.grad is None
 
 
-class TestErrors:
-    def test_cross_entropy_all_ignored(self):
-        with pytest.raises(ad.GradError):
-            ad.cross_entropy(Tensor(np.zeros((2, 3))), np.array([7, 7]), ignore_id=7)
-
-
 class TestGradCheckPrimitives:
     """Central-difference verification of every backward rule (float64)."""
 
@@ -249,11 +238,22 @@ class TestGradCheckPrimitives:
         self.check(lambda: sum_all(mul(ad.embedding_lookup(m, ids), c)), [m])
 
     def test_concat(self):
+        """pool_over_time's last, max and mean side by side, each segment
+        with its own upstream gradient."""
         rng = np.random.default_rng(9)
-        a = param(rng, 2, 3, name="a")
-        b = param(rng, 2, 2, name="b")
-        c = Tensor(rng.normal(size=(2, 5)))
-        self.check(lambda: sum_all(mul(ad.concat([a, b], axis=1), c)), [a, b])
+        x = param(rng, 5, 3, 2, name="x")
+        x.data *= 5.0  # keep maxima well separated from the eps probe
+        lengths = np.array([5, 1, 3])
+        c = Tensor(rng.normal(size=(3, 6)))
+        self.check(lambda: sum_all(mul(ad.pool_over_time(x, lengths), c)), [x])
+
+    def check_pool_segment(self, x, lengths, segment, rng):
+        """Grad-check one of pool_over_time's segments (0 last, 1 max, 2
+        mean): the upstream weight is zero on the other two."""
+        H = x.shape[2]
+        c = np.zeros((x.shape[1], 3 * H))
+        c[:, segment * H : (segment + 1) * H] = rng.normal(size=(x.shape[1], H))
+        self.check(lambda: sum_all(mul(ad.pool_over_time(x, lengths), Tensor(c))), [x])
 
     def test_reshape_transpose(self):
         rng = np.random.default_rng(10)
@@ -273,30 +273,24 @@ class TestGradCheckPrimitives:
     def test_masked_mean(self):
         rng = np.random.default_rng(12)
         x = param(rng, 5, 2, 3, name="x")
-        mask = np.array([[1, 1], [1, 1], [1, 0], [0, 0], [1, 0]], dtype=float)
-        c = Tensor(rng.normal(size=(2, 3)))
-        self.check(lambda: sum_all(mul(ad.masked_mean_over_time(x, mask), c)), [x])
+        self.check_pool_segment(x, np.array([5, 2]), 2, rng)
 
     def test_masked_max(self):
         rng = np.random.default_rng(13)
         x = param(rng, 5, 2, 3, name="x")
         x.data *= 5.0  # keep maxima well separated from the eps probe
-        mask = np.array([[1, 1], [1, 1], [1, 0], [0, 1], [1, 0]], dtype=float)
-        c = Tensor(rng.normal(size=(2, 3)))
-        self.check(lambda: sum_all(mul(ad.masked_max_over_time(x, mask), c)), [x])
+        self.check_pool_segment(x, np.array([5, 3]), 1, rng)
 
     def test_last_over_time(self):
         rng = np.random.default_rng(14)
         x = param(rng, 5, 3, 2, name="x")
-        lengths = np.array([5, 1, 3])
-        c = Tensor(rng.normal(size=(3, 2)))
-        self.check(lambda: sum_all(mul(ad.last_over_time(x, lengths), c)), [x])
+        self.check_pool_segment(x, np.array([5, 1, 3]), 0, rng)
 
-    def test_cross_entropy_with_ignore(self):
+    def test_cross_entropy(self):
         rng = np.random.default_rng(15)
         logits = param(rng, 6, 4, name="logits")
-        targets = np.array([0, 1, 9, 3, 2, 9])
-        self.check(lambda: ad.cross_entropy(logits, targets, ignore_id=9), [logits])
+        targets = np.array([0, 1, 3, 3, 2, 0])
+        self.check(lambda: ad.cross_entropy(logits, targets), [logits])
 
     def test_two_layer_composite(self):
         rng = np.random.default_rng(16)
@@ -475,15 +469,38 @@ class TestMaskedMaxGradOracle:
     def test_matches_add_at(self, dtype):
         rng = np.random.default_rng(3)
         x = Parameter(rng.integers(-2, 3, (6, 4, 5)).astype(dtype), "x")  # many ties
-        mask = np.ones((6, 4), dtype=bool)
-        mask[4:, 1] = mask[1:, 3] = False
-        out = ad.masked_max_over_time(x, mask)
-        upstream = rng.normal(size=out.shape).astype(dtype)
+        lengths = np.array([6, 4, 6, 1])
+        mask = np.arange(6)[:, None] < lengths[None, :]
+        out = ad.pool_over_time(x, lengths)
+        upstream = np.zeros(out.shape, dtype)
+        upstream[:, 5:10] = rng.normal(size=(4, 5))  # the max's gradient alone
         upstream[0] = -0.0
         out.grad = upstream
         out._backward()
-        want = ref_step.accumulate(None, x.data, ref_step.masked_max_grad(x.data, mask, upstream))
+        want = ref_step.accumulate(
+            None, x.data, ref_step.masked_max_grad(x.data, mask, upstream[:, 5:10]))
         assert same_bits(x.grad, want)
+
+
+class TestPoolGradOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), T_=st.integers(1, 9), B=st.integers(1, 5), H=st.integers(1, 4),
+           dtype=st.sampled_from(DTYPES))
+    def test_matches_the_three_routings_in_order(self, data, T_, B, H, dtype):
+        """pool_over_time's backward equals last's, max's and mean's
+        gradients, each from its own formula, added in that order: lengths
+        of 1 and of T, ties for the max, and -0.0 upstream included."""
+        lengths = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([1, T_]), st.integers(1, T_)), min_size=B, max_size=B)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        x = Parameter(rng.integers(-2, 3, (T_, B, H)).astype(dtype), "x")  # many ties
+        upstream = rng.normal(size=(B, 3 * H)).astype(dtype)
+        upstream[rng.random((B, 3 * H)) < 0.3] = -0.0
+        out = ad.pool_over_time(x, lengths)
+        out.grad = upstream
+        out._backward()
+        assert same_bits(x.grad, ref_step.pool_grad(x.data, lengths, upstream))
 
 
 class TestAccumulateOracle:

@@ -1,10 +1,15 @@
-"""Source layout guards over src/opscan, read with ast and never imported."""
+"""Source layout guards over src/opscan, read with ast and never imported,
+and one guard over the names the traced benchmark run wraps."""
 
 import ast
 import time
 from pathlib import Path
 
+import opscan
+import opscan.cli  # noqa: F401  (loads every module the traced run wraps)
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "opscan"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 # Public module-level names that no src module uses, each with the reason
 # it stays.
@@ -200,3 +205,25 @@ def test_every_json_dumps_refuses_nan():
     assert [d.split(" (")[0] for d in _nan_dumps(ast.parse(probe))] == [
         "json.dumps(x)", "json.dumps(x, allow_nan=True)"]
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_the_traced_run_finds_and_restores_every_name_it_wraps(monkeypatch):
+    """perfbench's traced run (``--trace 1``) wraps opscan's functions by
+    name from outside, in perfbench/layers.py, and lies outside Tier-1: a
+    rename in src breaks it only there. Its install must find every name,
+    and uninstall must put each autodiff attribute back."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracing
+
+    before = dict(vars(opscan.autodiff))
+    tracer = tracing.Tracer()
+    try:
+        layers.install(tracer, opscan)
+        assert all(getattr(opscan.autodiff, name) is not before[name]
+                   for name in layers.AUTODIFF_OPS)
+    finally:
+        tracer.uninstall()
+    after = vars(opscan.autodiff)
+    assert after.keys() == before.keys()
+    assert [name for name, value in before.items() if after[name] is not value] == []

@@ -346,6 +346,27 @@ class TestClassifier:
         assert all(p.grad is not None for p in head_parameters(clf))
 
 
+    def test_training_pools_write_nothing_into_the_tape(self, monkeypatch):
+        """Each layer's output is the LSTM node's own hs[1:], which its
+        backward reads again: a training forward's pooling leaves every
+        layer's output as the layer returned it."""
+        real = M.lstm_sequence
+        outputs = []
+
+        def lstm_sequence(*args):
+            out, last = real(*args)
+            outputs.append((out, out.data.copy()))
+            return out, last
+
+        monkeypatch.setattr(M, "lstm_sequence", lstm_sequence)
+        clf = self.make(dropouts=ALL_DROP)
+        rng = np.random.default_rng(5)
+        clf.forward(rng.integers(1, 9, (6, 3)), np.array([6, 2, 1]), rng=rng)
+        assert len(outputs) == clf.encoder.n_layers
+        for out, snapshot in outputs:
+            assert out.data.tobytes() == snapshot.tobytes()
+
+
 class TestWindowedForward:
     """With no parameter requiring a gradient, Classifier.forward runs the
     encoder in windows of model._WINDOW_POSITIONS positions and pools them

@@ -13,6 +13,7 @@ least one label (cli.cmd_eval and trainer.evaluate_classifier).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,6 +214,7 @@ def write_confusion_csv(cm: np.ndarray, path) -> None:
 
 def write_roc_csv(label: int, curve: tuple[np.ndarray, np.ndarray, np.ndarray], path) -> None:
     """One class's curve (fpr, tpr, thresholds); label is 1-based."""
-    write_atomic(path, _csv([["class", "threshold", "fpr", "tpr"]] + [
-        [f"Type-{label}", "inf" if np.isinf(t) else repr(float(t)), repr(float(x)), repr(float(y))]
-        for x, y, t in zip(*curve)]))
+    fpr, tpr, thresholds = (column.tolist() for column in curve)
+    write_atomic(path, "class,threshold,fpr,tpr\r\n" + "".join(
+        f"Type-{label},{'inf' if math.isinf(t) else repr(t)},{x!r},{y!r}\r\n"
+        for x, y, t in zip(fpr, tpr, thresholds)))

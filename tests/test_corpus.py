@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,75 @@ class TestIngest:
         f.write_text('{"address": "0x1", "tokens": ["ADD"], "label": 1}\n\n')
         records, _ = C.ingest(f)
         assert len(records) == 1
+
+
+MNEMONICS = ("PUSH1", "PUSH2", "ADD", "MSTORE", "CALLVALUE", "JUMPI", "JUMPDEST",
+             "SLOAD", "SSTORE", "CALLDATALOAD", "RETURN", "REVERT")
+
+
+def mnemonic_corpus(path, n_records, n_tokens):
+    # multi-character tokens: CPython keeps one object per 1-character str anyway
+    write_corpus(path, [{"address": f"0x{i}", "label": 1 + i % 4,
+                         "tokens": [MNEMONICS[(i * 7 + k * k) % len(MNEMONICS)]
+                                    for k in range(n_tokens)]}
+                        for i in range(n_records)])
+
+
+def ingest_tokens(path, lines):
+    write_corpus(path, [{"address": f"0x{i}", "tokens": tokens, "label": 1}
+                        for i, tokens in enumerate(lines)])
+    return C.ingest(path)[0]
+
+
+class TestIngestSharesTokens:
+    def test_one_str_object_per_distinct_token(self, tmp_path):
+        mnemonic_corpus(tmp_path / "c.jsonl", 40, 50)
+        records, _ = C.ingest(tmp_path / "c.jsonl")
+        tokens = [t for r in records for t in r.tokens]
+        assert len(tokens) == 2000
+        assert len({id(t) for t in tokens}) == len(set(tokens)) == len(MNEMONICS)
+
+    def test_holds_at_most_16_bytes_per_token(self, tmp_path):
+        # one str per occurrence costs about 63 bytes a token; a shared str,
+        # a tuple slot of 8 bytes
+        mnemonic_corpus(tmp_path / "c.jsonl", 300, 200)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records, _ = C.ingest(tmp_path / "c.jsonl")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(len(r.tokens) for r in records) == 60_000
+        assert held / 60_000 <= 16
+
+    @pytest.mark.parametrize("first", [[], [["ADD", "MUL"]]], ids=["alone", "after-ADD"])
+    @pytest.mark.parametrize("tokens", [["<pad>", 5], [["ADD"]], ["ADD", 5], ["ADD", "<unk>", None]])
+    def test_a_non_string_anywhere_gives_the_type_message(self, tmp_path, first, tokens):
+        line = len(first) + 1
+        with pytest.raises(CorpusError, match=rf"^line {line}: 'tokens' must be a list of strings$"):
+            ingest_tokens(tmp_path / "c.jsonl", first + [tokens])
+
+    @pytest.mark.parametrize("tokens, bad", [
+        (["ADD", "<unk>", "A\tB"], "'<unk>'"),
+        (["ADD", "A\tB", "<unk>"], "'A\\tB'"),
+        (["MUL", "ADD", "ADD\n", "<bos>"], "'ADD\\n'"),
+    ])
+    def test_names_the_first_unfit_token_in_record_order(self, tmp_path, tokens, bad):
+        with pytest.raises(CorpusError) as exc:
+            ingest_tokens(tmp_path / "c.jsonl", [["ADD", "MUL"], tokens])
+        assert str(exc.value) == f"line 2: token {bad} is reserved or cannot be a vocab.tsv entry"
+
+    def test_a_token_accepted_earlier_is_accepted_again(self, tmp_path):
+        records = ingest_tokens(tmp_path / "c.jsonl",
+                                [["CALLVALUE", "ADD"], ["SSTORE"], ["ADD", "CALLVALUE", "ADD"]])
+        assert [r.tokens for r in records] == [("CALLVALUE", "ADD"), ("SSTORE",),
+                                               ("ADD", "CALLVALUE", "ADD")]
+
+    def test_a_bad_token_after_valid_lines_names_its_line(self, tmp_path):
+        with pytest.raises(CorpusError, match=r"^line 3: token '<bos>' is reserved"):
+            ingest_tokens(tmp_path / "c.jsonl",
+                          [["PUSH1", "ADD"], ["PUSH1"], ["PUSH1", "ADD", "<bos>"]])
 
 
 class TestDedupNormals:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .artifacts import write_atomic
 from .corpus import CorpusError, Vocab
-from .model import DTYPES, Classifier, Dropouts, Encoder, LanguageModel
+from .model import DTYPES, MODELS, Dropouts, Encoder
 
 MAGIC = b"OPSC"
 VERSION = 1
@@ -36,56 +36,25 @@ class CheckpointError(Exception):
     """Unreadable, mismatched, or corrupt checkpoint."""
 
 
-def kind_of(model) -> str:
-    if isinstance(model, Classifier):
-        return "clf"
-    if isinstance(model, LanguageModel):
-        return "lm"
-    raise CheckpointError(f"cannot checkpoint a {type(model).__name__}")
-
-
-def _hyperparams(model) -> dict:
-    hp = {**model.encoder.shape(), "dropouts": asdict(model.encoder.dropouts)}
-    if isinstance(model, Classifier):
-        hp["n_classes"] = model.n_classes
-        hp["head_hidden"] = model.head_hidden
-    return hp
-
-
 def save_checkpoint(model, path, vocab: Vocab | None = None, metadata: dict | None = None) -> None:
     """Write the model to ``path``.
 
-    ``vocab`` embeds the token list and pins its content hash; when the
-    model already carries a vocab hash the two must agree. ``metadata``
+    ``vocab`` embeds the token list and pins its content hash; it must be
+    the vocabulary the model was built or loaded against. ``metadata``
     defaults to whatever a previous load attached, keeping round-trips
-    byte-identical.
+    byte-identical. Every parameter is in its encoder's dtype.
     """
-    kind = kind_of(model)
-    hyperparams = _hyperparams(model)
+    hyperparams = {**model.encoder.shape(), "dropouts": asdict(model.encoder.dropouts),
+                   **{key: getattr(model, key) for key in model.HEAD_KEYS}}
     code = hyperparams["dtype"]
     params = model.parameters()
-    manifest = []
-    for p in params:
-        if p.data.dtype != DTYPES[code]:
-            raise CheckpointError(f"parameter {p.name!r} has dtype {p.data.dtype}, "
-                                  f"not the encoder's {code}")
-        manifest.append({"name": p.name, "shape": list(p.shape), "dtype": code})
-
-    vocab_hash = model.vocab_hash
-    tokens = None
-    if vocab is not None:
-        if vocab_hash is not None and vocab.content_hash() != vocab_hash:
-            raise CheckpointError("model was built against a different vocabulary")
-        vocab_hash = vocab.content_hash()
-        tokens = vocab.itos
-
     header = {
-        "kind": kind,
-        "vocab_hash": vocab_hash,
-        "vocab": tokens,
+        "kind": model.KIND,
+        "vocab_hash": model.vocab_hash if vocab is None else vocab.content_hash(),
+        "vocab": None if vocab is None else vocab.itos,
         "hyperparams": hyperparams,
         "metadata": metadata if metadata is not None else getattr(model, "checkpoint_meta", {}),
-        "params": manifest,
+        "params": [{"name": p.name, "shape": list(p.shape), "dtype": code} for p in params],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":"),
                       allow_nan=False).encode("utf-8")
@@ -154,15 +123,9 @@ def _rebuild(header: dict, n_records: int):
                              f"{n_records} parameter records")
         enc = Encoder(**{key: hp[key] for key in Encoder.SHAPE_KEYS},
                       dropouts=Dropouts(**hp["dropouts"]), seed=None)
-        if header["kind"] == "clf":
-            return Classifier(
-                enc,
-                n_classes=hp["n_classes"],
-                head_hidden=hp["head_hidden"],
-                vocab_hash=header["vocab_hash"],
-                seed=None,
-            )
-        return LanguageModel(enc, vocab_hash=header["vocab_hash"], seed=None)
+        cls = MODELS[header["kind"]]
+        return cls(enc, **{key: hp[key] for key in cls.HEAD_KEYS},
+                   vocab_hash=header["vocab_hash"], seed=None)
     except (KeyError, TypeError, ValueError, MemoryError) as exc:
         raise CheckpointError(f"corrupt header: bad hyperparameters ({exc!r})") from exc
 
@@ -181,7 +144,7 @@ def _manifest(header: dict) -> list[tuple[str, list, np.dtype]]:
 def load_checkpoint(path, kind: str | None = None, vocab: Vocab | None = None):
     """Reconstruct the saved model.
 
-    ``kind`` asserts what the caller expects ("lm" or "clf"); ``vocab``
+    ``kind`` asserts what the caller expects (a key of model.MODELS); ``vocab``
     cross-checks the header hash against an external vocabulary. The
     model's ``checkpoint_meta`` is the header's metadata and its
     ``checkpoint_vocab`` the embedded vocabulary (None if absent). Every
@@ -189,7 +152,8 @@ def load_checkpoint(path, kind: str | None = None, vocab: Vocab | None = None):
     """
     with open(path, "rb") as fh:
         header = _read_header(fh)
-        if header["kind"] not in ("lm", "clf"):
+        # a list or object kind is unhashable, so no lookup in MODELS may meet it
+        if not isinstance(header["kind"], str) or header["kind"] not in MODELS:
             raise CheckpointError(f"unknown model kind {header['kind']!r}")
         if kind is not None and header["kind"] != kind:
             raise CheckpointError(f"expected a {kind!r} checkpoint, found {header['kind']!r}")

@@ -12,6 +12,7 @@ missing file, 4 checkpoint error, 5 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -34,7 +35,6 @@ from .corpus import CorpusError, Vocab
 from .disasm import DisasmError, disassemble
 from .model import Classifier, Encoder, LanguageModel, transfer_encoder
 from .optim import NumericalError
-from .trainer import TrainerError
 
 OUT_ROOT_ENV = "OPSCAN_OUT"
 
@@ -56,12 +56,12 @@ def _resolve_out(args, command: str) -> Path:
     return out
 
 
-def _load_config(args, **flag_overrides) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = dict(flag_overrides)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return cfg.replaced(**overrides)
+def _load_config(args) -> RunConfig:
+    """The --config file (or the defaults), each key overridden by the flag
+    of the same name when that flag is given."""
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    return cfg.replaced(**{key: value for key, value in vars(args).items() if key in keys})
 
 
 def _read_split(data_dir: str | Path, name: str, vocab: Vocab) -> tuple[list, list[int]]:
@@ -138,7 +138,7 @@ def cmd_disasm(args) -> int:
 
 
 def cmd_prep(args) -> int:
-    cfg = _load_config(args, min_freq=args.min_freq)
+    cfg = _load_config(args)
     out = _resolve_out(args, "prep")
     records, stats = corpus_mod.ingest(args.corpus)
     deduped = corpus_mod.dedup_normals(records)
@@ -170,7 +170,7 @@ def cmd_lr_find(args) -> int:
     min_steps = trainer_mod.LR_FIND_MIN_POINTS
     if not (args.steps >= min_steps and 0 < args.lr_start < args.lr_end < np.inf):
         raise UsageError(f"need --steps >= {min_steps} and 0 < --lr-start < --lr-end, all finite")
-    cfg = _load_config(args, batch_size=args.batch_size)
+    cfg = _load_config(args)
     out = _resolve_out(args, "lr-find")
     vocab = Vocab.load(Path(args.data) / "vocab.tsv")
     ids, labels = _read_split(args.data, "train", vocab)
@@ -203,8 +203,7 @@ def _report_abort(result) -> int:
 
 
 def cmd_train_lm(args) -> int:
-    cfg = _load_config(args, epochs=args.epochs, batch_size=args.batch_size,
-                       bptt=args.bptt, max_lr=args.max_lr)
+    cfg = _load_config(args)
     out = _resolve_out(args, "train-lm")
     vocab = Vocab.load(Path(args.data) / "vocab.tsv")
     train_ids, _ = _read_split(args.data, "train", vocab)
@@ -220,8 +219,7 @@ def cmd_train_lm(args) -> int:
 
 
 def cmd_train_clf(args) -> int:
-    cfg = _load_config(args, epochs=args.epochs, batch_size=args.batch_size,
-                       lr_hi=args.lr_hi, epochs_per_stage=args.epochs_per_stage)
+    cfg = _load_config(args)
     out = _resolve_out(args, "train-clf")
     vocab = Vocab.load(Path(args.data) / "vocab.tsv")
     train_data = _read_split(args.data, "train", vocab)
@@ -461,14 +459,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CorpusError, DisasmError, metrics_mod.MetricsError,
-            OSError, UnicodeDecodeError) as exc:
+    except (CorpusError, DisasmError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 4
-    except (NumericalError, TrainerError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 5
 

@@ -24,10 +24,6 @@ N_CLASSES = 4
 CLASS_NAMES = ("Suicidal", "Prodigal", "Greedy", "Normal")
 
 
-class MetricsError(ValueError):
-    pass
-
-
 def confusion_matrix(predicted, actual, n_classes: int = N_CLASSES) -> np.ndarray:
     """Count matrix cm[actual, predicted] from class-index arrays (0-based)."""
     predicted = np.asarray(predicted, dtype=np.int64)
@@ -73,19 +69,21 @@ def weighted(values, supports) -> float:
     return float(np.dot(supports, values) / supports.sum())
 
 
-def roc_curve(scores, positive) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def roc_curve(scores, positive) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """One-vs-rest ROC points from scores and boolean positives.
 
     Thresholds sweep the distinct scores in descending order; tied scores
     share a single step. Returns (fpr, tpr, thresholds) with the (0, 0)
-    anchor prepended; the last point is always (1, 1).
+    anchor prepended; the last point is always (1, 1). None unless there
+    is at least one positive and one negative, as either rate then divides
+    by zero.
     """
     scores = np.asarray(scores, dtype=np.float64)
     positive = np.asarray(positive, dtype=bool)
     n_pos = int(positive.sum())
     n_neg = int(positive.size - n_pos)
     if n_pos == 0 or n_neg == 0:
-        raise MetricsError("ROC needs at least one positive and one negative")
+        return None
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
     p = positive[order]
@@ -174,9 +172,8 @@ def report(cm: np.ndarray, scores=None, labels=None) -> MetricsReport:
             flags.append("zero_precision_and_recall")
         curve = None
         if scores is not None:
-            try:
-                curve = roc_curve(scores[:, i], labels == i)
-            except MetricsError:
+            curve = roc_curve(scores[:, i], labels == i)
+            if curve is None:
                 flags.append("auc_undefined")
         name = CLASS_NAMES[i] if k == N_CLASSES else f"class-{i + 1}"
         per_class.append(

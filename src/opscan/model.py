@@ -217,6 +217,9 @@ class LanguageModel:
     embedding matrix itself when tied (mutating one mutates the other).
     seed=None allocates the decoder without drawing it."""
 
+    KIND = "lm"  # its checkpoint header's kind
+    HEAD_KEYS = ()  # the constructor arguments its header adds to the encoder's
+
     def __init__(self, encoder: Encoder, vocab_hash: str | None, seed: int | None):
         self.encoder = encoder
         self.vocab_hash = vocab_hash
@@ -279,6 +282,9 @@ _WINDOW_POSITIONS = 2048
 class Classifier:
     """Encoder plus pooled head: concat(last, max, mean) -> hidden -> logits.
     seed=None allocates the head without drawing it."""
+
+    KIND = "clf"
+    HEAD_KEYS = ("n_classes", "head_hidden")
 
     def __init__(self, encoder: Encoder, n_classes: int, head_hidden: int,
                  vocab_hash: str | None, seed: int | None):
@@ -348,6 +354,10 @@ class Classifier:
         shifted = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=1, keepdims=True)
+
+
+# checkpoint header kind -> the model class it names
+MODELS = {cls.KIND: cls for cls in (LanguageModel, Classifier)}
 
 
 def transfer_encoder(lm: LanguageModel, dropouts: Dropouts) -> Encoder:

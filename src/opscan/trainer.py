@@ -48,10 +48,6 @@ from .model import Classifier, LanguageModel
 from .optim import Adam, NumericalError
 
 
-class TrainerError(RuntimeError):
-    """A training run that cannot proceed."""
-
-
 # ---------------------------------------------------------------------------
 # schedules
 
@@ -95,9 +91,8 @@ class OneCycleSchedule:
 
 
 def discriminative_lrs(n_groups: int, lr_lo: float, lr_hi: float) -> list[float]:
-    """Geometric ramp of per-group max learning rates, embedding -> head."""
-    if n_groups == 1:
-        return [lr_hi]
+    """Geometric ramp of per-group max learning rates, embedding -> head,
+    over n_groups >= 2 groups (a classifier has n_layers + 2)."""
     ratio = lr_hi / lr_lo
     return [lr_lo * ratio ** (i / (n_groups - 1)) for i in range(n_groups)]
 
@@ -218,7 +213,7 @@ def lr_find(params: Sequence[Parameter], losses: Iterable[Tensor], lr_start: flo
     ``losses`` yields one mini-batch loss per step, computed as it is drawn
     (``cycle`` makes one from a model's training stream). Weights are
     restored bitwise before returning; the throwaway optimizer never leaks
-    state.
+    state. Fewer than LR_FIND_MIN_POINTS finite points raise NumericalError.
     """
     snapshot = [p.data.copy() for p in params]
     opt = Adam(params, weight_decay=0.0)
@@ -244,7 +239,7 @@ def lr_find(params: Sequence[Parameter], losses: Iterable[Tensor], lr_start: flo
         for p, snap in zip(params, snapshot):
             p.data[:] = snap
     if len(lrs) < LR_FIND_MIN_POINTS:
-        raise TrainerError(
+        raise NumericalError(
             f"only {len(lrs)} finite points recorded before divergence; try a smaller lr_start"
         )
     keep = len(lrs) - 5  # the last points sit in the blow-up region

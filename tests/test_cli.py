@@ -1,5 +1,6 @@
 """End-to-end command tests driven through main(argv) -> exit code."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opscan import checkpoint as ckpt_mod
+from opscan import cli
 from opscan import corpus as C
 from opscan import metrics as metrics_mod
 from opscan import model as M
@@ -751,6 +753,63 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+# A --config value for every key a flag can set, and a flag value unlike it
+# and unlike the default. The file's epochs is 0, so a trainer run without
+# --epochs trains nothing.
+FILE_VALUES = {"seed": 3, "min_freq": 2, "batch_size": 4, "bptt": 10, "epochs": 0,
+               "max_lr": 0.01, "lr_hi": 0.05, "epochs_per_stage": 2}
+FLAG_VALUES = {"seed": 5, "min_freq": 3, "batch_size": 6, "bptt": 12, "epochs": 1,
+               "max_lr": 0.02, "lr_hi": 0.06, "epochs_per_stage": 3}
+
+
+def _required_args(command, root, tmp_path) -> list[str]:
+    """The arguments ``command`` needs to run over the ws outputs."""
+    preds = _write(tmp_path, "preds.jsonl", '{"actual": 1, "predicted": 2}\n')
+    return {
+        "synth": ["--per-class", "2"],
+        "disasm": ["--bytecode", "6001"],
+        "prep": ["--corpus", str(root / "syn" / "corpus.jsonl")],
+        "lr-find": ["--data", str(root / "prep"), "--steps", "10"],
+        "train-lm": ["--data", str(root / "prep")],
+        "train-clf": ["--data", str(root / "prep")],
+        "eval": ["--predictions", preds],
+        "predict": ["--checkpoint", str(root / "clf" / "clf_best.ckpt"), "--bytecode", "6001"],
+    }[command]
+
+
+class TestConfigOverride:
+    def test_a_flag_named_after_a_config_key_beats_the_file(self, ws, tmp_path):
+        """For every subcommand that writes config.json and every option whose
+        dest is a RunConfig key, the effective config takes the flag's value
+        when the flag is given and the file's value when it is not."""
+        root, _ = ws
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CFG, **FILE_VALUES}))
+        keys = {f.name for f in dataclasses.fields(RunConfig)}
+        subs = next(a for a in cli._parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+        checked = set()
+        for command, sub in subs.items():
+            argv = [command, *_required_args(command, root, tmp_path), "--config", str(cfg)]
+            plain = tmp_path / command / "plain"
+            assert _exit_code([*argv, "--out", str(plain)]) == 0, command
+            if not (plain / "config.json").exists():
+                continue
+            written = json.loads((plain / "config.json").read_text())
+            for action in sub._actions:
+                if action.dest not in keys:
+                    continue
+                key, value = action.dest, FLAG_VALUES[action.dest]
+                assert written[key] == FILE_VALUES[key], (command, key)
+                out = tmp_path / command / key
+                assert _exit_code([*argv, action.option_strings[0], str(value),
+                                   "--out", str(out)]) == 0, (command, key)
+                flagged = json.loads((out / "config.json").read_text())
+                assert flagged == {**written, key: value}, (command, key)
+                checked.add(key)
+        assert checked == set(FILE_VALUES)
+
+
 GOOD_LINE = '{"address": "0x1", "label": 1, "tokens": ["PUSH1", "ADD"]}\n'
 NON_UTF8 = b"\xff\xfe"
 TOO_DEEP = b"[" * 100_000 + b"]" * 100_000  # past the JSON decoder's recursion limit
@@ -902,6 +961,11 @@ MALFORMED_INPUTS = {
     "eval-vocab-longer-than-model": (4, None, lambda root, tmp: [
         "eval", "--checkpoint", str(_edited_checkpoint(root, tmp, "clf")), "--data",
         str(root / "prep"), "--out", str(tmp / "out")]),
+    # a kind that is a list or an object is unhashable: no model table may look it up
+    **{f"predict-checkpoint-kind-is-{case}": (4, None, lambda root, tmp, kind=kind: [
+        "predict", "--checkpoint", str(_edited_checkpoint(
+            root, tmp, "clf", lambda h: h.update(kind=kind))), "--bytecode", "6001"])
+       for case, kind in (("a-list", ["clf"]), ("an-object", {"clf": 1}))},
     "predict-vocab-size-unallocatable": (4, None, lambda root, tmp: [
         "predict", "--checkpoint", str(_edited_checkpoint(
             root, tmp, "clf", lambda h: h["hyperparams"].update(vocab_size=10**15))),

@@ -2,6 +2,7 @@
 and one guard over the names the traced benchmark run wraps."""
 
 import ast
+import builtins
 import time
 from pathlib import Path
 
@@ -171,6 +172,43 @@ def test_no_src_module_imports_a_private_name_of_another():
              for alias in node.names if alias.name.startswith("_")]
     assert not found, f"private names imported across modules: {'; '.join(found)}"
     assert time.perf_counter() - t0 < 1.0
+
+
+def _exception_classes(trees) -> set[str]:
+    """The names of the classes the parsed modules define that derive, at
+    any depth, from a builtin exception."""
+    classes = [node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)]
+    found = set()
+    while True:
+        more = {node.name for node in classes
+                if any(_is_exception(ast.unparse(base).split(".")[-1], found)
+                       for base in node.bases)}
+        if more == found:
+            return found
+        found = more
+
+
+def _is_exception(name: str, defined: set[str]) -> bool:
+    builtin = getattr(builtins, name, None)
+    return name in defined or isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+
+def test_every_exception_class_is_raised_and_has_its_own_exit_path():
+    """The exception classes src defines are exactly the non-builtin ones
+    that cli.main's handlers name, and src raises each: no class exists
+    without an exit code, and no handler waits for a class nothing raises."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    defined = _exception_classes(trees.values())
+    assert {"UsageError", "ConfigError", "CheckpointError"} <= defined
+    main = next(n for n in trees["cli"].body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    handled = {ast.unparse(t).split(".")[-1]
+               for h in ast.walk(main) if isinstance(h, ast.ExceptHandler)
+               for t in (h.type.elts if isinstance(h.type, ast.Tuple) else [h.type])}
+    assert handled - set(dir(builtins)) == defined
+    raised = {ast.unparse(n.exc.func if isinstance(n.exc, ast.Call) else n.exc)
+              for tree in trees.values() for n in ast.walk(tree)
+              if isinstance(n, ast.Raise) and n.exc}
+    assert defined <= {name.split(".")[-1] for name in raised}
 
 
 def test_autodiff_scatters_with_no_add_at():

@@ -179,9 +179,9 @@ class TestRoc:
         fpr, tpr, _ = M.roc_curve(scores, positive)
         assert abs(M.auc(fpr, tpr) - 0.5) < 0.05
 
-    def test_single_class_raises(self):
-        with pytest.raises(M.MetricsError):
-            M.roc_curve([0.1, 0.2], [True, True])
+    def test_single_class_gives_no_curve(self):
+        assert M.roc_curve([0.1, 0.2], [True, True]) is None
+        assert M.roc_curve([0.1, 0.2], [False, False]) is None
 
     def test_monotone_points(self):
         rng = np.random.default_rng(8)

@@ -193,13 +193,17 @@ def cmd_lr_find(args) -> int:
     return 0
 
 
-def _report_abort(result) -> int:
-    if result.best_epoch is None:
-        kept = "no checkpoint written"
-    else:
-        kept = f"best checkpoint (epoch {result.best_epoch}) kept"
-    print(f"training aborted: {result.abort_reason}; {kept}", file=sys.stderr)
-    return 5
+def _report(result, metric: str) -> int:
+    """A training run's exit code: 0 after printing its best ``metric`` and
+    epoch, or 5 after saying on stderr why it aborted and what it kept."""
+    if result.aborted:
+        kept = ("no checkpoint written" if result.best_epoch is None
+                else f"best checkpoint (epoch {result.best_epoch}) kept")
+        print(f"training aborted: {result.abort_reason}; {kept}", file=sys.stderr)
+        return 5
+    print(json.dumps({f"best_{metric}": result.best_metric,
+                      "best_epoch": result.best_epoch}, allow_nan=False))
+    return 0
 
 
 def cmd_train_lm(args) -> int:
@@ -210,12 +214,8 @@ def cmd_train_lm(args) -> int:
     valid_ids, _ = _read_split(args.data, "valid", vocab)
     lm = _new_model("lm", _encoder_from_config(cfg, len(vocab)), cfg, vocab)
     cfg.write(out)
-    result = trainer_mod.train_lm(lm, train_ids, valid_ids, cfg, out_dir=out, vocab=vocab)
-    if result.aborted:
-        return _report_abort(result)
-    print(json.dumps({"best_valid_loss": result.best_metric,
-                      "best_epoch": result.best_epoch}, allow_nan=False))
-    return 0
+    return _report(trainer_mod.train_lm(lm, train_ids, valid_ids, cfg, out_dir=out, vocab=vocab),
+                   "valid_loss")
 
 
 def cmd_train_clf(args) -> int:
@@ -231,12 +231,8 @@ def cmd_train_clf(args) -> int:
         enc = _encoder_from_config(cfg, len(vocab))
     clf = _new_model("clf", enc, cfg, vocab)
     cfg.write(out)
-    result = trainer_mod.train_clf(clf, train_data, valid_data, cfg, out_dir=out, vocab=vocab)
-    if result.aborted:
-        return _report_abort(result)
-    print(json.dumps({"best_valid_fbeta": result.best_metric,
-                      "best_epoch": result.best_epoch}, allow_nan=False))
-    return 0
+    return _report(trainer_mod.train_clf(clf, train_data, valid_data, cfg, out_dir=out,
+                                         vocab=vocab), "valid_fbeta")
 
 
 def _row_scores(value, n_classes: int) -> np.ndarray | None:

@@ -35,13 +35,10 @@ _RAW_SKIPPED = 5
 
 
 class CorpusError(ValueError):
-    """Malformed corpus data. Carries a 1-based line number when known."""
+    """Malformed corpus data; the message names its 1-based line when known."""
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -211,7 +211,7 @@ def lstm_seq_forward(x, wx, wh, b, h0, c0, for_backward):
     backward needs every step, a carried state only the last.
 
     Precondition: the shapes agree: model.LstmLayer and load_checkpoint fix
-    the weights, Encoder.initial_state or the previous window the states.
+    the weights, the previous window (or a scalar 0) the states.
     """
     T, B, D = x.shape
     H = wh.shape[0]

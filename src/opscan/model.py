@@ -165,15 +165,6 @@ class Encoder:
             out.extend(layer.params())
         return out
 
-    def initial_state(self, batch_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [
-            (
-                np.zeros((batch_size, layer.hidden), dtype=self.dtype),
-                np.zeros((batch_size, layer.hidden), dtype=self.dtype),
-            )
-            for layer in self.layers
-        ]
-
     def embed(self, ids: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
         """Token ids (T, B) -> embedded inputs (T, B, emb_size).
 
@@ -193,18 +184,17 @@ class Encoder:
     ) -> tuple[Tensor, list]:
         """ids (T, B) int -> hidden outputs (T, B, out_size), new state.
 
-        rng=None is evaluation mode. The returned state is detached; pass
-        it back in to carry across consecutive windows of the same streams.
+        rng=None is evaluation mode. state=None starts every layer from zero.
+        The returned state is detached; pass it back in to carry across
+        consecutive windows of the same streams.
         """
         ids = np.asarray(ids)
-        if state is None:
-            state = self.initial_state(ids.shape[1])
         d = self.dropouts
         x = self.embed(ids, rng)
         new_state = []
         for l, layer in enumerate(self.layers):
             wh = dropout(layer.wh, rng, d.weight, layer.wh.shape)
-            h0, c0 = state[l]
+            h0, c0 = (0, 0) if state is None else state[l]
             x, last = lstm_sequence(x, layer.wx, wh, layer.b, h0, c0)
             new_state.append(last)
             if l < self.n_layers - 1:

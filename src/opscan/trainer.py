@@ -4,9 +4,10 @@ trainers.
 
 Each training policy is coded once. ``_step`` is the optimizer step of
 train_lm, train_clf and lr_find. ``_fit`` is the epoch loop of both
-trainers: history.jsonl, best-epoch selection, the best checkpoint and
-the abort bookkeeping. ``lm_losses`` and ``clf_losses`` are each model's
-one-epoch loss stream, which lr_find consumes through ``cycle``.
+trainers: their Adam, history.jsonl, best-epoch selection, the best
+checkpoint and the abort bookkeeping. ``lm_losses`` and ``clf_losses``
+are each model's one-epoch loss stream, which lr_find consumes through
+``cycle``; LM validation walks ``lm_losses`` too, without an rng.
 ``_score`` is the one scoring pass of validation, eval and predict.
 The first ``_step`` of a process tells glibc to keep the heap that each
 step's tape frees (``_keep_heap``), so the next step does not fault it in
@@ -15,8 +16,9 @@ again; eval and predict never set it.
 A split with no batch raises corpus.CorpusError naming it before the
 first epoch. A non-finite loss or gradient ends a run early, and
 TrainResult.abort_reason names the step; so does a validation that meets
-a non-finite number, naming the epoch. Scoring refuses non-finite scores
-with optim.NumericalError.
+a non-finite number, naming the epoch. Only non-finite values abort: a
+run that diverges to huge finite losses, which f64 can hold, completes.
+Scoring refuses non-finite scores with optim.NumericalError.
 """
 
 from __future__ import annotations
@@ -75,19 +77,19 @@ class OneCycleSchedule:
     def _cosine(lo: float, hi: float, t: float) -> float:
         return lo + (hi - lo) * (1.0 - math.cos(math.pi * t)) / 2.0
 
-    def lr(self, step: int) -> float:
+    def _at(self, step: int, start: float, peak: float, end: float) -> float:
+        """Cosine from start to peak over steps 0..warm_end, then cosine from
+        peak to end over the rest."""
         warm = self.warm_end
         if step <= warm:
-            return self._cosine(self.max_lr / START_DIV, self.max_lr, step / warm)
-        t = (step - warm) / (self.total_steps - 1 - warm)
-        return self._cosine(self.max_lr, self.max_lr / FINAL_DIV, t)
+            return self._cosine(start, peak, step / warm)
+        return self._cosine(peak, end, (step - warm) / (self.total_steps - 1 - warm))
+
+    def lr(self, step: int) -> float:
+        return self._at(step, self.max_lr / START_DIV, self.max_lr, self.max_lr / FINAL_DIV)
 
     def momentum(self, step: int) -> float:
-        warm = self.warm_end
-        if step <= warm:
-            return self._cosine(MOM_HI, MOM_LO, step / warm)
-        t = (step - warm) / (self.total_steps - 1 - warm)
-        return self._cosine(MOM_LO, MOM_HI, t)
+        return self._at(step, MOM_HI, MOM_LO, MOM_HI)
 
 
 def discriminative_lrs(n_groups: int, lr_lo: float, lr_hi: float) -> list[float]:
@@ -156,10 +158,11 @@ def checked_split(name: str, items: Iterable) -> list:
     return out
 
 
-def lm_losses(lm: LanguageModel, batches: Sequence, rng: np.random.Generator
+def lm_losses(lm: LanguageModel, batches: Iterable, rng: np.random.Generator | None
               ) -> Iterator[tuple[Tensor, int]]:
-    """One epoch of LM training: the loss of each corpus.lm_batches batch in
-    order, the recurrent state carried across them, each of weight 1."""
+    """The loss of each corpus.lm_batches batch in order, the recurrent state
+    carried across them, each of weight 1: one epoch of LM training with an
+    rng, a validation pass without."""
     state = None
     for x, y in batches:
         loss, state = lm.loss(x.T, y.T, state, rng=rng)
@@ -263,9 +266,9 @@ class TrainResult:
         return self.abort_reason is not None
 
 
-def _fit(model, opt: Adam, epochs: int, plans: Iterator, validate: Callable[[], tuple],
+def _fit(model, cfg: RunConfig, plans: Iterator, validate: Callable[[], tuple],
          metric: str, out_dir, vocab, *artifacts: str) -> TrainResult:
-    """The epoch loop of both trainers.
+    """The epoch loop of both trainers: cfg.epochs epochs of Adam at cfg.weight_decay.
 
     It first writes an empty history.jsonl and deletes ``artifacts`` (the best
     checkpoint's name first), so a rerun into the same directory holds one
@@ -286,9 +289,10 @@ def _fit(model, opt: Adam, epochs: int, plans: Iterator, validate: Callable[[], 
         write_atomic(Path(out_dir) / "history.jsonl", "")
         for name in artifacts:
             (Path(out_dir) / name).unlink(missing_ok=True)
-    if epochs == 0:
+    if cfg.epochs == 0:
         return result
     params = model.parameters()
+    opt = Adam(params, weight_decay=cfg.weight_decay)
     better = operator.lt if metric == "valid_loss" else operator.gt
     best_snap = None
     for epoch, (losses, hyper, where) in enumerate(plans, start=1):
@@ -346,13 +350,10 @@ def _frozen(params: Sequence[Parameter]) -> Iterator[None]:
 # the two trainers
 
 def _lm_valid_loss(lm: LanguageModel, valid_seqs, batch_size: int, bptt: int) -> float:
-    total, n, state = 0.0, 0, None
+    batches = corpus_mod.lm_batches(valid_seqs, batch_size, bptt)
     with _frozen(lm.parameters()):
-        for x, y in corpus_mod.lm_batches(valid_seqs, batch_size, bptt):
-            loss, state = lm.loss(x.T, y.T, state)
-            total += loss.item()
-            n += 1
-    return total / n
+        losses = [loss.item() for loss, _ in lm_losses(lm, batches, None)]
+    return sum(losses) / len(losses)
 
 
 def train_lm(lm: LanguageModel, train_seqs: Sequence[np.ndarray],
@@ -377,8 +378,7 @@ def train_lm(lm: LanguageModel, train_seqs: Sequence[np.ndarray],
                    lambda i: (sched.lr(first + i), sched.momentum(first + i)),
                    lambda i: f"step {first + i}, lr {sched.lr(first + i):.6g}")
 
-    return _fit(lm, Adam(lm.parameters(), weight_decay=cfg.weight_decay), epochs,
-                plans(), lambda: (_lm_valid_loss(lm, valid_seqs, batch_size, bptt), None),
+    return _fit(lm, cfg, plans(), lambda: (_lm_valid_loss(lm, valid_seqs, batch_size, bptt), None),
                 "valid_loss", out_dir, vocab, "lm_best.ckpt")
 
 
@@ -527,8 +527,8 @@ def train_clf(clf: Classifier, train_data: tuple[Sequence[np.ndarray], Sequence[
         valid_loss, rep = evaluate_classifier(clf, valid_ids, valid_labels, max_len)
         return valid_loss, rep.weighted["fbeta"]
 
-    result = _fit(clf, Adam(clf.parameters(), weight_decay=cfg.weight_decay), epochs,
-                  plans(), validate, "valid_fbeta", out_dir, vocab, "clf_best.ckpt", "fbeta.csv")
+    result = _fit(clf, cfg, plans(), validate, "valid_fbeta", out_dir, vocab,
+                  "clf_best.ckpt", "fbeta.csv")
     if out_dir is not None and result.history:
         write_atomic(Path(out_dir) / "fbeta.csv", ["epoch,fbeta\n"] + [
             f"{e['epoch']},{e['valid_fbeta']!r}\n" for e in result.history])

@@ -22,37 +22,55 @@ ALLOWED_UNUSED = {
 
 def _definitions_and_uses():
     """({(module, name): lineno} of public module-level functions and
-    classes, {identifier: {(module, top-level definition or None)}} of every
-    Name and attribute read in src)."""
+    classes and, as "Class.method", of the public methods and properties of
+    module-level classes; {identifier: {(module, where)}} of every Name and
+    attribute read in src, where is the enclosing top-level function or
+    class, "Class.method" inside a method, or None)."""
     defs, uses = {}, {}
     for path in sorted(SRC.glob("*.py")):
         module = path.stem
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = None
+            owner, method_of = None, {}
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 owner = stmt.name
                 if not stmt.name.startswith("_"):
                     defs[(module, stmt.name)] = stmt.lineno
+            if isinstance(stmt, ast.ClassDef):
+                for fn in stmt.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        if not fn.name.startswith("_"):
+                            defs[(module, f"{stmt.name}.{fn.name}")] = fn.lineno
+                        method_of.update((id(n), f"{stmt.name}.{fn.name}") for n in ast.walk(fn))
             for node in ast.walk(stmt):
+                where = method_of.get(id(node), owner)
                 if isinstance(node, ast.Name):
-                    uses.setdefault(node.id, set()).add((module, owner))
+                    uses.setdefault(node.id, set()).add((module, where))
                 elif isinstance(node, ast.Attribute):
-                    uses.setdefault(node.attr, set()).add((module, owner))
+                    uses.setdefault(node.attr, set()).add((module, where))
     return defs, uses
 
 
+def _used_outside(module: str, name: str, uses) -> bool:
+    """Whether some src module reads ``name``'s identifier outside the
+    definition of ``name`` (a top-level name or "Class.method")."""
+    return any(m != module or where is None
+               or not (where == name or where.startswith(name + "."))
+               for m, where in uses.get(name.split(".")[-1], ()))
+
+
 def test_every_public_function_and_class_has_a_src_caller():
-    """A public name counts as used when some src module names it, as a name
-    or an attribute, outside its own definition. Identifiers are matched
-    without resolving them, so a dead name that shares its identifier with a
-    used one goes unseen; an import alone is no use."""
+    """A public name, or public method or property of a class, counts as
+    used when some src module names it, as a name or an attribute, outside
+    its own definition. Identifiers are matched without resolving them, so
+    a dead name that shares its identifier with a used one goes unseen; an
+    import alone is no use."""
     t0 = time.perf_counter()
     defs, uses = _definitions_and_uses()
+    assert ("model", "Encoder.shape") in defs and ("trainer", "TrainResult.aborted") in defs
     unused = sorted(
         f"{module}.{name} (line {lineno})"
         for (module, name), lineno in defs.items()
-        if (module, name) not in ALLOWED_UNUSED
-        and not uses.get(name, set()) - {(module, name)}
+        if (module, name) not in ALLOWED_UNUSED and not _used_outside(module, name, uses)
     )
     assert not unused, f"public names only tests reach: {', '.join(unused)}"
     stale = sorted(f"{m}.{n}" for m, n in ALLOWED_UNUSED if (m, n) not in defs)

@@ -24,6 +24,17 @@ def tiny_encoder(vocab=9, emb=6, hidden=8, layers=2, dropouts=NO_DROP, dtype="f6
                    dropouts=dropouts, dtype=dtype, seed=seed)
 
 
+def zero_state(enc: M.Encoder, B: int) -> list:
+    """An explicit all-zero (h0, c0) per layer of enc, for B streams."""
+    return [(np.zeros((B, layer.hidden), enc.dtype), np.zeros((B, layer.hidden), enc.dtype))
+            for layer in enc.layers]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape and bytes: unlike ==, tells 0.0 from -0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def record_masks(monkeypatch) -> list:
     """Record (shape, p, mask) of every keep mask the model draws."""
     drawn = []
@@ -231,6 +242,26 @@ class TestEncoder:
         second, _ = enc.forward(ids[4:], state=state)
         np.testing.assert_allclose(second.data, full.data[4:], atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("tie_last", [True, False])
+    @pytest.mark.parametrize("B", [1, 5])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_no_state_is_a_zero_state(self, dtype, tie_last, B, frozen):
+        """state=None starts every layer from h0 = c0 = 0: the outputs and the
+        carried states have the bits of a pass given explicit zero arrays,
+        with and without the per-step gates kept for a backward."""
+        enc = encoder(9, emb_size=6, hidden_size=8, n_layers=2, tie_last=tie_last,
+                      dropouts=NO_DROP, dtype=dtype, seed=3)
+        for p in enc.parameters():
+            p.frozen = frozen
+        ids = np.random.default_rng(4).integers(0, 9, (7, B))
+        out, state = enc.forward(ids)
+        ref, ref_state = enc.forward(ids, zero_state(enc, B))
+        assert same_bits(out.data, ref.data) and out.data.dtype == enc.dtype
+        assert len(state) == len(ref_state) == 2
+        for carried, expected in zip(state, ref_state):
+            assert all(same_bits(a, b) for a, b in zip(carried, expected))
+
     def test_forget_bias_starts_at_one(self):
         enc = tiny_encoder()
         H = enc.layers[0].hidden
@@ -256,6 +287,18 @@ class TestLanguageModel:
         targets = rng.integers(1, vocab, (10, 4))
         loss, _ = lm.loss(ids, targets)
         assert abs(loss.item() - np.log(vocab)) / np.log(vocab) < 0.15
+
+    def test_loss_without_state_is_loss_from_zero_state(self):
+        enc = encoder(9, emb_size=6, hidden_size=8, n_layers=2, tie_last=False,
+                      dropouts=NO_DROP, dtype="f32", seed=3)
+        lm = M.LanguageModel(enc, vocab_hash=None, seed=1)
+        rng = np.random.default_rng(5)
+        ids, targets = rng.integers(0, 9, (6, 3)), rng.integers(1, 9, (6, 3))
+        loss, state = lm.loss(ids, targets)
+        ref, ref_state = lm.loss(ids, targets, zero_state(enc, 3))
+        assert same_bits(loss.data, ref.data)
+        for carried, expected in zip(state, ref_state):
+            assert all(same_bits(a, b) for a, b in zip(carried, expected))
 
     def test_tied_decoder_is_embedding_storage(self):
         enc = tiny_encoder()

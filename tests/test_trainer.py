@@ -118,6 +118,29 @@ class TestOneCycle:
         assert all(a < b for a, b in zip(lrs[:w], lrs[1 : w + 1]))
         assert all(a > b for a, b in zip(lrs[w:], lrs[w + 1 :]))
 
+    @pytest.mark.parametrize("total_steps", [3, 10, 100, 1001])
+    @pytest.mark.parametrize("warmup_frac", [0.1, 0.3, 0.9])
+    def test_every_step_is_the_two_piece_cosine(self, total_steps, warmup_frac):
+        """lr(i) and momentum(i) are, bit for bit, a cosine up to warm_end and
+        another down from it, each written out here on its own."""
+        s = self.sched(total_steps=total_steps, warmup_frac=warmup_frac)
+        max_lr, last = 0.03, total_steps - 1
+        warm = min(max(1, round(warmup_frac * last)), last - 1)
+        assert s.warm_end == warm
+
+        def cosine(lo, hi, t):
+            return lo + (hi - lo) * (1.0 - math.cos(math.pi * t)) / 2.0
+
+        for i in range(total_steps):
+            if i <= warm:
+                lr = cosine(max_lr / T.START_DIV, max_lr, i / warm)
+                momentum = cosine(T.MOM_HI, T.MOM_LO, i / warm)
+            else:
+                t = (i - warm) / (total_steps - 1 - warm)
+                lr = cosine(max_lr, max_lr / T.FINAL_DIV, t)
+                momentum = cosine(T.MOM_LO, T.MOM_HI, t)
+            assert (s.lr(i), s.momentum(i)) == (lr, momentum), i
+
     def test_momentum_cycles_inversely(self):
         s = self.sched()
         assert abs(s.momentum(0) - 0.95) <= 1e-12
@@ -391,7 +414,7 @@ class TestTrainLm:
         assert result.best_metric == min(h["valid_loss"] for h in result.history)
         # re-evaluating the returned weights reproduces the best metric
         again = T._lm_valid_loss(lm, valid_ids, 4, 10)
-        assert again == pytest.approx(result.best_metric, abs=1e-12)
+        assert again == result.best_metric
 
     @pytest.mark.parametrize("epochs", [1, 2])
     def test_fewer_than_three_steps_in_all(self, epochs):
